@@ -4,6 +4,11 @@ The N^2 moments <a_k^dagger a_l> close under the dynamics; with the Fourier
 ansatz <O>(t) = sum_n exp(-i n Omega t) <O>_n the periodic steady state is a
 single block-tridiagonal linear solve over sidebands -n_max..n_max and no
 frequency integration is needed for cycle-averaged powers.
+
+The solve is block elimination (``blocktri.solve_thomas``) and nothing
+else: the static block M_0 is assembled once per operating point, the
+sideband blocks M_n = M_0 - i n Omega I are shifted from it, and every hot
+bath is one right-hand-side column of the same elimination.
 """
 from __future__ import annotations
 
@@ -14,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocktri
-from .model import (SI, ConvergenceError, PowerMatrix, SingularBlockError,
-                    ensure_valid, occupation)
+from .model import SI, ConvergenceError, PowerMatrix, ensure_valid, occupation
 
 __all__ = [
     "MomentIndexMap",
@@ -23,6 +27,7 @@ __all__ = [
     "FourierSolution",
     "assemble_Mn",
     "assemble_Gpm",
+    "shift_Mn",
     "solve_fourier",
     "power_matrix",
     "converged_power_matrix",
@@ -157,8 +162,20 @@ class FourierSolution:
         return self.coeffs[self.n_max - n]
 
 
+def shift_Mn(m0, n, Omega):
+    """Sideband blocks M_n = M_0 - i n Omega I from the static block M_0.
+
+    ``n`` may be one sideband index or an array of them; an array gives the
+    blocks stacked along a leading axis.  Equal to ``assemble_Mn(net, n,
+    Omega)`` without rerunning the assembly loops.
+    """
+    n = np.asarray(n)
+    return m0 - 1j * Omega * n[..., None, None] * np.eye(m0.shape[0])
+
+
 def _sideband_blocks(net, mod, n_max):
-    diag = [assemble_Mn(net, n, mod.Omega) for n in range(n_max, -n_max - 1, -1)]
+    diag = shift_Mn(assemble_Mn(net, 0, mod.Omega),
+                    np.arange(n_max, -n_max - 1, -1), mod.Omega)
     gp, gm = assemble_Gpm(mod)
     # The Fourier recursion couples <.>_n to <.>_{n+1} with -G+ and to
     # <.>_{n-1} with -G-; this sign keeps the reconstructed time series in
@@ -172,70 +189,68 @@ def _sideband_blocks(net, mod, n_max):
     return diag, upper, lower
 
 
-def _solve_fourier_nvec(net, mod, n_max, nvec, solver="dense"):
-    """Solve the sideband system for an explicit bath-occupation vector."""
+def _solve_fourier_nvec(net, mod, n_max, nvecs):
+    """Solve the sideband system for explicit bath-occupation vectors.
+
+    ``nvecs`` is one occupation vector (N,) or C of them as rows (C, N);
+    all C right-hand sides share one block elimination.  Returns the
+    coefficients shaped (2 n_max + 1, N^2), or (C, 2 n_max + 1, N^2).
+    """
     N = net.N
     imap = moment_index_map(N)
     nblocks = 2 * n_max + 1
-    rhs = np.zeros(nblocks * imap.size, dtype=complex)
-    for k in range(N):
-        rhs[n_max * imap.size + imap.index(k, k)] = 2.0 * net.kappa[k] * nvec[k]
+    nvecs = np.asarray(nvecs, dtype=float)
+    cols = nvecs.reshape(-1, N)
+    rhs = np.zeros((nblocks, imap.size, cols.shape[0]), dtype=complex)
+    rhs[n_max, :N] = (2.0 * net.kappa[:, None]) * cols.T
 
     diag, upper, lower = _sideband_blocks(net, mod, n_max)
-    if solver == "thomas":
-        sol = blocktri.solve_thomas(diag, upper, lower, rhs)
-    elif solver == "dense":
-        full = blocktri.assemble_dense(diag, upper, lower)
-        try:
-            sol = np.linalg.solve(full, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlockError(f"singular sideband system: {exc}") from exc
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    if not np.all(np.isfinite(sol)):
-        raise SingularBlockError("non-finite Fourier coefficients")
-    return sol.reshape(nblocks, imap.size)
+    sol = blocktri.solve_thomas(diag, upper, lower,
+                                rhs.reshape(nblocks * imap.size, -1))
+    coeffs = np.moveaxis(sol.reshape(nblocks, imap.size, -1), -1, 0)
+    return coeffs if nvecs.ndim == 2 else coeffs[0]
 
 
-def solve_fourier(net, mod, n_max, source, consts=SI, solver="dense"):
+def solve_fourier(net, mod, n_max, source, consts=SI):
     """Periodic steady state with only bath ``source`` thermally occupied."""
     ensure_valid(net, mod, consts)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     nvec = np.zeros(net.N)
     nvec[source] = occupation(net.T[source], net.omega[source], consts)
-    coeffs = _solve_fourier_nvec(net, mod, n_max, nvec, solver)
+    coeffs = _solve_fourier_nvec(net, mod, n_max, nvec)
     return FourierSolution(n_max=n_max, Omega=mod.Omega, coeffs=coeffs)
 
 
-def power_matrix(net, mod, n_max, consts=SI, solver="dense"):
-    """Cycle-averaged pairwise and emitted powers, one solve per hot bath.
+def power_matrix(net, mod, n_max, consts=SI):
+    """Cycle-averaged pairwise and emitted powers, one elimination in all.
 
     P[k, l] = hbar omega_k 2 kappa_l Re<a_l^+ a_l>_0 with bath k alone hot;
-    baths at 0 K contribute zero rows by linearity and are skipped.
+    every hot bath is one right-hand-side column of the same block
+    elimination.  Baths at 0 K contribute zero rows by linearity and are
+    skipped.
     """
     ensure_valid(net, mod, consts)
     N = net.N
-    imap = moment_index_map(N)
     P = np.zeros((N, N))
     P_em = np.zeros(N)
-    for k in range(N):
-        n_k = occupation(net.T[k], net.omega[k], consts)
-        if n_k == 0.0:
-            continue
-        nvec = np.zeros(N)
-        nvec[k] = n_k
-        zeroth = _solve_fourier_nvec(net, mod, n_max, nvec, solver)[n_max]
+    n_occ = net.occupations(consts)
+    hot = np.flatnonzero(n_occ)
+    if hot.size == 0:
+        return PowerMatrix(P=P, P_em=P_em)
+    # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
+    zeroth = _solve_fourier_nvec(net, mod, n_max,
+                                 np.diag(n_occ)[hot])[:, n_max, :N].real
+    for k, occ in zip(hot, zeroth):
         pref = consts.hbar * net.omega[k]
-        for l in range(N):
-            if l != k:
-                P[k, l] = pref * 2.0 * net.kappa[l] * zeroth[imap.index(l, l)].real
-        P_em[k] = pref * 2.0 * net.kappa[k] * (n_k - zeroth[imap.index(k, k)].real)
+        P[k] = pref * 2.0 * net.kappa * occ
+        P[k, k] = 0.0
+        P_em[k] = pref * 2.0 * net.kappa[k] * (n_occ[k] - occ[k])
     return PowerMatrix(P=P, P_em=P_em)
 
 
 def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4, n_max_limit=256,
-                           consts=SI, solver="dense"):
+                           consts=SI):
     """Double the truncation order until the power matrix stops moving.
 
     Returns (PowerMatrix, n_max_used); successive orders must agree to rtol
@@ -246,10 +261,10 @@ def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4, n_max_limit=256,
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
     n = max(1, n_max_start)
-    prev = power_matrix(net, mod, n, consts, solver)
+    prev = power_matrix(net, mod, n, consts)
     while 2 * n <= n_max_limit:
         n *= 2
-        cur = power_matrix(net, mod, n, consts, solver)
+        cur = power_matrix(net, mod, n, consts)
         scale = max(np.abs(prev.P).max(), np.abs(prev.P_em).max(), 1e-300)
         drift = max(np.abs(cur.P - prev.P).max(),
                     np.abs(cur.P_em - prev.P_em).max())

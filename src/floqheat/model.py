@@ -124,9 +124,9 @@ class ResonatorNetwork:
         g = _frozen_array(self.g, complex)
         kappa = _frozen_array(self.kappa, float)
         temp = _frozen_array(self.T, float)
-        n = omega.shape[0]
         if omega.ndim != 1:
             raise ValueError("omega must be a 1-d array")
+        n = omega.shape[0]
         if g.shape != (n, n):
             raise ValueError(f"g must be shaped ({n}, {n}), got {g.shape}")
         if kappa.shape != (n,) or temp.shape != (n,):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import assemble_Gpm, assemble_Mn, moment_index_map
+from .master import assemble_Gpm, assemble_Mn, moment_index_map, shift_Mn
 from .model import SI, SingularBlockError, ensure_valid, occupation
 
 __all__ = [
@@ -28,6 +28,22 @@ __all__ = [
 ]
 
 
+def _eliminate_first_sidebands(m0, mod):
+    """``assemble_Npert`` for a given static block M_0; M_+-1 are shifted
+    from it."""
+    if mod.beta == 0.0:
+        return m0
+    gp, _ = assemble_Gpm(mod)
+    gt = gp / (0.5j * mod.beta)
+    gts = gt.conj()
+    try:
+        inv_p = np.linalg.inv(shift_Mn(m0, +1, mod.Omega))
+        inv_m = np.linalg.inv(shift_Mn(m0, -1, mod.Omega))
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError(f"singular first-sideband block: {exc}") from exc
+    return m0 + 0.25 * mod.beta**2 * (gt @ inv_p @ gts + gts @ inv_m @ gt)
+
+
 def assemble_Npert(net, mod):
     """Effective zeroth-sideband matrix after eliminating n = +-1.
 
@@ -35,18 +51,7 @@ def assemble_Npert(net, mod):
     beta/2) Gt; blocks with |n| >= 2 are discarded.
     """
     ensure_valid(net, mod)
-    m0 = assemble_Mn(net, 0, mod.Omega)
-    if mod.beta == 0.0:
-        return m0
-    gp, _ = assemble_Gpm(mod)
-    gt = gp / (0.5j * mod.beta)
-    gts = gt.conj()
-    try:
-        inv_p = np.linalg.inv(assemble_Mn(net, +1, mod.Omega))
-        inv_m = np.linalg.inv(assemble_Mn(net, -1, mod.Omega))
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"singular first-sideband block: {exc}") from exc
-    return m0 + 0.25 * mod.beta**2 * (gt @ inv_p @ gts + gts @ inv_m @ gt)
+    return _eliminate_first_sidebands(assemble_Mn(net, 0, mod.Omega), mod)
 
 
 def second_order_inverse(net, mod, variant="matrix_inverse"):
@@ -57,13 +62,14 @@ def second_order_inverse(net, mod, variant="matrix_inverse"):
     [1 - (beta^2/4) M_0^-1 (...)] M_0^-1, cheaper but valid over a smaller
     modulation range.
     """
-    npert = assemble_Npert(net, mod)
     if variant == "matrix_inverse":
-        return np.linalg.inv(npert)
+        return np.linalg.inv(assemble_Npert(net, mod))
+    ensure_valid(net, mod)
     if variant == "neumann":
-        m0_inv = np.linalg.inv(assemble_Mn(net, 0, mod.Omega))
-        correction = m0_inv @ (npert - assemble_Mn(net, 0, mod.Omega))
-        return (np.eye(npert.shape[0]) - correction) @ m0_inv
+        m0 = assemble_Mn(net, 0, mod.Omega)
+        m0_inv = np.linalg.inv(m0)
+        correction = m0_inv @ (_eliminate_first_sidebands(m0, mod) - m0)
+        return (np.eye(m0.shape[0]) - correction) @ m0_inv
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -45,6 +45,8 @@ def test_singular_block_raises():
     diag[0] = np.zeros((2, 2), dtype=complex)
     with pytest.raises(SingularBlockError):
         solve_thomas(diag, upper, lower, rhs)
+    with pytest.raises(SingularBlockError):
+        solve_thomas(np.stack(diag), upper, lower, np.stack([rhs] * 3, axis=1))
 
 
 def test_rhs_length_checked():
@@ -52,3 +54,35 @@ def test_rhs_length_checked():
     diag, upper, lower, rhs = random_system(rng, 3, 2)
     with pytest.raises(ValueError):
         solve_thomas(diag, upper, lower, rhs[:-1])
+    cols = np.stack([rhs, rhs], axis=1)
+    with pytest.raises(ValueError):
+        solve_thomas(diag, upper, lower, cols[:-1])
+    with pytest.raises(ValueError):
+        solve_thomas(diag, upper, lower, cols.reshape(6, 2, 1))
+
+
+@pytest.mark.parametrize("nblocks,b,ncols", [(1, 3, 2), (4, 2, 3), (7, 5, 4)])
+def test_multi_column_rhs_matches_dense_lu(nblocks, b, ncols):
+    rng = np.random.default_rng(100 + nblocks * 10 + b)
+    diag, upper, lower, _ = random_system(rng, nblocks, b)
+    rhs = (rng.standard_normal((nblocks * b, ncols))
+           + 1j * rng.standard_normal((nblocks * b, ncols)))
+    x_thomas = solve_thomas(diag, upper, lower, rhs)
+    assert x_thomas.shape == rhs.shape
+    full = assemble_dense(diag, upper, lower)
+    for c in range(ncols):
+        x_dense = np.linalg.solve(full, rhs[:, c])
+        assert np.max(np.abs(x_dense - x_thomas[:, c])) <= \
+            1e-12 * np.max(np.abs(x_dense))
+
+
+def test_stacked_blocks_equal_lists():
+    rng = np.random.default_rng(3)
+    diag, upper, lower, rhs = random_system(rng, 6, 3)
+    cols = np.stack([rhs, 2j * rhs[::-1]], axis=1)
+    for b_rhs in (rhs, cols):
+        from_lists = solve_thomas(diag, upper, lower, b_rhs)
+        from_arrays = solve_thomas(np.stack(diag), np.stack(upper),
+                                   np.stack(lower), b_rhs)
+        assert np.array_equal(from_lists, from_arrays)
+

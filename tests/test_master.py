@@ -5,9 +5,11 @@ import pytest
 from scipy.linalg import solve_sylvester
 
 from floqheat import (ModulationProtocol, ResonatorNetwork, SI, occupation)
+from floqheat.blocktri import assemble_dense
 from floqheat.master import (FourierSolution, assemble_Gpm, assemble_Mn,
                              moment_index_map, periodic_expectations,
-                             power_matrix, solve_fourier, _solve_fourier_nvec,
+                             power_matrix, shift_Mn, solve_fourier,
+                             _solve_fourier_nvec,
                              modulation_contrast)
 from floqheat.model import ValidationError
 
@@ -75,6 +77,17 @@ class TestAssembly:
         m2 = assemble_Mn(net, 2, mod.Omega)
         shift = m2 - m0
         assert np.allclose(shift, -2j * mod.Omega * np.eye(16))
+
+    def test_shifted_blocks_equal_assembled(self, chain_modulated):
+        net, mod = chain_modulated
+        m0 = assemble_Mn(net, 0, mod.Omega)
+        ns = np.arange(3, -4, -1)
+        stacked = shift_Mn(m0, ns, mod.Omega)
+        assert stacked.shape == (7, 16, 16)
+        for n, block in zip(ns, stacked):
+            expected = assemble_Mn(net, n, mod.Omega)
+            assert np.array_equal(block, expected)
+            assert np.array_equal(shift_Mn(m0, n, mod.Omega), expected)
 
     def test_coupling_matrices_vanish_without_drive(self):
         net, mod = chain(0.0)
@@ -175,11 +188,25 @@ class TestSolveFourier:
             solve_fourier(net, mod, -1, 0)
 
     def test_thomas_solver_agrees_with_dense(self, chain_modulated):
-        net, mod = chain_modulated
-        hot = net.with_hot_bath(0, T_HOT)
-        dense = solve_fourier(hot, mod, 10, 0, solver="dense").coeffs
-        thomas = solve_fourier(hot, mod, 10, 0, solver="thomas").coeffs
-        assert np.max(np.abs(dense - thomas)) <= 1e-12 * np.max(np.abs(dense))
+        # dense pivoted LU of the full sideband operator, every block
+        # assembled from scratch, as the reference for the block elimination
+        cases = [(*chain_modulated, 10),
+                 (*random_network(np.random.default_rng(7), 6), 6),
+                 (*chain(0.3, 0.5, drive_frac=0.02), 64)]
+        source = 0
+        for net, mod, n_max in cases:
+            hot = net.with_hot_bath(source, T_HOT)
+            imap = moment_index_map(net.N)
+            gp, gm = assemble_Gpm(mod)
+            full = assemble_dense(
+                [assemble_Mn(hot, n, mod.Omega) for n in range(n_max, -n_max - 1, -1)],
+                [-gm] * (2 * n_max), [-gp] * (2 * n_max))
+            rhs = np.zeros(full.shape[0], dtype=complex)
+            rhs[n_max * imap.size + imap.index(source, source)] = (
+                2.0 * hot.kappa[source] * occupation(T_HOT, hot.omega[source]))
+            dense = np.linalg.solve(full, rhs).reshape(2 * n_max + 1, imap.size)
+            thomas = solve_fourier(hot, mod, n_max, source).coeffs
+            assert np.max(np.abs(dense - thomas)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestPowerMatrix:
@@ -199,6 +226,19 @@ class TestPowerMatrix:
             hot = net.with_hot_bath(source, T_HOT)
             pm = power_matrix(hot, mod, 15)
             assert pm.conservation_residual(source) <= 1e-9 * pm.P_em[source]
+
+    def test_hot_baths_share_one_elimination(self):
+        # every hot bath is one right-hand-side column; each row must equal
+        # the single-hot-bath solve
+        net, mod = random_network(np.random.default_rng(8), 4)
+        net = net.with_temperatures([300.0, 0.0, 120.0, 40.0])
+        pm = power_matrix(net, mod, 8)
+        for k in (0, 2, 3):
+            one = power_matrix(net.with_hot_bath(k, net.T[k]), mod, 8)
+            scale = np.abs(one.P[k]).max()
+            assert np.max(np.abs(pm.P[k] - one.P[k])) <= 1e-12 * scale
+            assert pm.P_em[k] == pytest.approx(one.P_em[k], rel=1e-9)
+        assert np.all(pm.P[1] == 0.0) and pm.P_em[1] == 0.0
 
     def test_gauge_invariance_under_global_phase(self):
         rng = np.random.default_rng(21)

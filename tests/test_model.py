@@ -56,6 +56,8 @@ class TestNetworkTypes:
                              kappa=[0.1, 0.2], T=[0])
         with pytest.raises(ValueError):
             ModulationProtocol(beta=0.0, Omega=1.0, theta=[0.0, 0.0], mask=[1])
+        with pytest.raises(ValueError, match="1-d"):
+            ResonatorNetwork(omega=1.0, g=np.zeros((1, 1)), kappa=[0.1], T=[0])
 
     def test_arrays_are_frozen(self, chain_static):
         net, mod = chain_static
