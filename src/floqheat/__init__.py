@@ -25,9 +25,7 @@ from .model import (
 from .config import ConfigError, load_config
 from .langevin import (
     FloquetSpectrum,
-    SidebandBlockSystem,
     assemble_A,
-    assemble_sideband_system,
     emitted_power,
     heat_flux_spectrum,
     integrate_power,

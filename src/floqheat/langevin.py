@@ -2,7 +2,15 @@
 
 The modulation couples each resonator amplitude a_k(omega) to its sidebands
 a_k(omega +- Omega); truncating at |m| <= n_max turns the steady state into
-a block-tridiagonal solve per frequency.  Spectra come out per source bath,
+one linear system per frequency, block-tridiagonal over the sidebands.  Its
+diagonal blocks A(omega + m Omega) = A(omega) - i m Omega I are shifted from
+one drift matrix, and it is solved as a dense matrix by pivoted LU
+(``np.linalg.solve``).  With one frequency per quadrature node that is the
+faster route: for one response row of the four-resonator chain at n_max = 10
+(84 unknowns; 2-vCPU Xeon VM, one OpenBLAS thread) the dense solve took
+350-480 us against about 680 us for block elimination
+(``blocktri.solve_thomas``), the two agreeing to 1e-15.  Elimination pays
+only once frequencies are batched.  Spectra come out per source bath,
 powers by adaptive quadrature over the spectral window.
 """
 from __future__ import annotations
@@ -15,14 +23,13 @@ import numpy as np
 from scipy import integrate
 
 from . import blocktri
+from .master import shift_Mn
 from .model import (SI, QuadratureError, SingularBlockError, ensure_valid,
                     occupation)
 
 __all__ = [
-    "SidebandBlockSystem",
     "FloquetSpectrum",
     "assemble_A",
-    "assemble_sideband_system",
     "spectral_correlations",
     "occupation_spectrum",
     "heat_flux_spectrum",
@@ -31,10 +38,6 @@ __all__ = [
     "emitted_power",
     "write_spectrum_csv",
 ]
-
-# condition numbers beyond this in the sideband blocks signal invalid inputs
-# (kappa > 0 with real frequencies keeps every block comfortably regular)
-_COND_LIMIT = 1e14
 
 
 def assemble_A(net, omega):
@@ -48,9 +51,13 @@ def assemble_A(net, omega):
     return a
 
 
-def _sideband_order(n_max):
-    # +n_max first, central block in the middle, -n_max last
-    return range(n_max, -n_max - 1, -1)
+def _check_indices(net, n_max, *baths):
+    """Reject a negative truncation order and bath indices outside 0..N-1."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    for k in baths:
+        if not 0 <= k < net.N:
+            raise ValueError(f"bath index {k} outside 0..{net.N - 1}")
 
 
 def _modulation_q(mod, sign):
@@ -58,70 +65,21 @@ def _modulation_q(mod, sign):
 
 
 def _frequency_operator(net, mod, omega, n_max):
-    """Dense sideband operator with blocks A(omega + m Omega) on the diagonal
-    and (i beta / 2) Q_+- on the first off-diagonals.
-
-    Equal to Mdiag^-1 L of ``assemble_sideband_system`` but assembled
-    without any block inversions; its inverse maps stacked noise amplitudes
-    to stacked resonator amplitudes.
+    """Dense sideband operator with blocks A(omega + m Omega) on the diagonal,
+    m = n_max (top) down to -n_max, and (i beta / 2) Q_+- on the first
+    off-diagonals; its inverse maps stacked noise amplitudes to stacked
+    resonator amplitudes.
     """
-    diag = [assemble_A(net, omega + m * mod.Omega) for m in _sideband_order(n_max)]
+    # A(omega + m Omega) = A(omega) - i m Omega I: the shift of master's M_n
+    diag = shift_Mn(assemble_A(net, omega), np.arange(n_max, -n_max - 1, -1),
+                    mod.Omega)
     # a_k picks up e^{+i theta_k} towards the next sideband up; with blocks
     # ordered +n_max first, that coefficient lives on the lower stripe
     coupling_up = 0.5j * mod.beta * _modulation_q(mod, +1)
     coupling_dn = 0.5j * mod.beta * _modulation_q(mod, -1)
-    nblocks = 2 * n_max + 1
     return blocktri.assemble_dense(
-        diag, [coupling_dn] * (nblocks - 1), [coupling_up] * (nblocks - 1)
+        diag, [coupling_dn] * (2 * n_max), [coupling_up] * (2 * n_max)
     )
-
-
-@dataclass(frozen=True)
-class SidebandBlockSystem:
-    """The preconditioned factorization psi = L^-1 Mdiag F.
-
-    L has identity diagonal blocks and (i beta / 2) M_m Q_-+ on the first
-    off-block-diagonals; Mdiag is block-diagonal with M_m = A(omega + m
-    Omega)^-1.  Blocks run from sideband +n_max (top) to -n_max (bottom).
-    """
-
-    n_max: int
-    omega: float
-    L: np.ndarray
-    Mdiag: np.ndarray
-
-
-def assemble_sideband_system(net, mod, omega, n_max):
-    """Assemble L and Mdiag at observation frequency omega."""
-    ensure_valid(net, mod)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    N = net.N
-    blocks = np.stack([assemble_A(net, omega + m * mod.Omega)
-                       for m in _sideband_order(n_max)])
-    conds = np.linalg.cond(blocks)
-    if not np.all(np.isfinite(conds)) or conds.max() > _COND_LIMIT:
-        raise SingularBlockError(
-            f"sideband block condition {conds.max():.2e} beyond {_COND_LIMIT:.0e}"
-        )
-    minus = np.linalg.inv(blocks)
-    nblocks = 2 * n_max + 1
-    qp = _modulation_q(mod, +1)
-    qm = _modulation_q(mod, -1)
-    eye = np.eye(N, dtype=complex)
-    # row of sideband m couples with (i beta/2) M_m Q_+ to sideband m + 1
-    # (one block row up) and with (i beta/2) M_m Q_- to sideband m - 1
-    ell = blocktri.assemble_dense(
-        [eye] * nblocks,
-        [0.5j * mod.beta * minus[r] @ qm for r in range(nblocks - 1)],
-        [0.5j * mod.beta * minus[r + 1] @ qp for r in range(nblocks - 1)],
-    )
-    mdiag = blocktri.assemble_dense(
-        list(minus),
-        [np.zeros((N, N), dtype=complex)] * (nblocks - 1),
-        [np.zeros((N, N), dtype=complex)] * (nblocks - 1),
-    )
-    return SidebandBlockSystem(n_max=n_max, omega=omega, L=ell, Mdiag=mdiag)
 
 
 def _response_rows(net, mod, omega, n_max, observers):
@@ -138,19 +96,28 @@ def _response_rows(net, mod, omega, n_max, observers):
     return cols.conj().T  # row per observer
 
 
+def _bath_weights(net, mod, omega, n_max, observers):
+    """Response weights at one frequency, summed over the sidebands.
+
+    W[i, k] = sum_m |row observers[i] of the inverse operator, sideband m,
+    resonator k|^2: how strongly bath k's noise reaches the observer.  Every
+    spectrum and power of this module is built from this kernel.
+    """
+    rows = _response_rows(net, mod, omega, n_max, observers)
+    weights = np.abs(rows.reshape(len(observers), 2 * n_max + 1, net.N)) ** 2
+    return np.einsum("lmk->lk", weights)
+
+
 def spectral_correlations(net, mod, omega, n_max, consts=SI):
     """Per-bath spectral occupations at one frequency.
 
     Returns S[l, k] >= 0, the contribution of bath k to <a_l^+ a_l>_omega,
     scaled by 2 kappa_k n_k; summing over k gives the total spectrum.
     """
+    _check_indices(net, n_max)
     ensure_valid(net, mod, consts)
-    N = net.N
-    nvec = net.occupations(consts)
-    rows = _response_rows(net, mod, omega, n_max, list(range(N)))
-    weights = np.abs(rows.reshape(N, 2 * n_max + 1, N)) ** 2
-    s = np.einsum("lmk->lk", weights) * (2.0 * net.kappa * nvec)[None, :]
-    return np.maximum(s.real, 0.0)
+    noise = 2.0 * net.kappa * net.occupations(consts)
+    return _bath_weights(net, mod, omega, n_max, range(net.N)) * noise
 
 
 @dataclass(frozen=True)
@@ -165,26 +132,35 @@ class FloquetSpectrum:
 
 
 def occupation_spectrum(net, mod, grid, n_max, consts=SI):
-    """Evaluate spectral_correlations on a whole grid."""
+    """spectral_correlations on a whole grid, returned sorted ascending."""
+    _check_indices(net, n_max)
+    ensure_valid(net, mod, consts)
     grid = np.sort(np.asarray(grid, dtype=float))
+    noise = 2.0 * net.kappa * net.occupations(consts)
     s = np.empty((grid.size, net.N, net.N))
     for i, w in enumerate(grid):
-        s[i] = spectral_correlations(net, mod, w, n_max, consts)
+        s[i] = _bath_weights(net, mod, w, n_max, range(net.N)) * noise
     return FloquetSpectrum(grid=grid, S=s)
 
 
 def heat_flux_spectrum(net, mod, source, observer, grid, n_max, consts=SI):
-    """Spectral power density P_{source->observer, omega} on the grid.
+    """Spectral power density P_{source->observer, omega}, in grid order.
 
     Constant prefactor hbar * omega_source (the hot resonator's unmodulated
     frequency), not hbar * omega under the integral; this is what makes the
-    integrated spectrum match the cycle-averaged power balance.
+    integrated spectrum match the cycle-averaged power balance.  Only the
+    observer's response row is solved for at each frequency.
     """
     if source == observer:
         raise ValueError("source and observer must differ")
-    spec = occupation_spectrum(net, mod, grid, n_max, consts)
+    _check_indices(net, n_max, source, observer)
+    ensure_valid(net, mod, consts)
+    noise = 2.0 * net.kappa[source] * occupation(
+        net.T[source], net.omega[source], consts)
     pref = consts.hbar * net.omega[source] * 2.0 * net.kappa[observer]
-    return pref * spec.S[:, observer, source]
+    return pref * np.array(
+        [noise * _bath_weights(net, mod, w, n_max, [observer])[0, source]
+         for w in np.asarray(grid, dtype=float)])
 
 
 def integration_window(net, mod, n_max):
@@ -194,6 +170,7 @@ def integration_window(net, mod, n_max):
     linewidths; panels split at each omega_k + m Omega so no Lorentzian is
     straddled unresolved.  Windows are clipped at omega = 0 with a warning.
     """
+    _check_indices(net, n_max)
     margin = (n_max + 1) * mod.Omega + 30.0 * net.kappa.max()
     lo = net.omega.min() - margin
     hi = net.omega.max() + margin
@@ -233,19 +210,16 @@ def integrate_power(net, mod, source, observer, n_max, quad_tol=1e-6, consts=SI)
         raise ValueError("source and observer must differ")
     if quad_tol <= 0.0:
         raise ValueError("quad_tol must be positive")
+    _check_indices(net, n_max, source, observer)
     ensure_valid(net, mod, consts)
-    N = net.N
     n_src = occupation(net.T[source], net.omega[source], consts)
     if n_src == 0.0:
         return 0.0
     pref = (consts.hbar * net.omega[source] * 2.0 * net.kappa[observer]
             * 2.0 * net.kappa[source] * n_src / (2.0 * np.pi))
-    nblocks = 2 * n_max + 1
 
     def integrand(w):
-        row = _response_rows(net, mod, w, n_max, [observer])[0]
-        cols = row.reshape(nblocks, N)[:, source]
-        return pref * float(np.sum(np.abs(cols) ** 2))
+        return pref * float(_bath_weights(net, mod, w, n_max, [observer])[0, source])
 
     return _quad(integrand, net, mod, n_max, quad_tol)
 
@@ -262,21 +236,19 @@ def emitted_power(net, mod, source, n_max, quad_tol=1e-6, consts=SI):
     """
     if quad_tol <= 0.0:
         raise ValueError("quad_tol must be positive")
+    _check_indices(net, n_max, source)
     ensure_valid(net, mod, consts)
-    N = net.N
     n_src = occupation(net.T[source], net.omega[source], consts)
     if n_src == 0.0:
         return 0.0
     pref = (consts.hbar * net.omega[source] * 2.0 * net.kappa[source]
             * n_src / (2.0 * np.pi))
-    nblocks = 2 * n_max + 1
-    others = [l for l in range(N) if l != source]
+    others = [l for l in range(net.N) if l != source]
     weights = 2.0 * net.kappa[others]
 
     def integrand(w):
-        row = _response_rows(net, mod, w, n_max, [source])[0]
-        blocks = np.abs(row.reshape(nblocks, N)) ** 2
-        return pref * float(weights @ blocks.sum(axis=0)[others])
+        reach = _bath_weights(net, mod, w, n_max, [source])[0]
+        return pref * float(weights @ reach[others])
 
     return _quad(integrand, net, mod, n_max, quad_tol)
 

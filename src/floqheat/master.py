@@ -231,6 +231,8 @@ def power_matrix(net, mod, n_max, consts=SI):
     skipped.
     """
     ensure_valid(net, mod, consts)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     N = net.N
     P = np.zeros((N, N))
     P_em = np.zeros(N)

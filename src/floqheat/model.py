@@ -217,6 +217,12 @@ def validate(net, mod, consts=SI):
     warn = lambda m: out.append(Violation("warning", m))
 
     n = net.N
+    for name, value in (("omega", net.omega), ("g", net.g),
+                        ("kappa", net.kappa), ("T", net.T),
+                        ("theta", mod.theta), ("beta", mod.beta),
+                        ("Omega", mod.Omega)):
+        if not np.all(np.isfinite(value)):
+            err(f"{name} must be finite")
     if np.any(net.omega <= 0.0):
         err("omega must be strictly positive")
     if np.any(np.abs(np.diag(net.g)) != 0.0):

@@ -99,6 +99,15 @@ def test_invalid_network_exits_3(capsys, tmp_path):
     assert "kappa" in err
 
 
+def test_non_finite_config_value_exits_3(capsys, tmp_path):
+    # YAML .nan parses to a float; validation must stop it before any solver
+    cfg = chain_config(tmp_path, T=[float("nan"), 0.0, 0.0, 0.0])
+    assert ".nan" in cfg.read_text()
+    code, _, err = run(capsys, "power", "--config", str(cfg))
+    assert code == 3
+    assert "T must be finite" in err
+
+
 def test_solver_failure_exits_2(capsys):
     code, _, err = run(capsys, "power", "--methods", "qme", "--nmax", "-5")
     assert code == 2

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from floqheat import (ModulationProtocol, QuadratureError, ResonatorNetwork,
                       SI, occupation)
-from floqheat.langevin import (assemble_A, assemble_sideband_system,
-                               emitted_power, heat_flux_spectrum,
+from floqheat.blocktri import assemble_dense
+from floqheat.langevin import (assemble_A, emitted_power, heat_flux_spectrum,
                                integrate_power, integration_window,
                                occupation_spectrum, spectral_correlations,
-                               write_spectrum_csv, _frequency_operator)
+                               write_spectrum_csv, _frequency_operator,
+                               _response_rows)
 from floqheat.master import power_matrix
 from floqheat.model import ValidationError
 
@@ -48,17 +51,44 @@ class TestAssembleA:
         assert a[0, 2] == 0 and a[0, 3] == 0
 
 
+def reference_operator(net, mod, omega, n_max):
+    """Sideband operator with each diagonal block A(omega + m Omega) assembled
+    on its own, m = n_max in the top block row down to -n_max.
+
+    Row of sideband m couples with (i beta / 2) Q_+ to sideband m + 1, one
+    block row up (``lower`` stripe), and with (i beta / 2) Q_- to m - 1.
+    """
+    diag = [assemble_A(net, omega + m * mod.Omega)
+            for m in range(n_max, -n_max - 1, -1)]
+    q_plus = 0.5j * mod.beta * np.diag(mod.mask * np.exp(1j * mod.theta))
+    q_minus = 0.5j * mod.beta * np.diag(mod.mask * np.exp(-1j * mod.theta))
+    return assemble_dense(diag, [q_minus] * (2 * n_max),
+                          [q_plus] * (2 * n_max))
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 class TestSidebandSystem:
-    def test_zero_drive_gives_identity_L(self, chain_static):
+    def test_operator_matches_per_block_reference(self, chain_modulated):
+        rng = np.random.default_rng(21)
+        for net, mod in (chain_modulated, random_network(rng, 3)):
+            for w, n_max in ((OMEGA0 + 0.3 * KAPPA, 3), (0.97 * OMEGA0, 10)):
+                op = _frequency_operator(net, mod, w, n_max)
+                assert max_rel(op, reference_operator(net, mod, w, n_max)) <= 1e-15
+
+    def test_zero_drive_is_block_diagonal(self, chain_static):
         net, mod = chain_static
-        sys0 = assemble_sideband_system(net, mod, OMEGA0, 2)
-        assert np.allclose(sys0.L, np.eye(20))
+        op = _frequency_operator(net, mod, OMEGA0, 2)
+        for r in range(5):
+            off = np.delete(op[4 * r:4 * r + 4], np.s_[4 * r:4 * r + 4], axis=1)
+            assert np.all(off == 0.0)
 
     def test_order_zero(self, chain_modulated):
         net, mod = chain_modulated
-        sys0 = assemble_sideband_system(net, mod, OMEGA0, 0)
-        assert np.allclose(sys0.L, np.eye(4))
-        assert np.allclose(sys0.Mdiag, np.linalg.inv(assemble_A(net, OMEGA0)))
+        op = _frequency_operator(net, mod, OMEGA0, 0)
+        assert np.array_equal(op, assemble_A(net, OMEGA0))
 
     def test_two_resonator_block_count(self):
         net = ResonatorNetwork(omega=[OMEGA0, OMEGA0],
@@ -66,42 +96,77 @@ class TestSidebandSystem:
                                kappa=[KAPPA, KAPPA], T=[0.0, 0.0])
         mod = ModulationProtocol(beta=0.02 * OMEGA0, Omega=0.05 * OMEGA0,
                                  theta=[0.0, 0.4], mask=[1, 1])
-        sys1 = assemble_sideband_system(net, mod, OMEGA0, 1)
-        assert sys1.L.shape == (6, 6)
+        op = _frequency_operator(net, mod, OMEGA0, 1)
+        assert op.shape == (6, 6)
         nonzero = 0
         for r in range(3):
             for c in range(3):
                 if r == c:
                     continue
-                if np.any(sys1.L[2 * r:2 * r + 2, 2 * c:2 * c + 2] != 0):
+                if np.any(op[2 * r:2 * r + 2, 2 * c:2 * c + 2] != 0):
                     nonzero += 1
         assert nonzero == 4
 
     def test_block_ordering_top_is_highest_sideband(self, chain_modulated):
         net, mod = chain_modulated
         w = OMEGA0 + 1.7 * KAPPA
-        sys2 = assemble_sideband_system(net, mod, w, 2)
-        top = np.linalg.inv(assemble_A(net, w + 2 * mod.Omega))
-        bottom = np.linalg.inv(assemble_A(net, w - 2 * mod.Omega))
-        assert np.allclose(sys2.Mdiag[:4, :4], top)
-        assert np.allclose(sys2.Mdiag[16:, 16:], bottom)
+        op = _frequency_operator(net, mod, w, 2)
+        assert np.allclose(op[:4, :4], assemble_A(net, w + 2 * mod.Omega),
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(op[16:, 16:], assemble_A(net, w - 2 * mod.Omega),
+                           rtol=1e-15, atol=0.0)
 
-    def test_factorization_matches_direct_operator(self, chain_modulated):
-        # L^-1 Mdiag must equal the inverse of the directly assembled
-        # sideband operator: two independent routes to the same response
-        net, mod = chain_modulated
-        w = OMEGA0 + 0.3 * KAPPA
-        sys1 = assemble_sideband_system(net, mod, w, 3)
-        response = np.linalg.solve(sys1.L, sys1.Mdiag)
-        direct = np.linalg.inv(_frequency_operator(net, mod, w, 3))
-        assert np.max(np.abs(response - direct)) <= 1e-12 * np.max(np.abs(direct))
+    def test_response_rows_match_inverse(self, chain_modulated):
+        # the solved rows against an explicit inverse of the per-block
+        # reference operator
+        rng = np.random.default_rng(22)
+        for net, mod in (chain_modulated, random_network(rng, 3)):
+            w, n_max = OMEGA0 + 0.3 * KAPPA, 3
+            inverse = np.linalg.inv(reference_operator(net, mod, w, n_max))
+            observers = list(range(net.N))
+            rows = _response_rows(net, mod, w, n_max, observers)
+            expected = inverse[[n_max * net.N + l for l in observers]]
+            assert max_rel(rows, expected) <= 1e-12
 
     def test_invalid_network_rejected(self, chain_modulated):
         net, mod = chain_modulated
         bad = ResonatorNetwork(omega=net.omega, g=net.g, kappa=np.zeros(4),
                                T=net.T)
         with pytest.raises(ValidationError):
-            assemble_sideband_system(bad, mod, OMEGA0, 2)
+            occupation_spectrum(bad, mod, [OMEGA0], 2)
+        with pytest.raises(ValidationError):
+            heat_flux_spectrum(bad, mod, 0, 3, [OMEGA0], 2)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [
+        lambda net, mod: integrate_power(net, mod, 0, 3, -1),
+        lambda net, mod: emitted_power(net, mod, 0, -1),
+        lambda net, mod: spectral_correlations(net, mod, OMEGA0, -1),
+        lambda net, mod: occupation_spectrum(net, mod, [OMEGA0], -1),
+        lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0], -1),
+        lambda net, mod: integration_window(net, mod, -1),
+        lambda net, mod: power_matrix(net, mod, -1),
+    ], ids=["integrate_power", "emitted_power", "spectral_correlations",
+            "occupation_spectrum", "heat_flux_spectrum", "integration_window",
+            "power_matrix"])
+    def test_negative_order_rejected(self, chain_modulated, call):
+        net, mod = chain_modulated
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            call(net.with_hot_bath(0, T_HOT), mod)
+
+    @pytest.mark.parametrize("source, observer",
+                             [(0, -1), (0, 4), (7, 0), (-1, 2)])
+    def test_bath_index_out_of_range(self, chain_modulated, source, observer):
+        net, mod = chain_modulated
+        hot = net.with_hot_bath(0, T_HOT)
+        with pytest.raises(ValueError, match="bath index"):
+            integrate_power(hot, mod, source, observer, 4)
+        with pytest.raises(ValueError, match="bath index"):
+            heat_flux_spectrum(hot, mod, source, observer, [OMEGA0], 4)
+        if not 0 <= source < net.N:
+            with pytest.raises(ValueError, match="bath index"):
+                emitted_power(hot, mod, source, 4)
 
 
 class TestSpectralCorrelations:
@@ -178,6 +243,31 @@ class TestHeatFluxSpectrum:
         net, mod = chain_static
         with pytest.raises(ValueError):
             heat_flux_spectrum(net, mod, 2, 2, [OMEGA0], 2)
+
+    def test_unsorted_grid_kept_in_given_order(self, chain_modulated):
+        net, mod = chain_modulated
+        hot = net.with_hot_bath(0, T_HOT)
+        grid = [OMEGA0 + 2 * KAPPA, OMEGA0 - KAPPA, OMEGA0 + 0.5 * KAPPA]
+        pref = SI.hbar * net.omega[0] * 2 * net.kappa[3]
+        expected = [pref * spectral_correlations(hot, mod, w, 4)[3, 0]
+                    for w in grid]
+        values = heat_flux_spectrum(hot, mod, 0, 3, grid, 4)
+        assert max_rel(values, np.array(expected)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+           offsets=st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=4))
+    def test_matches_correlations_and_nonnegative(self, seed, n, offsets):
+        net, mod = random_network(np.random.default_rng(seed), n)
+        source = int(np.argmax(net.T))
+        observer = (source + 1) % n
+        grid = OMEGA0 * (1.0 + np.array(offsets))
+        values = heat_flux_spectrum(net, mod, source, observer, grid, 3)
+        pref = SI.hbar * net.omega[source] * 2 * net.kappa[observer]
+        expected = [pref * spectral_correlations(net, mod, w, 3)[observer, source]
+                    for w in grid]
+        assert np.all(values >= 0.0)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
 
 
 class TestPowers:

@@ -126,6 +126,28 @@ class TestValidate:
         bad = ResonatorNetwork(omega=net.omega, g=g, kappa=net.kappa, T=net.T)
         assert any("zero diagonal" in v.message for v in validate(bad, mod))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["omega", "g", "kappa", "T", "theta",
+                                       "beta", "Omega"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        net, mod = chain(0.05)
+        net_fields = {"omega": net.omega, "g": net.g, "kappa": net.kappa,
+                      "T": net.T}
+        mod_fields = {"beta": mod.beta, "Omega": mod.Omega,
+                      "theta": mod.theta, "mask": mod.mask}
+        if field in net_fields:
+            value = np.array(net_fields[field])
+            value.flat[1] = bad
+            net = ResonatorNetwork(**{**net_fields, field: value})
+        elif field == "theta":
+            mod = ModulationProtocol(**{**mod_fields, "theta": [0.0, bad, 0.0, 0.0]})
+        else:
+            mod = ModulationProtocol(**{**mod_fields, field: bad})
+        msgs = [v.message for v in validate(net, mod) if v.severity == "error"]
+        assert f"{field} must be finite" in msgs
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ensure_valid(net, mod)
+
 
 class TestBuildChain4:
     def test_layout(self):

@@ -9,7 +9,7 @@ from floqheat.scenarios import (MethodComparison, SweepSpec, compare_methods,
                                 run_forward_backward, spectrum_run, sweep,
                                 write_sweep_csv)
 
-from conftest import DRIVE, KAPPA, OMEGA0, chain
+from conftest import DRIVE, KAPPA, OMEGA0, T_HOT, chain
 
 
 class TestRunForwardBackward:
@@ -170,6 +170,19 @@ class TestSpectrumRun:
         grid = OMEGA0 + KAPPA * np.linspace(-5, 5, 101)
         _, fwd, bwd = spectrum_run(net, mod, grid=grid, n_max=4)
         assert np.max(np.abs(fwd - bwd)) <= 1e-12 * fwd.max()
+
+    def test_unsorted_grid_kept_in_given_order(self, chain_modulated):
+        from floqheat.langevin import heat_flux_spectrum
+        net, mod = chain_modulated
+        grid = np.array([OMEGA0 + 2 * KAPPA, OMEGA0 - KAPPA,
+                         OMEGA0 + 0.5 * KAPPA])
+        out_grid, fwd, bwd = spectrum_run(net, mod, grid=grid, n_max=4)
+        assert np.array_equal(out_grid, grid)
+        for values, src, obs in ((fwd, 0, 3), (bwd, 3, 0)):
+            hot = net.with_hot_bath(src, T_HOT)
+            pointwise = [heat_flux_spectrum(hot, mod, src, obs, [w], 4)[0]
+                         for w in grid]
+            assert np.array_equal(values, pointwise)
 
     def test_integrals_consistent_with_powers(self, chain_modulated):
         from floqheat.scenarios import default_spectrum_grid
