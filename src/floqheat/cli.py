@@ -74,8 +74,6 @@ def build_parser():
     p = sub.add_parser("compare", help="qme / qle / oracle cross-check")
     _add_common(p)
     _add_chain_flags(p)
-    p.add_argument("--rtol", type=float, default=1e-7,
-                   help="oracle convergence tolerance")
 
     for name, doc in (
         ("fig3a", "normalized P14/P41 vs beta for theta = 0.1 pi and 0.5 pi"),
@@ -197,7 +195,7 @@ def cmd_compare(args):
     consts, net, mod = _system_from(args)
     report = scenarios.compare_methods(
         net, mod, n_max_qme=args.nmax or 15, n_max_qle=args.nmax or 10,
-        quad_tol=args.quad_tol, rtol=args.rtol, T_hot=args.t_hot, consts=consts,
+        quad_tol=args.quad_tol, T_hot=args.t_hot, consts=consts,
     )
     for line in report.lines():
         print(line)

@@ -16,6 +16,7 @@ powers by adaptive quadrature over the spectral window.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -52,12 +53,33 @@ def assemble_A(net, omega):
 
 
 def _check_indices(net, n_max, *baths):
-    """Reject a negative truncation order and bath indices outside 0..N-1."""
+    """Reject a negative truncation order and bath indices that are not
+    integers in 0..N-1 (numpy integers pass)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     for k in baths:
+        try:
+            operator.index(k)
+        except TypeError:
+            raise ValueError(f"bath index {k!r} is not an integer") from None
         if not 0 <= k < net.N:
             raise ValueError(f"bath index {k} outside 0..{net.N - 1}")
+
+
+def _check_frequencies(omega, ndim):
+    """Observation frequencies as a float array of the given rank.
+
+    Non-finite and negative frequencies are rejected; omega = 0 stays legal
+    because clipped integration windows start there.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim != ndim:
+        raise ValueError(
+            "frequency grid must be one-dimensional" if ndim == 1
+            else "observation frequency must be a scalar")
+    if not np.all(np.isfinite(omega)) or np.any(omega < 0.0):
+        raise ValueError("observation frequencies must be finite and nonnegative")
+    return omega
 
 
 def _modulation_q(mod, sign):
@@ -116,6 +138,7 @@ def spectral_correlations(net, mod, omega, n_max, consts=SI):
     """
     _check_indices(net, n_max)
     ensure_valid(net, mod, consts)
+    omega = float(_check_frequencies(omega, 0))
     noise = 2.0 * net.kappa * net.occupations(consts)
     return _bath_weights(net, mod, omega, n_max, range(net.N)) * noise
 
@@ -135,7 +158,7 @@ def occupation_spectrum(net, mod, grid, n_max, consts=SI):
     """spectral_correlations on a whole grid, returned sorted ascending."""
     _check_indices(net, n_max)
     ensure_valid(net, mod, consts)
-    grid = np.sort(np.asarray(grid, dtype=float))
+    grid = np.sort(_check_frequencies(grid, 1))
     noise = 2.0 * net.kappa * net.occupations(consts)
     s = np.empty((grid.size, net.N, net.N))
     for i, w in enumerate(grid):
@@ -160,7 +183,7 @@ def heat_flux_spectrum(net, mod, source, observer, grid, n_max, consts=SI):
     pref = consts.hbar * net.omega[source] * 2.0 * net.kappa[observer]
     return pref * np.array(
         [noise * _bath_weights(net, mod, w, n_max, [observer])[0, source]
-         for w in np.asarray(grid, dtype=float)])
+         for w in _check_frequencies(grid, 1)])
 
 
 def integration_window(net, mod, n_max):

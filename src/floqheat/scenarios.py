@@ -59,7 +59,7 @@ def _ends(net):
 
 
 def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
-                         rtol=1e-7, T_hot=DEFAULT_T_HOT, consts=SI):
+                         T_hot=DEFAULT_T_HOT, consts=SI):
     """(P14, P41) with the hot bath on the first then on the last resonator.
 
     The backward run reuses the identical modulation (phases untouched);
@@ -78,7 +78,7 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
             return langevin.integrate_power(hot, mod, source, observer,
                                             n_max, quad_tol, consts)
         if method == "oracle":
-            samples = timedomain.evolve_to_cycle(hot, mod, rtol=rtol, consts=consts)
+            samples = timedomain.evolve_to_cycle(hot, mod, consts=consts)
             row, _ = timedomain.cycle_average_power(samples, hot, source, consts)
             return row[observer]
         raise ValueError(f"unknown method {method!r}")
@@ -114,7 +114,6 @@ class SweepSpec:
     n_max_qme: int = 15
     n_max_qle: int = 10
     quad_tol: float = 1e-6
-    rtol: float = 1e-7
     T_hot: float = DEFAULT_T_HOT
 
     def __post_init__(self):
@@ -177,7 +176,7 @@ def _sweep_point(spec, value, method):
                             nan, nan, nan, res.deltaP_closedform)
         p14, p41 = run_forward_backward(
             spec.network, mod, method, n_max=_n_max_for(spec, method),
-            quad_tol=spec.quad_tol, rtol=spec.rtol, T_hot=spec.T_hot,
+            quad_tol=spec.quad_tol, T_hot=spec.T_hot,
         )
         total = p14 + p41
         e = (p14 - p41) / total if total != 0.0 else nan
@@ -255,7 +254,7 @@ class MethodComparison:
 
 
 def compare_methods(net, mod, n_max_qme=15, n_max_qle=10, quad_tol=1e-6,
-                    rtol=1e-7, T_hot=DEFAULT_T_HOT, consts=SI,
+                    T_hot=DEFAULT_T_HOT, consts=SI,
                     tol_qme_qle=5e-3, tol_qme_oracle=1e-4):
     """Run qme, qle and oracle on the same point and grade the agreement."""
     settings = {"qme": n_max_qme, "qle": n_max_qle, "oracle": None}
@@ -264,7 +263,7 @@ def compare_methods(net, mod, n_max_qme=15, n_max_qle=10, quad_tol=1e-6,
         try:
             powers[method] = run_forward_backward(
                 net, mod, method, n_max=n_max, quad_tol=quad_tol,
-                rtol=rtol, T_hot=T_hot, consts=consts,
+                T_hot=T_hot, consts=consts,
             )
         except (FloqheatError, ValueError) as exc:
             powers[method] = str(exc)

@@ -1,9 +1,16 @@
 """Brute-force time integration of the moment equations to the periodic state.
 
 Structurally independent of the Fourier solver: the generator is assembled
-directly from the coupled moment ODEs, stepped with fixed-step RK4, and
-cycle averages are taken by trapezoid over one converged period.  Exists to
-catch transcription errors that a shared matrix assembly would repeat.
+directly from the coupled moment ODEs and stepped with fixed-step RK4.  The
+periodic state is found by shooting (Aprille & Trick, IEEE Trans. Circuit
+Theory 19, 1972): one period of the augmented system [Y | y_p] gives the
+monodromy matrix Phi = Y(T) and the forced response b = y_p(T), and the
+state that repeats after one period solves (I - Phi) y0 = b.  The
+eigenvalues of Phi are the Floquet multipliers; the largest must lie inside
+the unit circle for a periodic steady state to exist and attract.  Cycle
+averages are taken by trapezoid over one more period stepped from y0.
+Exists to catch transcription errors that a shared matrix assembly would
+repeat.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ class MomentSamples:
     t: np.ndarray          # (S + 1,) [s]
     y: np.ndarray          # (S + 1, N^2) complex, MomentIndexMap order
     periods_used: int
+    floquet_multiplier: float   # largest |eigenvalue| of the monodromy matrix
 
 
 def _static_generator(net, consts=SI):
@@ -67,85 +75,104 @@ def _static_generator(net, consts=SI):
     return gen, src
 
 
+def _drive_diagonal(mod, imap, t):
+    """Time-dependent diagonal of the generator, i beta (c_bra - c_ket).
+
+    t may be an array; the result then has one row per time.
+    """
+    c = mod.mask * np.cos(mod.Omega * np.asarray(t)[..., None] + mod.theta)
+    return 1j * mod.beta * (c[..., imap.bra] - c[..., imap.ket])
+
+
 def generator(net, mod, t, consts=SI):
     """Full generator at time t: returns (G(t), s) with G periodic in 2 pi / Omega."""
     imap = moment_index_map(net.N)
     gen, src = _static_generator(net, consts)
-    gen = gen.copy()
-    c = mod.mask * np.cos(mod.Omega * t + mod.theta)
-    drive = 1j * mod.beta * (c[imap.bra] - c[imap.ket])
-    gen[np.arange(imap.size), np.arange(imap.size)] += drive
+    gen[np.arange(imap.size), np.arange(imap.size)] += _drive_diagonal(mod, imap, t)
     return gen, src
 
 
-def evolve_to_cycle(net, mod, rtol=1e-7, max_periods=256, steps_per_period=4096,
-                    consts=SI):
-    """Integrate from vacuum until cycle-averaged occupations stop moving.
+def _rk4_period(gen0, src, drive, dt, y, store=None):
+    """Step dy/dt = (gen0 + diag(drive)) y + src over one period by RK4.
 
-    Fixed-step RK4 for reproducibility; convergence is declared when the
-    period-to-period relative change of the cycle-averaged diagonal moments
-    drops below rtol (phases of cross moments settle later, the averages
-    are what powers need).
+    y has one column per trajectory; drive[j] is the drive diagonal at time
+    j dt / 2, as a column, so step s reads rows 2s, 2s + 1 and 2s + 2.  With
+    ``store`` given, store[s] receives the first column after s steps.
+    """
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    if store is not None:
+        store[0] = y[:, 0]
+    for s in range((len(drive) - 1) // 2):
+        d0, dh, d1 = drive[2 * s], drive[2 * s + 1], drive[2 * s + 2]
+        k1 = gen0 @ y + d0 * y + src
+        y2 = y + half * k1
+        k2 = gen0 @ y2 + dh * y2 + src
+        y3 = y + half * k2
+        k3 = gen0 @ y3 + dh * y3 + src
+        y4 = y + dt * k3
+        k4 = gen0 @ y4 + d1 * y4 + src
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if store is not None:
+            store[s + 1] = y[:, 0]
+    return y
+
+
+def evolve_to_cycle(net, mod, steps_per_period=4096, consts=SI):
+    """Periodic steady state by shooting over one drive period.
+
+    One RK4 period of the augmented system [Y | y_p], with Y(0) = I and
+    y_p(0) = 0 and the source entering only y_p, gives the monodromy matrix
+    Phi = Y(T) and b = y_p(T).  The periodic initial state is
+    y0 = (I - Phi)^-1 b, and a second period stepped from y0 is stored as the
+    samples (``periods_used`` is 2).  Raises ConvergenceError when the step
+    is unstable, when Phi is not finite, or when the largest Floquet
+    multiplier max |eig Phi| is not below 1, so that no periodic state
+    attracts; the multiplier is reported as ``floquet_multiplier``.
     """
     ensure_valid(net, mod, consts)
-    if rtol <= 0.0:
-        raise ValueError("rtol must be positive")
     if steps_per_period < 2000:
         raise ValueError("need at least 2000 steps per period")
-    N = net.N
-    imap = moment_index_map(N)
+    imap = moment_index_map(net.N)
+    n = imap.size
     gen0, src = _static_generator(net, consts)
-    bra, ket = imap.bra, imap.ket
-    beta, big_omega, theta, mask = mod.beta, mod.Omega, mod.theta, mod.mask
 
-    period = 2.0 * np.pi / big_omega
+    period = 2.0 * np.pi / mod.Omega
     dt = period / steps_per_period
     # RK4 stability: the stiffest rates are the moment detunings plus the
     # drive excursion; keep |lambda| dt well inside the stability region
-    rate = (np.abs(np.diag(gen0)).max() + 2.0 * beta) * dt
+    rate = (np.abs(np.diag(gen0)).max() + 2.0 * mod.beta) * dt
     if rate > 2.5:
         raise ConvergenceError(
             f"step size unstable: |lambda| dt = {rate:.2f} > 2.5; "
             "raise steps_per_period"
         )
 
-    def drive_diag(t):
-        c = mask * np.cos(big_omega * t + theta)
-        return 1j * beta * (c[bra] - c[ket])
+    # the drive diagonal on the half-step grid of one period, as columns;
+    # the generator is T-periodic, so the second period reads the same table
+    half_steps = np.arange(2 * steps_per_period + 1) * (0.5 * dt)
+    drive = _drive_diagonal(mod, imap, half_steps)[:, :, None]
+    src_aug = np.zeros((n, n + 1), dtype=complex)
+    src_aug[:, n] = src
+    y_aug = np.zeros((n, n + 1), dtype=complex)
+    y_aug[:, :n] = np.eye(n)
+    y_aug = _rk4_period(gen0, src_aug, drive, dt, y_aug)
+    phi, b = y_aug[:, :n], y_aug[:, n]
+    if not np.all(np.isfinite(y_aug)):
+        raise ConvergenceError("monodromy matrix is not finite after one period")
+    multiplier = float(np.abs(np.linalg.eigvals(phi)).max())
+    if not multiplier < 1.0:
+        raise ConvergenceError(
+            f"no periodic steady state: largest Floquet multiplier "
+            f"{multiplier:.6g} is not below 1"
+        )
+    y0 = np.linalg.solve(np.eye(n) - phi, b)
 
-    def rhs(t, y):
-        return gen0 @ y + drive_diag(t) * y + src
-
-    y = np.zeros(imap.size, dtype=complex)
-    times = np.arange(steps_per_period + 1) * dt
-    traj = np.empty((steps_per_period + 1, imap.size), dtype=complex)
-    prev_avg = None
-    for p in range(max_periods):
-        t0 = p * period
-        traj[0] = y
-        for s in range(steps_per_period):
-            t = t0 + s * dt
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-            k4 = rhs(t + dt, y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            traj[s + 1] = y
-        if not np.all(np.isfinite(y)):
-            raise ConvergenceError(f"non-finite state after period {p + 1}")
-        avg = np.trapezoid(traj[:, :N].real, dx=dt, axis=0) / period
-        if prev_avg is not None:
-            # per-component: every occupation (hence every power) settles to
-            # rtol of itself; the floor keeps roundoff-dead entries from
-            # stalling the loop
-            floor = max(np.abs(avg).max(), 1e-300) * 1e-12
-            tol = rtol * np.maximum(np.abs(avg), floor)
-            if np.all(np.abs(avg - prev_avg) <= tol):
-                return MomentSamples(t=t0 + times, y=traj.copy(), periods_used=p + 1)
-        prev_avg = avg
-    raise ConvergenceError(
-        f"no periodic steady state after {max_periods} periods at rtol {rtol:g}"
-    )
+    traj = np.empty((steps_per_period + 1, n), dtype=complex)
+    _rk4_period(gen0, src[:, None], drive, dt, y0[:, None], traj)
+    times = period + np.arange(steps_per_period + 1) * dt
+    return MomentSamples(t=times, y=traj, periods_used=2,
+                         floquet_multiplier=multiplier)
 
 
 def cycle_averaged_moments(samples):

@@ -156,7 +156,8 @@ class TestInputChecks:
             call(net.with_hot_bath(0, T_HOT), mod)
 
     @pytest.mark.parametrize("source, observer",
-                             [(0, -1), (0, 4), (7, 0), (-1, 2)])
+                             [(0, -1), (0, 4), (7, 0), (-1, 2), (0, 3.0),
+                              (2.0, 0)])
     def test_bath_index_out_of_range(self, chain_modulated, source, observer):
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
@@ -164,9 +165,55 @@ class TestInputChecks:
             integrate_power(hot, mod, source, observer, 4)
         with pytest.raises(ValueError, match="bath index"):
             heat_flux_spectrum(hot, mod, source, observer, [OMEGA0], 4)
-        if not 0 <= source < net.N:
+        if isinstance(source, float) or not 0 <= source < net.N:
             with pytest.raises(ValueError, match="bath index"):
                 emitted_power(hot, mod, source, 4)
+
+    def test_numpy_integer_indices_accepted(self, chain_modulated):
+        net, mod = chain_modulated
+        hot = net.with_hot_bath(0, T_HOT)
+        grid = [OMEGA0]
+        assert np.array_equal(
+            heat_flux_spectrum(hot, mod, np.int64(0), np.int64(3), grid, 4),
+            heat_flux_spectrum(hot, mod, 0, 3, grid, 4))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda net, mod: spectral_correlations(net, mod, float("nan"), 4),
+         "finite and nonnegative"),
+        (lambda net, mod: spectral_correlations(net, mod, -OMEGA0, 4),
+         "finite and nonnegative"),
+        (lambda net, mod: spectral_correlations(net, mod, [OMEGA0], 4),
+         "scalar"),
+        (lambda net, mod: occupation_spectrum(net, mod, [OMEGA0, np.inf], 4),
+         "finite and nonnegative"),
+        (lambda net, mod: occupation_spectrum(net, mod, [-OMEGA0], 4),
+         "finite and nonnegative"),
+        (lambda net, mod: occupation_spectrum(net, mod, OMEGA0, 4),
+         "one-dimensional"),
+        (lambda net, mod: occupation_spectrum(net, mod, [[OMEGA0]], 4),
+         "one-dimensional"),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [-OMEGA0], 4),
+         "finite and nonnegative"),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [np.nan], 4),
+         "finite and nonnegative"),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, OMEGA0, 4),
+         "one-dimensional"),
+    ], ids=["correlations-nan", "correlations-negative", "correlations-array",
+            "occupation-inf", "occupation-negative", "occupation-0d",
+            "occupation-2d", "flux-negative", "flux-nan", "flux-0d"])
+    def test_bad_frequencies_rejected(self, chain_modulated, call, message):
+        net, mod = chain_modulated
+        with pytest.raises(ValueError, match=message):
+            call(net.with_hot_bath(0, T_HOT), mod)
+
+    def test_zero_frequency_allowed(self, chain_modulated):
+        # clipped quadrature windows start at omega = 0
+        net, mod = chain_modulated
+        hot = net.with_hot_bath(0, T_HOT)
+        values = heat_flux_spectrum(hot, mod, 0, 3, [0.0, OMEGA0], 4)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert np.all(spectral_correlations(hot, mod, 0.0, 4) >= 0.0)
+        assert occupation_spectrum(hot, mod, [0.0], 4).S.shape == (1, 4, 4)
 
 
 class TestSpectralCorrelations:

@@ -61,13 +61,14 @@ class TestEvolveToCycle:
                                T=[T_HOT])
         mod = ModulationProtocol(beta=0.0, Omega=0.05 * OMEGA0, theta=[0.0],
                                  mask=[0])
-        rtol = 1e-7
-        samples = evolve_to_cycle(net, mod, rtol=rtol, steps_per_period=2048)
+        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
         n1 = occupation(T_HOT, OMEGA0)
         avg = cycle_averaged_moments(samples)[0].real
-        assert avg == pytest.approx(n1, rel=20 * rtol)
-        # relaxation time is 1/(2 kappa); a handful of that reaches rtol
+        assert avg == pytest.approx(n1, rel=2e-6)
         assert samples.periods_used * mod.period < 30.0 / (2 * KAPPA)
+        # the only multiplier of the occupation is exp(-2 kappa T)
+        assert samples.floquet_multiplier == pytest.approx(
+            np.exp(-2 * KAPPA * mod.period), rel=1e-6)
 
     def test_uncoupled_resonators_thermalize_independently(self):
         rng = np.random.default_rng(12)
@@ -78,7 +79,7 @@ class TestEvolveToCycle:
                                T=temps)
         mod = ModulationProtocol(beta=0.02 * OMEGA0, Omega=0.05 * OMEGA0,
                                  theta=[0.0, 0.5, 1.0], mask=[1, 1, 1])
-        samples = evolve_to_cycle(net, mod, rtol=1e-8, steps_per_period=2048)
+        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
         avg = cycle_averaged_moments(samples)
         for k in range(3):
             expected = occupation(temps[k], omega[k])
@@ -87,7 +88,7 @@ class TestEvolveToCycle:
     def test_matches_fourier_zeroth_coefficients(self, chain_modulated):
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
-        samples = evolve_to_cycle(hot, mod, rtol=1e-7)
+        samples = evolve_to_cycle(hot, mod)
         avg = cycle_averaged_moments(samples)
         zeroth = solve_fourier(hot, mod, 15, 0).coefficient(0)
         imap = moment_index_map(4)
@@ -103,7 +104,7 @@ class TestEvolveToCycle:
         from floqheat.master import periodic_expectations
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
-        samples = evolve_to_cycle(hot, mod, rtol=1e-9)
+        samples = evolve_to_cycle(hot, mod)
         sol = solve_fourier(hot, mod, 15, 0)
         scale = np.abs(samples.y).max()
         for i in (0, 512, 1777, 3000, 4096):
@@ -113,16 +114,32 @@ class TestEvolveToCycle:
     def test_reproducible_bitwise(self):
         net, mod = chain(0.03, 0.3)
         hot = net.with_hot_bath(0, T_HOT)
-        a = evolve_to_cycle(hot, mod, rtol=1e-6, steps_per_period=2048)
-        b = evolve_to_cycle(hot, mod, rtol=1e-6, steps_per_period=2048)
+        a = evolve_to_cycle(hot, mod, steps_per_period=2048)
+        b = evolve_to_cycle(hot, mod, steps_per_period=2048)
         assert np.array_equal(a.y, b.y)
         assert a.periods_used == b.periods_used
 
-    def test_nonconvergence_reported(self, chain_modulated):
+    def test_samples_close_the_period(self, chain_modulated):
+        # the stored period starts on the shooting solution, so one RK4
+        # period maps it back onto itself
         net, mod = chain_modulated
-        hot = net.with_hot_bath(0, T_HOT)
-        with pytest.raises(ConvergenceError):
-            evolve_to_cycle(hot, mod, rtol=1e-7, max_periods=2)
+        samples = evolve_to_cycle(net.with_hot_bath(0, T_HOT), mod)
+        assert samples.periods_used == 2
+        assert 0.0 < samples.floquet_multiplier < 1.0
+        scale = np.abs(samples.y).max()
+        assert np.max(np.abs(samples.y[-1] - samples.y[0])) <= 1e-12 * scale
+
+    def test_nonconvergence_reported(self):
+        # a non-Hermitian gain pair (g = 3 i kappa both ways) amplifies
+        # faster than the baths damp: no periodic state attracts
+        net = ResonatorNetwork(omega=[OMEGA0, OMEGA0],
+                               g=[[0.0, 3j * KAPPA], [3j * KAPPA, 0.0]],
+                               kappa=[KAPPA, KAPPA], T=[T_HOT, 0.0],
+                               hermitian=False)
+        mod = ModulationProtocol(beta=0.0, Omega=0.05 * OMEGA0,
+                                 theta=[0.0, 0.0], mask=[0, 0])
+        with pytest.raises(ConvergenceError, match="Floquet multiplier"):
+            evolve_to_cycle(net, mod, steps_per_period=2048)
 
     def test_step_count_floor(self, chain_modulated):
         net, mod = chain_modulated
@@ -143,7 +160,7 @@ class TestCycleAveragePower:
     def test_static_limit_matches_fourier_power(self, chain_static):
         net, mod = chain_static
         hot = net.with_hot_bath(0, T_HOT)
-        samples = evolve_to_cycle(hot, mod, rtol=1e-8)
+        samples = evolve_to_cycle(hot, mod)
         row, p_em = cycle_average_power(samples, hot, 0)
         pm = power_matrix(hot, mod, 4)
         assert row[3] == pytest.approx(pm.P[0, 3], rel=1e-6)
@@ -155,19 +172,18 @@ class TestCycleAveragePower:
         # power scale hbar omega 2 kappa n, not relative to P_em itself
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
-        rtol = 1e-7
-        samples = evolve_to_cycle(hot, mod, rtol=rtol)
+        samples = evolve_to_cycle(hot, mod)
         row, p_em = cycle_average_power(samples, hot, 0)
         n_src = occupation(T_HOT, OMEGA0)
         scale = SI.hbar * OMEGA0 * 2 * KAPPA * n_src
-        assert abs(p_em - row.sum()) <= 5 * rtol * scale
+        assert abs(p_em - row.sum()) <= 5e-7 * scale
 
     def test_trajectory_csv(self, tmp_path):
         net = ResonatorNetwork(omega=[OMEGA0], g=[[0.0]], kappa=[KAPPA],
                                T=[T_HOT])
         mod = ModulationProtocol(beta=0.0, Omega=0.05 * OMEGA0, theta=[0.0],
                                  mask=[0])
-        samples = evolve_to_cycle(net, mod, rtol=1e-4, steps_per_period=2048)
+        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, samples)
         lines = path.read_text().strip().splitlines()
@@ -187,8 +203,7 @@ class TestOracleEquivalence:
         for case in range(6):
             n = int(rng.integers(1, 4))
             net, mod = random_network(rng, n)
-            samples = evolve_to_cycle(net, mod, rtol=1e-8,
-                                      steps_per_period=2048)
+            samples = evolve_to_cycle(net, mod, steps_per_period=2048)
             avg = cycle_averaged_moments(samples)
             zeroth = _solve_fourier_nvec(net, mod, 12, net.occupations())[12]
             scale = max(np.abs(zeroth).max(), 1e-30)
