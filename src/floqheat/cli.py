@@ -115,6 +115,11 @@ def _methods(args):
     return methods
 
 
+def _n_max(args, method):
+    """--nmax if given (0 included), else the method's default order."""
+    return scenarios.DEFAULT_N_MAX[method] if args.nmax is None else args.nmax
+
+
 def _omega_scale(net):
     return float(net.omega[0])
 
@@ -123,13 +128,14 @@ def cmd_power(args):
     consts, net, mod = _system_from(args)
     methods = _methods(args) or ("qme",)
     if net.N != 4:
-        pm = master.power_matrix(net, mod, args.nmax or 15, consts)
+        n_max = _n_max(args, "qme")
+        pm = master.power_matrix(net, mod, n_max, consts)
         print(f"power matrix for N = {net.N} (qme); hot baths taken from config temperatures")
         for k in range(net.N):
             if net.T[k] > 0:
                 print(f"  source {k + 1}: P_em = {pm.P_em[k]:.6e} W")
         if args.out:
-            master.write_power_csv(args.out, net, mod, pm, args.nmax or 15)
+            master.write_power_csv(args.out, net, mod, pm, n_max)
             print(f"wrote {args.out}")
         return EXIT_OK
     rows = []
@@ -149,10 +155,9 @@ def cmd_power(args):
     return EXIT_OK
 
 
-def cmd_spectrum(args, n_max=None):
+def cmd_spectrum(args):
     consts, net, mod = _system_from(args)
-    n_max = n_max or args.nmax or 10
-    grid, fwd, bwd = scenarios.spectrum_run(net, mod, n_max=n_max,
+    grid, fwd, bwd = scenarios.spectrum_run(net, mod, n_max=_n_max(args, "qle"),
                                             T_hot=args.t_hot, consts=consts)
     first, last = 0, net.N - 1
     out = args.out or "spectrum.csv"
@@ -185,7 +190,7 @@ def cmd_sweep(args):
         values = [v * math.pi for v in raw]
     spec = SweepSpec(network=net, modulation=mod, parameter=args.parameter,
                      values=values, methods=_methods(args) or ("qme",),
-                     n_max_qme=args.nmax or 15, n_max_qle=args.nmax or 10,
+                     n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
                      quad_tol=args.quad_tol, T_hot=args.t_hot)
     _run_sweep(args, spec, "sweep.csv")
     return EXIT_OK
@@ -194,7 +199,7 @@ def cmd_sweep(args):
 def cmd_compare(args):
     consts, net, mod = _system_from(args)
     report = scenarios.compare_methods(
-        net, mod, n_max_qme=args.nmax or 15, n_max_qle=args.nmax or 10,
+        net, mod, n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
         quad_tol=args.quad_tol, T_hot=args.t_hot, consts=consts,
     )
     for line in report.lines():
@@ -246,7 +251,7 @@ def cmd_fig3a(args):
         betas = np.linspace(0.0, 0.06, 13) * _omega_scale(net)
         spec = SweepSpec(network=net, modulation=mod, parameter="beta",
                          values=betas, methods=methods,
-                         n_max_qme=args.nmax or 15, n_max_qle=args.nmax or 10,
+                         n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
                          quad_tol=args.quad_tol, T_hot=args.t_hot)
         all_rows.extend(sweep(spec, workers=args.parallel))
     out = args.out or "fig3a.csv"
@@ -262,7 +267,7 @@ def cmd_fig3b(args):
         betas = np.linspace(0.0, 0.06, 13) * _omega_scale(net)
         spec = SweepSpec(network=net, modulation=mod, parameter="beta",
                          values=betas, methods=("qme", "pert1", "pert2", "closed"),
-                         n_max_qme=args.nmax or 15, quad_tol=args.quad_tol,
+                         n_max_qme=_n_max(args, "qme"), quad_tol=args.quad_tol,
                          T_hot=args.t_hot)
         rows = sweep(spec, workers=args.parallel)
         by_beta = {}
@@ -289,7 +294,7 @@ def cmd_fig4(args):
         consts, net, mod = _preset_chain(args, beta_frac=beta_frac, theta_pi=0.5)
         spec = SweepSpec(network=net, modulation=mod, parameter="theta",
                          values=thetas, methods=methods,
-                         n_max_qme=args.nmax or 15, n_max_qle=args.nmax or 10,
+                         n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
                          quad_tol=args.quad_tol, T_hot=args.t_hot)
         all_rows.extend(sweep(spec, workers=args.parallel))
     out = args.out or "fig4.csv"
@@ -301,7 +306,7 @@ def cmd_fig4(args):
 def cmd_fig6(args):
     _preset_chain(args, beta_frac=0.05, theta_pi=0.5)
     args.out = args.out or "fig6.csv"
-    return cmd_spectrum(args, n_max=args.nmax or 10)
+    return cmd_spectrum(args)
 
 
 def cmd_fig7(args):
@@ -309,7 +314,7 @@ def cmd_fig7(args):
     betas = np.linspace(0.0, 0.06, 13) * _omega_scale(net)
     spec = SweepSpec(network=net, modulation=mod, parameter="beta",
                      values=betas, methods=("qme", "pert1", "pert2"),
-                     n_max_qme=args.nmax or 15, quad_tol=args.quad_tol,
+                     n_max_qme=_n_max(args, "qme"), quad_tol=args.quad_tol,
                      T_hot=args.t_hot)
     rows = sweep(spec, workers=args.parallel)
     out = args.out or "fig7.csv"

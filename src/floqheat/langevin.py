@@ -25,8 +25,8 @@ from scipy import integrate
 
 from . import blocktri
 from .master import shift_Mn
-from .model import (SI, QuadratureError, SingularBlockError, ensure_valid,
-                    occupation)
+from .model import (SI, QuadratureError, SingularBlockError, check_n_max,
+                    ensure_valid, occupation)
 
 __all__ = [
     "FloquetSpectrum",
@@ -53,10 +53,9 @@ def assemble_A(net, omega):
 
 
 def _check_indices(net, n_max, *baths):
-    """Reject a negative truncation order and bath indices that are not
-    integers in 0..N-1 (numpy integers pass)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    """Reject a truncation order that is not a nonnegative integer and bath
+    indices that are not integers in 0..N-1 (numpy integers pass)."""
+    check_n_max(n_max)
     for k in baths:
         try:
             operator.index(k)

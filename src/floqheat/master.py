@@ -5,9 +5,12 @@ ansatz <O>(t) = sum_n exp(-i n Omega t) <O>_n the periodic steady state is a
 single block-tridiagonal linear solve over sidebands -n_max..n_max and no
 frequency integration is needed for cycle-averaged powers.
 
+The static block M_0 is a Kronecker sum of the bra and ket drift matrices
+permuted into MomentIndexMap order (``assemble_Mn``), and the sideband
+couplings G+- are diagonal in the drive contrasts (``contrast_vector``).
 The solve is block elimination (``blocktri.solve_thomas``) and nothing
-else: the static block M_0 is assembled once per operating point, the
-sideband blocks M_n = M_0 - i n Omega I are shifted from it, and every hot
+else: M_0 is assembled once per operating point, the sideband blocks
+M_n = M_0 - i n Omega I are shifted from it (``shift_Mn``), and every hot
 bath is one right-hand-side column of the same elimination.
 """
 from __future__ import annotations
@@ -19,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocktri
-from .model import SI, ConvergenceError, PowerMatrix, ensure_valid, occupation
+from .model import (SI, ConvergenceError, PowerMatrix, check_n_max,
+                    ensure_valid, occupation)
 
 __all__ = [
     "MomentIndexMap",
     "moment_index_map",
     "FourierSolution",
     "assemble_Mn",
+    "contrast_vector",
     "assemble_Gpm",
     "shift_Mn",
     "solve_fourier",
@@ -47,17 +52,12 @@ class MomentIndexMap:
     def __init__(self, N):
         self.N = N
         self.size = N * N
-        self._pairs = [(k, l) for k in range(N) for l in range(k + 1, N)]
-        self._index = {}
-        for k in range(N):
-            self._index[(k, k)] = k
-        for p, (k, l) in enumerate(self._pairs):
-            self._index[(k, l)] = N + 2 * p
-            self._index[(l, k)] = N + 2 * p + 1
-        # inverse map as parallel (k, l) arrays, handy for vectorized code
-        inv = sorted(self._index, key=self._index.get)
-        self.bra = np.array([k for k, _ in inv])
-        self.ket = np.array([l for _, l in inv])
+        # (bra, ket) of every flat position as parallel arrays
+        k, l = np.triu_indices(N, 1)
+        self.bra = np.concatenate([np.arange(N), np.column_stack([k, l]).ravel()])
+        self.ket = np.concatenate([np.arange(N), np.column_stack([l, k]).ravel()])
+        self._index = {(int(a), int(b)): i
+                       for i, (a, b) in enumerate(zip(self.bra, self.ket))}
 
     def index(self, k, l):
         """Flat position of <a_k^dagger a_l>."""
@@ -73,74 +73,50 @@ def moment_index_map(N):
     return MomentIndexMap(N)
 
 
-def assemble_Mn(net, n=0, Omega=0.0):
-    """Static sideband block M_n of the Fourier-component equations.
+def assemble_Mn(net):
+    """Static block M_0 of the Fourier-component equations.
 
-    Encodes -i n Omega + 2 kappa_k on diagonal-moment rows,
-    -i n Omega - Omega_kl with Omega_kl = i(omega_k - omega_l) - kappa_k -
-    kappa_l on off-diagonal-moment rows, and every static coupling term,
-    with <a_k a_j^+> = <a_j^+ a_k> for j != k.
+    C_kl = <a_k^+ a_l> obeys dC/dt = -(L C + C R^T) + source with
+    L = diag(kappa - i omega) - i g^T on the bra index and
+    R = diag(kappa + i omega) + i g on the ket index.  On row-major vec(C)
+    that is the Kronecker sum L (x) I + I (x) R, permuted into
+    MomentIndexMap order by p = bra * N + ket.  The bra side carries g^T,
+    which is conj(g) only for Hermitian g; non-Hermitian g follows the same
+    convention as the time-domain generator.  The diagonal of g is ignored;
+    sideband blocks come from ``shift_Mn``.
     """
     N = net.N
     imap = moment_index_map(N)
-    m = np.zeros((imap.size, imap.size), dtype=complex)
-    shift = -1j * n * Omega
-    g = net.g
-    for k in range(N):
-        row = imap.index(k, k)
-        m[row, row] = shift + 2.0 * net.kappa[k]
-        for j in range(N):
-            if j == k:
-                continue
-            m[row, imap.index(k, j)] += 1j * g[k, j]
-            m[row, imap.index(j, k)] += -1j * g[j, k]
-    for k in range(N):
-        for l in range(N):
-            if k == l:
-                continue
-            row = imap.index(k, l)
-            omega_kl = 1j * (net.omega[k] - net.omega[l]) - net.kappa[k] - net.kappa[l]
-            m[row, row] = shift - omega_kl
-            for j in range(N):
-                if j == k or j == l:
-                    continue
-                m[row, imap.index(k, j)] += 1j * g[l, j]
-                m[row, imap.index(j, l)] += -1j * g[j, k]
-            m[row, imap.index(k, k)] += 1j * g[l, k]
-            m[row, imap.index(l, l)] += -1j * g[l, k]
-    return m
+    left = -1j * net.g.T
+    np.fill_diagonal(left, net.kappa - 1j * net.omega)
+    right = 1j * net.g
+    np.fill_diagonal(right, net.kappa + 1j * net.omega)
+    eye = np.eye(N)
+    p = imap.bra * N + imap.ket
+    return (np.kron(left, eye) + np.kron(eye, right))[np.ix_(p, p)]
 
 
-def modulation_contrast(mod, k, l):
-    """eta_kl = m_k exp(i theta_k) - m_l exp(i theta_l).
+def contrast_vector(mod):
+    """Drive contrasts eta = c_bra - c_ket in MomentIndexMap order.
 
-    Zero whenever resonators k and l are driven identically; a complex value
-    signals a synthetic magnetic field on the (k, l) link.
+    c_k = m_k exp(i theta_k), so eta vanishes on the N diagonal moments and
+    whenever resonators k and l are driven identically; a complex value on
+    the (k, l) slot signals a synthetic magnetic field on that link.
     """
-    return (mod.mask[k] * np.exp(1j * mod.theta[k])
-            - mod.mask[l] * np.exp(1j * mod.theta[l]))
+    c = mod.mask * np.exp(1j * mod.theta)
+    imap = moment_index_map(len(c))
+    return c[imap.bra] - c[imap.ket]
 
 
 def assemble_Gpm(mod):
     """Diagonal sideband-coupling matrices (G+, G-).
 
-    G+ carries (i beta / 2) eta_kl on the slot of <a_k^+ a_l> (so -eta_kl on
-    the swapped slot) and zeros on the N diagonal-moment slots; G- carries
-    the complex conjugate of eta_kl in the same pattern.
+    G+ = (i beta / 2) diag(eta) and G- = (i beta / 2) diag(conj(eta)) with
+    eta from ``contrast_vector``: -eta on the swapped slot, zeros on the
+    diagonal-moment slots.
     """
-    N = len(mod.theta)
-    imap = moment_index_map(N)
-    dp = np.zeros(imap.size, dtype=complex)
-    for k in range(N):
-        for l in range(N):
-            if k != l:
-                dp[imap.index(k, l)] = 0.5j * mod.beta * modulation_contrast(mod, k, l)
-    dm = np.zeros(imap.size, dtype=complex)
-    for k in range(N):
-        for l in range(N):
-            if k != l:
-                dm[imap.index(k, l)] = 0.5j * mod.beta * np.conj(modulation_contrast(mod, k, l))
-    return np.diag(dp), np.diag(dm)
+    eta = contrast_vector(mod)
+    return np.diag(0.5j * mod.beta * eta), np.diag(0.5j * mod.beta * eta.conj())
 
 
 @dataclass(frozen=True)
@@ -166,16 +142,16 @@ def shift_Mn(m0, n, Omega):
     """Sideband blocks M_n = M_0 - i n Omega I from the static block M_0.
 
     ``n`` may be one sideband index or an array of them; an array gives the
-    blocks stacked along a leading axis.  Equal to ``assemble_Mn(net, n,
-    Omega)`` without rerunning the assembly loops.
+    blocks stacked along a leading axis.  This is the only way sideband
+    blocks are formed; ``assemble_Mn`` builds M_0 alone.
     """
     n = np.asarray(n)
     return m0 - 1j * Omega * n[..., None, None] * np.eye(m0.shape[0])
 
 
 def _sideband_blocks(net, mod, n_max):
-    diag = shift_Mn(assemble_Mn(net, 0, mod.Omega),
-                    np.arange(n_max, -n_max - 1, -1), mod.Omega)
+    diag = shift_Mn(assemble_Mn(net), np.arange(n_max, -n_max - 1, -1),
+                    mod.Omega)
     gp, gm = assemble_Gpm(mod)
     # The Fourier recursion couples <.>_n to <.>_{n+1} with -G+ and to
     # <.>_{n-1} with -G-; this sign keeps the reconstructed time series in
@@ -214,8 +190,7 @@ def _solve_fourier_nvec(net, mod, n_max, nvecs):
 def solve_fourier(net, mod, n_max, source, consts=SI):
     """Periodic steady state with only bath ``source`` thermally occupied."""
     ensure_valid(net, mod, consts)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    check_n_max(n_max)
     nvec = np.zeros(net.N)
     nvec[source] = occupation(net.T[source], net.omega[source], consts)
     coeffs = _solve_fourier_nvec(net, mod, n_max, nvec)
@@ -231,8 +206,7 @@ def power_matrix(net, mod, n_max, consts=SI):
     skipped.
     """
     ensure_valid(net, mod, consts)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    check_n_max(n_max)
     N = net.N
     P = np.zeros((N, N))
     P_em = np.zeros(N)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ __all__ = [
     "occupation",
     "validate",
     "ensure_valid",
+    "check_n_max",
     "build_chain4",
     "FloqheatError",
     "ValidationError",
@@ -272,6 +274,17 @@ def ensure_valid(net, mod, consts=SI):
     for v in report:
         if v.severity == "warning":
             warnings.warn(v.message, stacklevel=3)
+
+
+def check_n_max(n_max):
+    """Raise ValueError unless the truncation order is a nonnegative integer
+    (numpy integers pass)."""
+    try:
+        operator.index(n_max)
+    except TypeError:
+        raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
 
 
 def build_chain4(omega0, g, kappa, beta, Omega, theta):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import assemble_Gpm, assemble_Mn, moment_index_map, shift_Mn
+from .master import assemble_Mn, contrast_vector, moment_index_map, shift_Mn
 from .model import SI, SingularBlockError, ensure_valid, occupation
 
 __all__ = [
@@ -33,9 +33,8 @@ def _eliminate_first_sidebands(m0, mod):
     from it."""
     if mod.beta == 0.0:
         return m0
-    gp, _ = assemble_Gpm(mod)
-    gt = gp / (0.5j * mod.beta)
-    gts = gt.conj()
+    eta = contrast_vector(mod)
+    gt, gts = np.diag(eta), np.diag(eta.conj())
     try:
         inv_p = np.linalg.inv(shift_Mn(m0, +1, mod.Omega))
         inv_m = np.linalg.inv(shift_Mn(m0, -1, mod.Omega))
@@ -47,11 +46,12 @@ def _eliminate_first_sidebands(m0, mod):
 def assemble_Npert(net, mod):
     """Effective zeroth-sideband matrix after eliminating n = +-1.
 
-    N = M_0 + (beta^2/4) (Gt M_+1^-1 Gt* + Gt* M_-1^-1 Gt) with G+ = (i
-    beta/2) Gt; blocks with |n| >= 2 are discarded.
+    N = M_0 + (beta^2/4) (Gt M_+1^-1 Gt* + Gt* M_-1^-1 Gt) with
+    Gt = diag(eta) from ``master.contrast_vector``, so that G+ = (i beta/2)
+    Gt; blocks with |n| >= 2 are discarded.
     """
     ensure_valid(net, mod)
-    return _eliminate_first_sidebands(assemble_Mn(net, 0, mod.Omega), mod)
+    return _eliminate_first_sidebands(assemble_Mn(net), mod)
 
 
 def second_order_inverse(net, mod, variant="matrix_inverse"):
@@ -66,7 +66,7 @@ def second_order_inverse(net, mod, variant="matrix_inverse"):
         return np.linalg.inv(assemble_Npert(net, mod))
     ensure_valid(net, mod)
     if variant == "neumann":
-        m0 = assemble_Mn(net, 0, mod.Omega)
+        m0 = assemble_Mn(net)
         m0_inv = np.linalg.inv(m0)
         correction = m0_inv @ (_eliminate_first_sidebands(m0, mod) - m0)
         return (np.eye(m0.shape[0]) - correction) @ m0_inv

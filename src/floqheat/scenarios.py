@@ -43,6 +43,10 @@ DEFAULT_T_HOT = 300.0             # K
 
 METHODS = ("qme", "qle", "oracle", "pert1", "pert2", "closed")
 DEFAULT_N_MAX = {"qme": 15, "qle": 10}
+# default spectrum grid
+_PEAK_POINTS = 121                # points per expected peak
+_PEAK_HALFWIDTH = 8.0             # in units of the largest linewidth
+_BACKGROUND_POINTS = 600          # evenly over the whole window
 
 
 def default_chain(beta=0.0, theta=0.5 * math.pi, Omega=None, omega0=DEFAULT_OMEGA0):
@@ -67,7 +71,7 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     """
     first, last = _ends(net)
     if n_max is None:
-        n_max = DEFAULT_N_MAX.get(method, 15)
+        n_max = DEFAULT_N_MAX.get(method)
 
     def one_direction(source, observer):
         hot = net.with_hot_bath(source, T_hot)
@@ -111,8 +115,8 @@ class SweepSpec:
     parameter: str
     values: np.ndarray
     methods: tuple = ("qme",)
-    n_max_qme: int = 15
-    n_max_qle: int = 10
+    n_max_qme: int = DEFAULT_N_MAX["qme"]
+    n_max_qle: int = DEFAULT_N_MAX["qle"]
     quad_tol: float = 1e-6
     T_hot: float = DEFAULT_T_HOT
 
@@ -199,22 +203,23 @@ def sweep(spec, workers=1):
     return rows
 
 
-def default_spectrum_grid(net, mod, n_max, halfwidth=8.0, per_peak=121,
-                          background=600):
+def default_spectrum_grid(net, mod, n_max):
     """Frequency grid resolving each expected peak plus a coarse background.
 
-    halfwidth is in units of the largest linewidth.
+    The point counts and the peak half-width are the module constants
+    above.
     """
     lo, hi, peaks = langevin.integration_window(net, mod, n_max)
-    width = halfwidth * net.kappa.max()
-    pieces = [np.linspace(lo, hi, background)]
+    width = _PEAK_HALFWIDTH * net.kappa.max()
+    pieces = [np.linspace(lo, hi, _BACKGROUND_POINTS)]
     for p in peaks:
-        pieces.append(np.linspace(p - width, p + width, per_peak))
+        pieces.append(np.linspace(p - width, p + width, _PEAK_POINTS))
     grid = np.unique(np.concatenate(pieces))
     return grid[(grid >= lo) & (grid <= hi)]
 
 
-def spectrum_run(net, mod, grid=None, n_max=10, T_hot=DEFAULT_T_HOT, consts=SI):
+def spectrum_run(net, mod, grid=None, n_max=DEFAULT_N_MAX["qle"],
+                 T_hot=DEFAULT_T_HOT, consts=SI):
     """Forward and backward heat-flux spectra of the chain on a shared grid.
 
     Returns (grid, forward, backward): forward is P_{1->4, omega} with the
@@ -253,7 +258,8 @@ class MethodComparison:
         return out
 
 
-def compare_methods(net, mod, n_max_qme=15, n_max_qle=10, quad_tol=1e-6,
+def compare_methods(net, mod, n_max_qme=DEFAULT_N_MAX["qme"],
+                    n_max_qle=DEFAULT_N_MAX["qle"], quad_tol=1e-6,
                     T_hot=DEFAULT_T_HOT, consts=SI,
                     tol_qme_qle=5e-3, tol_qme_oracle=1e-4):
     """Run qme, qle and oracle on the same point and grade the agreement."""

@@ -5,8 +5,9 @@ import pytest
 import yaml
 
 from floqheat.cli import main
+from floqheat.scenarios import default_spectrum_grid
 
-from conftest import COUPLING, DRIVE, KAPPA, OMEGA0
+from conftest import COUPLING, DRIVE, KAPPA, OMEGA0, chain
 
 
 def run(capsys, *argv):
@@ -159,6 +160,17 @@ def test_spectrum_command(capsys, tmp_path):
                       "spectral_power_W_per_rad_s"]
     pairs = {(r[1], r[2]) for r in rows}
     assert pairs == {("1", "4"), ("4", "1")}
+
+
+def test_spectrum_nmax_zero_is_used(capsys, tmp_path):
+    # --nmax 0 is a truncation order, not a request for the default
+    out_csv = tmp_path / "spec0.csv"
+    code, _, _ = run(capsys, "spectrum", "--nmax", "0", "--out", str(out_csv))
+    assert code == 0
+    with open(out_csv) as fh:
+        rows = [r for r in csv.DictReader(fh) if r["source_bath"] == "1"]
+    net, mod = chain(0.05, 0.5)
+    assert len(rows) == default_spectrum_grid(net, mod, 0).size
 
 
 def test_compare_command(capsys):

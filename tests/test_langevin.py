@@ -139,20 +139,36 @@ class TestSidebandSystem:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("call", [
-        lambda net, mod: integrate_power(net, mod, 0, 3, -1),
-        lambda net, mod: emitted_power(net, mod, 0, -1),
-        lambda net, mod: spectral_correlations(net, mod, OMEGA0, -1),
-        lambda net, mod: occupation_spectrum(net, mod, [OMEGA0], -1),
-        lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0], -1),
-        lambda net, mod: integration_window(net, mod, -1),
-        lambda net, mod: power_matrix(net, mod, -1),
+    @pytest.mark.parametrize("call, message", [
+        (lambda net, mod: integrate_power(net, mod, 0, 3, -1), "nonnegative"),
+        (lambda net, mod: emitted_power(net, mod, 0, -1), "nonnegative"),
+        (lambda net, mod: spectral_correlations(net, mod, OMEGA0, -1),
+         "nonnegative"),
+        (lambda net, mod: occupation_spectrum(net, mod, [OMEGA0], -1),
+         "nonnegative"),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0], -1),
+         "nonnegative"),
+        (lambda net, mod: integration_window(net, mod, -1), "nonnegative"),
+        (lambda net, mod: power_matrix(net, mod, -1), "nonnegative"),
+        (lambda net, mod: integrate_power(net, mod, 0, 3, 3.0), "an integer"),
+        (lambda net, mod: emitted_power(net, mod, 0, 2.5), "an integer"),
+        (lambda net, mod: spectral_correlations(net, mod, OMEGA0, 2.5),
+         "an integer"),
+        (lambda net, mod: occupation_spectrum(net, mod, [OMEGA0], 2.5),
+         "an integer"),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0], 2.5),
+         "an integer"),
+        (lambda net, mod: integration_window(net, mod, 2.5), "an integer"),
+        (lambda net, mod: power_matrix(net, mod, 2.0), "an integer"),
     ], ids=["integrate_power", "emitted_power", "spectral_correlations",
             "occupation_spectrum", "heat_flux_spectrum", "integration_window",
-            "power_matrix"])
-    def test_negative_order_rejected(self, chain_modulated, call):
+            "power_matrix", "integrate_power-float", "emitted_power-float",
+            "spectral_correlations-float", "occupation_spectrum-float",
+            "heat_flux_spectrum-float", "integration_window-float",
+            "power_matrix-float"])
+    def test_negative_order_rejected(self, chain_modulated, call, message):
         net, mod = chain_modulated
-        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        with pytest.raises(ValueError, match="n_max must be " + message):
             call(net.with_hot_bath(0, T_HOT), mod)
 
     @pytest.mark.parametrize("source, observer",

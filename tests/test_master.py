@@ -7,10 +7,9 @@ from scipy.linalg import solve_sylvester
 from floqheat import (ModulationProtocol, ResonatorNetwork, SI, occupation)
 from floqheat.blocktri import assemble_dense
 from floqheat.master import (FourierSolution, assemble_Gpm, assemble_Mn,
-                             moment_index_map, periodic_expectations,
-                             power_matrix, shift_Mn, solve_fourier,
-                             _solve_fourier_nvec,
-                             modulation_contrast)
+                             contrast_vector, moment_index_map,
+                             periodic_expectations, power_matrix, shift_Mn,
+                             solve_fourier, _solve_fourier_nvec)
 from floqheat.model import ValidationError
 
 from conftest import KAPPA, OMEGA0, T_HOT, chain, random_network
@@ -49,7 +48,7 @@ class TestAssembly:
     def test_single_resonator_static_block(self):
         net, _ = chain(0.0)
         solo = ResonatorNetwork(omega=[OMEGA0], g=[[0.0]], kappa=[KAPPA], T=[0.0])
-        m = assemble_Mn(solo, 0)
+        m = assemble_Mn(solo)
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(2 * KAPPA)
 
@@ -59,7 +58,7 @@ class TestAssembly:
         kappa = OMEGA0 * rng.uniform(0.005, 0.02, 3)
         net = ResonatorNetwork(omega=omega, g=np.zeros((3, 3)), kappa=kappa,
                                T=np.zeros(3))
-        m = assemble_Mn(net, 0)
+        m = assemble_Mn(net)
         imap = moment_index_map(3)
         assert np.allclose(m, np.diag(np.diag(m)))
         for k in range(3):
@@ -73,19 +72,18 @@ class TestAssembly:
 
     def test_sideband_shift(self):
         net, mod = chain(0.02)
-        m0 = assemble_Mn(net, 0, mod.Omega)
-        m2 = assemble_Mn(net, 2, mod.Omega)
-        shift = m2 - m0
-        assert np.allclose(shift, -2j * mod.Omega * np.eye(16))
+        m0 = assemble_Mn(net)
+        m2 = shift_Mn(m0, 2, mod.Omega)
+        assert np.allclose(m2, m0 - 2j * mod.Omega * np.eye(16))
 
     def test_shifted_blocks_equal_assembled(self, chain_modulated):
         net, mod = chain_modulated
-        m0 = assemble_Mn(net, 0, mod.Omega)
+        m0 = assemble_Mn(net)
         ns = np.arange(3, -4, -1)
         stacked = shift_Mn(m0, ns, mod.Omega)
         assert stacked.shape == (7, 16, 16)
         for n, block in zip(ns, stacked):
-            expected = assemble_Mn(net, n, mod.Omega)
+            expected = m0 - 1j * mod.Omega * n * np.eye(16)
             assert np.array_equal(block, expected)
             assert np.array_equal(shift_Mn(m0, n, mod.Omega), expected)
 
@@ -107,9 +105,10 @@ class TestAssembly:
             (0, 1): -1.0, (0, 2): -e, (0, 3): 0.0,
             (1, 2): 1.0 - e, (1, 3): 1.0, (2, 3): e,
         }
-        for (k, l), val in expected.items():
-            assert modulation_contrast(mod, k, l) == pytest.approx(val)
         imap = moment_index_map(4)
+        eta = contrast_vector(mod)
+        for (k, l), val in expected.items():
+            assert eta[imap.index(k, l)] == pytest.approx(val)
         gp, gm = assemble_Gpm(mod)
         for (k, l), val in expected.items():
             assert gp[imap.index(k, l), imap.index(k, l)] == pytest.approx(
@@ -184,12 +183,14 @@ class TestSolveFourier:
                                kappa=np.zeros(4), T=net.T)
         with pytest.raises(ValidationError):
             solve_fourier(bad, mod, 4, 0)
-        with pytest.raises(ValueError):
-            solve_fourier(net, mod, -1, 0)
+        for n_max in (-1, 2.0, 2.5):
+            with pytest.raises(ValueError):
+                solve_fourier(net, mod, n_max, 0)
 
     def test_thomas_solver_agrees_with_dense(self, chain_modulated):
         # dense pivoted LU of the full sideband operator, every block
-        # assembled from scratch, as the reference for the block elimination
+        # written out as M_0 - i n Omega I, as the reference for the block
+        # elimination
         cases = [(*chain_modulated, 10),
                  (*random_network(np.random.default_rng(7), 6), 6),
                  (*chain(0.3, 0.5, drive_frac=0.02), 64)]
@@ -198,8 +199,10 @@ class TestSolveFourier:
             hot = net.with_hot_bath(source, T_HOT)
             imap = moment_index_map(net.N)
             gp, gm = assemble_Gpm(mod)
+            m0 = assemble_Mn(hot)
             full = assemble_dense(
-                [assemble_Mn(hot, n, mod.Omega) for n in range(n_max, -n_max - 1, -1)],
+                [m0 - 1j * n * mod.Omega * np.eye(imap.size)
+                 for n in range(n_max, -n_max - 1, -1)],
                 [-gm] * (2 * n_max), [-gp] * (2 * n_max))
             rhs = np.zeros(full.shape[0], dtype=complex)
             rhs[n_max * imap.size + imap.index(source, source)] = (

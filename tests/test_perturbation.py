@@ -23,7 +23,7 @@ def exact_delta(beta_frac, theta_pi, n_max=15):
 class TestAssembleNpert:
     def test_zero_drive_reduces_to_static_block(self):
         net, mod = chain(0.0)
-        assert np.array_equal(assemble_Npert(net, mod), assemble_Mn(net, 0, mod.Omega))
+        assert np.array_equal(assemble_Npert(net, mod), assemble_Mn(net))
 
     def test_real_contrasts_keep_reciprocity(self):
         from floqheat.master import moment_index_map

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floqheat import (ConvergenceError, ModulationProtocol, ResonatorNetwork,
                       SI, occupation)
@@ -13,18 +14,29 @@ from conftest import KAPPA, OMEGA0, T_HOT, chain, random_network
 
 
 class TestGenerator:
-    def test_static_limit_is_minus_fourier_block(self):
-        rng = np.random.default_rng(4)
-        net, mod = random_network(rng, 3)
+    # the element-wise time-domain generator is the independent check of
+    # the Kronecker-sum M_0, also for non-Hermitian couplings
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           hermitian=st.booleans())
+    def test_static_limit_is_minus_fourier_block(self, seed, n, hermitian):
+        rng = np.random.default_rng(seed)
+        net, mod = random_network(rng, n)
+        if not hermitian:
+            g = net.g + 0.1 * KAPPA * (rng.standard_normal((n, n))
+                                       + 1j * rng.standard_normal((n, n)))
+            np.fill_diagonal(g, 0.0)
+            net = ResonatorNetwork(omega=net.omega, g=g, kappa=net.kappa,
+                                   T=net.T)
         g_t, src = generator(net, mod, 0.234 * mod.period)
         static = ModulationProtocol(beta=0.0, Omega=mod.Omega,
                                     theta=mod.theta, mask=mod.mask)
         g_s, _ = generator(net, static, 0.0)
-        assert np.max(np.abs(g_s + assemble_Mn(net, 0, mod.Omega))) <= \
+        assert np.max(np.abs(g_s + assemble_Mn(net))) <= \
             1e-12 * np.max(np.abs(g_s))
-        imap = moment_index_map(3)
+        imap = moment_index_map(n)
         nvec = net.occupations()
-        for k in range(3):
+        for k in range(n):
             assert src[imap.index(k, k)] == pytest.approx(2 * net.kappa[k] * nvec[k])
 
     def test_periodicity(self, chain_modulated):
