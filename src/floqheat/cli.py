@@ -15,7 +15,7 @@ import numpy as np
 
 from . import langevin, master, perturbation, scenarios
 from .config import ConfigError, load_config
-from .model import SI, FloqheatError, ValidationError, validate
+from .model import SI, FloqheatError, ValidationError, check_n_max, validate
 from .scenarios import (DEFAULT_OMEGA0, DEFAULT_T_HOT, SweepSpec,
                         default_chain, rectification, sweep)
 
@@ -116,8 +116,15 @@ def _methods(args):
 
 
 def _n_max(args, method):
-    """--nmax if given (0 included), else the method's default order."""
-    return scenarios.DEFAULT_N_MAX[method] if args.nmax is None else args.nmax
+    """--nmax if given (0 included), else the method's default order (None
+    for a method without one).  A negative order is an input error."""
+    if args.nmax is None:
+        return scenarios.DEFAULT_N_MAX.get(method)
+    try:
+        check_n_max(args.nmax)
+    except ValueError as exc:
+        raise ValidationError(f"--nmax: {exc}") from None
+    return args.nmax
 
 
 def _omega_scale(net):
@@ -141,7 +148,7 @@ def cmd_power(args):
     rows = []
     for method in methods:
         p14, p41 = scenarios.run_forward_backward(
-            net, mod, method, n_max=args.nmax, quad_tol=args.quad_tol,
+            net, mod, method, n_max=_n_max(args, method), quad_tol=args.quad_tol,
             T_hot=args.t_hot, consts=consts,
         )
         e = rectification(p14, p41) if p14 + p41 != 0 else float("nan")

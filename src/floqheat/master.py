@@ -103,7 +103,7 @@ def contrast_vector(mod):
     whenever resonators k and l are driven identically; a complex value on
     the (k, l) slot signals a synthetic magnetic field on that link.
     """
-    c = mod.mask * np.exp(1j * mod.theta)
+    c = mod.phasor
     imap = moment_index_map(len(c))
     return c[imap.bra] - c[imap.ket]
 
@@ -142,11 +142,12 @@ def shift_Mn(m0, n, Omega):
     """Sideband blocks M_n = M_0 - i n Omega I from the static block M_0.
 
     ``n`` may be one sideband index or an array of them; an array gives the
-    blocks stacked along a leading axis.  This is the only way sideband
-    blocks are formed; ``assemble_Mn`` builds M_0 alone.
+    blocks stacked along a leading axis, and leading axes of ``m0``
+    broadcast against it.  This is the only way sideband blocks are formed;
+    ``assemble_Mn`` builds M_0 alone.
     """
     n = np.asarray(n)
-    return m0 - 1j * Omega * n[..., None, None] * np.eye(m0.shape[0])
+    return m0 - 1j * Omega * n[..., None, None] * np.eye(m0.shape[-1])
 
 
 def _sideband_blocks(net, mod, n_max):
@@ -159,10 +160,9 @@ def _sideband_blocks(net, mod, n_max):
     # global sign only remaps <.>_n -> (-1)^n <.>_n and leaves every
     # cycle-averaged quantity unchanged.  Blocks are stored from +n_max down
     # to -n_max, so <.>_{n+1} sits one block row up (the "lower" stripe
-    # holds its coefficient) and <.>_{n-1} one down.
-    upper = [-gm] * (2 * n_max)
-    lower = [-gp] * (2 * n_max)
-    return diag, upper, lower
+    # holds its coefficient) and <.>_{n-1} one down.  Both stripes are the
+    # same in every block row and are passed as one block each.
+    return diag, -gm, -gp
 
 
 def _solve_fourier_nvec(net, mod, n_max, nvecs):

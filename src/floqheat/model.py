@@ -184,6 +184,12 @@ class ModulationProtocol:
     def period(self):
         return 2.0 * math.pi / self.Omega
 
+    @property
+    def phasor(self):
+        """Drive phasors c_k = m_k exp(i theta_k); every solver takes its
+        sideband couplings from these."""
+        return self.mask * np.exp(1j * self.theta)
+
 
 @dataclass(frozen=True)
 class PowerMatrix:

@@ -172,7 +172,7 @@ CLOSED_FORM_ORIENTATION = -1.0
 
 def chain_contrasts(mod):
     """Drive contrasts eta_kl of a four-resonator protocol, 1-based pairs."""
-    phase = mod.mask * np.exp(1j * mod.theta)
+    phase = mod.phasor
     return {(k + 1, l + 1): complex(phase[k] - phase[l])
             for k in range(4) for l in range(k + 1, 4)}
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floqheat.blocktri import assemble_dense, solve_thomas
+from floqheat.langevin import _sideband_blocks
 from floqheat.model import SingularBlockError
+
+from conftest import OMEGA0, random_network
 
 
 def random_system(rng, nblocks, b):
@@ -86,3 +90,65 @@ def test_stacked_blocks_equal_lists():
                                    np.stack(lower), b_rhs)
         assert np.array_equal(from_lists, from_arrays)
 
+
+
+def check_members(diag, upper, lower, rhs):
+    """Solve a batch of systems at once, then check every member against
+    pivoted dense LU of that member (to 1e-12 relative) and against the
+    unbatched call on the same member (bit for bit).  Stripes and rhs that
+    lack the leading batch axis are shared by every member."""
+    x = solve_thomas(diag, upper, lower, rhs)
+    nblocks = diag.shape[-3]
+
+    def member(a, f, core):
+        return a[f] if a.ndim > core else a
+
+    for f in range(diag.shape[0]):
+        up, lo = member(upper, f, 3), member(lower, f, 3)
+        b_f = member(rhs, f, 2) if rhs.ndim > 1 else rhs
+        stripe = (nblocks - 1,) + diag.shape[-2:]
+        full = assemble_dense(diag[f], np.broadcast_to(up, stripe),
+                              np.broadcast_to(lo, stripe))
+        dense = np.linalg.solve(full, b_f)
+        assert np.max(np.abs(x[f] - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.array_equal(x[f], solve_thomas(diag[f], up, lo, b_f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 5),
+       nblocks=st.integers(2, 6), b=st.integers(1, 4), ncols=st.integers(0, 3),
+       stripes=st.sampled_from(["per-member", "shared", "one-block"]),
+       shared_rhs=st.booleans())
+def test_batched_members_match_dense_lu_and_unbatched(
+        seed, batch, nblocks, b, ncols, stripes, shared_rhs):
+    rng = np.random.default_rng(seed)
+    systems = [random_system(rng, nblocks, b) for _ in range(batch)]
+    diag = np.stack([np.stack(s[0]) for s in systems])
+    upper = np.stack([np.stack(s[1]) for s in systems])
+    lower = np.stack([np.stack(s[2]) for s in systems])
+    if stripes == "shared":
+        upper, lower = upper[0], lower[0]
+    elif stripes == "one-block":
+        upper, lower = upper[0, 0], lower[0, 0]
+    # ncols = 0 draws a 1-d rhs vector, the other values that many columns
+    shape = (nblocks * b,) if ncols == 0 else (nblocks * b, ncols)
+    if not shared_rhs and ncols:
+        shape = (batch,) + shape
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    check_members(diag, upper, lower, rhs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       n_max=st.integers(0, 4),
+       offsets=st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=6))
+def test_batched_sideband_operators_match_dense_lu(seed, n, n_max, offsets):
+    # the Langevin sideband operator: blocks stacked over a frequency vector,
+    # the two coupling stripes one block each
+    rng = np.random.default_rng(seed)
+    net, mod = random_network(rng, n)
+    omega = OMEGA0 * (1.0 + np.array(offsets))
+    diag, upper, lower = _sideband_blocks(net, mod, omega, n_max)
+    size = (2 * n_max + 1) * n
+    rhs = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
+    check_members(diag, upper, lower, rhs)

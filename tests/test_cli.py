@@ -110,9 +110,18 @@ def test_non_finite_config_value_exits_3(capsys, tmp_path):
 
 
 def test_solver_failure_exits_2(capsys):
-    code, _, err = run(capsys, "power", "--methods", "qme", "--nmax", "-5")
+    # a tolerance below round-off exhausts the quadrature's panel budget
+    code, _, err = run(capsys, "power", "--methods", "qle", "--nmax", "2",
+                       "--quad-tol", "1e-300")
     assert code == 2
-    assert "solver failure" in err
+    assert "solver failure" in err and "quadrature stalled" in err
+
+
+@pytest.mark.parametrize("command", ["power", "compare"])
+def test_negative_nmax_exits_3(capsys, command):
+    code, _, err = run(capsys, command, "--nmax", "-1")
+    assert code == 3
+    assert "invalid input" in err and "n_max must be nonnegative" in err
 
 
 def test_unknown_method_exits_3(capsys):

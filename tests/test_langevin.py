@@ -1,16 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import floqheat
 from floqheat import (ModulationProtocol, QuadratureError, ResonatorNetwork,
                       SI, occupation)
 from floqheat.blocktri import assemble_dense
 from floqheat.langevin import (assemble_A, emitted_power, heat_flux_spectrum,
                                integrate_power, integration_window,
                                occupation_spectrum, spectral_correlations,
-                               write_spectrum_csv, _frequency_operator,
-                               _response_rows)
+                               write_spectrum_csv, _response_rows,
+                               _sideband_blocks)
 from floqheat.master import power_matrix
 from floqheat.model import ValidationError
 
@@ -66,6 +72,16 @@ def reference_operator(net, mod, omega, n_max):
                           [q_plus] * (2 * n_max))
 
 
+def batched_operators(net, mod, omega, n_max):
+    """Dense sideband operators at the frequencies omega, written out from
+    the frequency-stacked blocks and the two broadcast stripes that the
+    batched elimination works on."""
+    diag, upper, lower = _sideband_blocks(net, mod, np.asarray(omega, float),
+                                          n_max)
+    return [assemble_dense(d, [upper] * (2 * n_max), [lower] * (2 * n_max))
+            for d in diag]
+
+
 def max_rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
@@ -73,21 +89,23 @@ def max_rel(a, b):
 class TestSidebandSystem:
     def test_operator_matches_per_block_reference(self, chain_modulated):
         rng = np.random.default_rng(21)
+        grid = [OMEGA0 + 0.3 * KAPPA, 0.97 * OMEGA0]
         for net, mod in (chain_modulated, random_network(rng, 3)):
-            for w, n_max in ((OMEGA0 + 0.3 * KAPPA, 3), (0.97 * OMEGA0, 10)):
-                op = _frequency_operator(net, mod, w, n_max)
-                assert max_rel(op, reference_operator(net, mod, w, n_max)) <= 1e-15
+            for n_max in (3, 10):
+                ops = batched_operators(net, mod, grid, n_max)
+                for w, op in zip(grid, ops):
+                    assert max_rel(op, reference_operator(net, mod, w, n_max)) <= 1e-15
 
     def test_zero_drive_is_block_diagonal(self, chain_static):
         net, mod = chain_static
-        op = _frequency_operator(net, mod, OMEGA0, 2)
+        op, = batched_operators(net, mod, [OMEGA0], 2)
         for r in range(5):
             off = np.delete(op[4 * r:4 * r + 4], np.s_[4 * r:4 * r + 4], axis=1)
             assert np.all(off == 0.0)
 
     def test_order_zero(self, chain_modulated):
         net, mod = chain_modulated
-        op = _frequency_operator(net, mod, OMEGA0, 0)
+        op, = batched_operators(net, mod, [OMEGA0], 0)
         assert np.array_equal(op, assemble_A(net, OMEGA0))
 
     def test_two_resonator_block_count(self):
@@ -96,7 +114,7 @@ class TestSidebandSystem:
                                kappa=[KAPPA, KAPPA], T=[0.0, 0.0])
         mod = ModulationProtocol(beta=0.02 * OMEGA0, Omega=0.05 * OMEGA0,
                                  theta=[0.0, 0.4], mask=[1, 1])
-        op = _frequency_operator(net, mod, OMEGA0, 1)
+        op, = batched_operators(net, mod, [OMEGA0], 1)
         assert op.shape == (6, 6)
         nonzero = 0
         for r in range(3):
@@ -110,7 +128,7 @@ class TestSidebandSystem:
     def test_block_ordering_top_is_highest_sideband(self, chain_modulated):
         net, mod = chain_modulated
         w = OMEGA0 + 1.7 * KAPPA
-        op = _frequency_operator(net, mod, w, 2)
+        op, = batched_operators(net, mod, [w], 2)
         assert np.allclose(op[:4, :4], assemble_A(net, w + 2 * mod.Omega),
                            rtol=1e-15, atol=0.0)
         assert np.allclose(op[16:, 16:], assemble_A(net, w - 2 * mod.Omega),
@@ -120,13 +138,14 @@ class TestSidebandSystem:
         # the solved rows against an explicit inverse of the per-block
         # reference operator
         rng = np.random.default_rng(22)
+        grid, n_max = np.array([OMEGA0 + 0.3 * KAPPA, 0.97 * OMEGA0]), 3
         for net, mod in (chain_modulated, random_network(rng, 3)):
-            w, n_max = OMEGA0 + 0.3 * KAPPA, 3
-            inverse = np.linalg.inv(reference_operator(net, mod, w, n_max))
             observers = list(range(net.N))
-            rows = _response_rows(net, mod, w, n_max, observers)
-            expected = inverse[[n_max * net.N + l for l in observers]]
-            assert max_rel(rows, expected) <= 1e-12
+            batch = _response_rows(net, mod, grid, n_max, observers)
+            for w, rows in zip(grid, batch):
+                inverse = np.linalg.inv(reference_operator(net, mod, w, n_max))
+                expected = inverse[[n_max * net.N + l for l in observers]]
+                assert max_rel(rows, expected) <= 1e-12
 
     def test_invalid_network_rejected(self, chain_modulated):
         net, mod = chain_modulated
@@ -450,3 +469,14 @@ class TestWindowAndExport:
         direct = np.array([spectral_correlations(warm, mod, w, 4) for w in grid])
         assert np.allclose(spec.S, direct)
         assert np.all(spec.S[:, :, 1:3] == 0.0)
+
+
+def test_import_does_not_load_scipy():
+    # the quadrature is in-house; scipy serves the tests only
+    src = str(Path(floqheat.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, floqheat; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True, env=env)
+    assert proc.stdout.strip() == "False"
