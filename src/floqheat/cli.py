@@ -1,8 +1,10 @@
 """Command-line front end: single points, spectra, sweeps and figure presets.
 
 Convention for command-line values: beta and Omega are given as fractions
-of the chain resonance omega_0, angles as multiples of pi.  Exit codes:
-0 success, 2 solver failure, 3 invalid configuration or inputs.
+of the chain resonance omega_0, angles as multiples of pi.  Each subcommand
+takes only the flags it reads, and flag values are checked as they are
+parsed.  Exit codes: 0 success, 2 solver failure, 3 invalid configuration,
+inputs or usage.
 """
 from __future__ import annotations
 
@@ -15,88 +17,121 @@ import numpy as np
 
 from . import langevin, master, perturbation, scenarios
 from .config import ConfigError, load_config
-from .model import SI, FloqheatError, ValidationError, check_n_max, validate
+from .model import SI, FloqheatError, ValidationError, validate
 from .scenarios import (DEFAULT_OMEGA0, DEFAULT_T_HOT, SweepSpec,
-                        default_chain, rectification, sweep)
+                        default_chain, sweep)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_INVALID = 3
 
 
-def _add_common(p, methods_default="qme"):
-    p.add_argument("--config", help="YAML system description")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="truncation order override")
-    p.add_argument("--quad-tol", type=float, default=1e-6,
-                   help="relative quadrature tolerance (qle)")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--methods", default=methods_default,
-                   help="comma list from: " + ",".join(scenarios.METHODS))
-    p.add_argument("--parallel", type=int, default=1, metavar="K",
-                   help="worker processes for sweeps")
-    p.add_argument("--t-hot", type=float, default=DEFAULT_T_HOT,
-                   help="hot bath temperature [K]")
+def _checked(convert, ok, requirement):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
 
 
-def _add_chain_flags(p):
-    p.add_argument("--beta", type=float, default=0.05,
-                   help="modulation amplitude as a fraction of omega_0")
-    p.add_argument("--theta", type=float, default=0.5,
-                   help="dephasing in multiples of pi")
-    p.add_argument("--drive", type=float, default=0.05,
-                   help="drive frequency as a fraction of omega_0")
+_FLAGS = {
+    "config": dict(help="YAML system description"),
+    "beta": dict(type=float, default=0.05,
+                 help="modulation amplitude as a fraction of omega_0"),
+    "theta": dict(type=float, default=0.5, help="dephasing in multiples of pi"),
+    "drive": dict(type=float, default=0.05,
+                  help="drive frequency as a fraction of omega_0"),
+    "parameter": dict(required=True, choices=("beta", "theta", "Omega")),
+    "values": dict(required=True,
+                   type=_checked(lambda s: [float(v) for v in s.split(",")],
+                                 lambda vs: all(map(math.isfinite, vs)),
+                                 "sweep values must be finite"),
+                   help="comma list; beta/Omega as fractions of omega_0, "
+                        "theta in multiples of pi"),
+    "methods": dict(type=_checked(lambda s: tuple(m for m in s.split(",") if m),
+                                  lambda ms: ms and set(ms) <= set(scenarios.METHODS),
+                                  "methods must be a nonempty list of known methods"),
+                    help="comma list from: " + ",".join(scenarios.METHODS)),
+    "nmax": dict(type=_checked(int, lambda n: n >= 0, "n_max must be nonnegative"),
+                 help="truncation order override"),
+    "quad-tol": dict(type=_checked(float, lambda t: 0.0 < t < math.inf,
+                                   "quad_tol must be positive and finite"),
+                     default=1e-6, help="relative quadrature tolerance (qle)"),
+    "parallel": dict(type=_checked(int, lambda k: k >= 1, "need at least one worker"),
+                     default=1, metavar="K", help="worker processes for sweeps"),
+    "t-hot": dict(type=_checked(float, lambda t: 0.0 <= t < math.inf,
+                                "T_hot must be nonnegative and finite"),
+                  default=DEFAULT_T_HOT, help="hot bath temperature [K]"),
+    "out": dict(help="CSV output path"),
+}
+
+_SWEEP_FLAGS = "nmax quad-tol methods parallel t-hot out"
+
+# name: (help, flags, defaults); the fig* presets draw the paper's chain
+_SUBCOMMANDS = {
+    "power": ("single-point forward/backward powers",
+              "config beta theta drive nmax quad-tol methods t-hot out",
+              {"methods": ("qme",)}),
+    "spectrum": ("forward/backward heat-flux spectra",
+                 "config beta theta drive nmax t-hot out", {"out": "spectrum.csv"}),
+    "sweep": ("one-parameter sweep",
+              "config beta theta drive parameter values " + _SWEEP_FLAGS,
+              {"methods": ("qme",), "out": "sweep.csv"}),
+    "compare": ("qme / qle / oracle cross-check",
+                "config beta theta drive nmax quad-tol t-hot", {}),
+    "fig3a": ("normalized P14/P41 vs beta for theta = 0.1 pi and 0.5 pi",
+              _SWEEP_FLAGS, {"methods": ("qme", "qle"), "out": "fig3a.csv"}),
+    "fig3b": ("flux difference vs beta against perturbation estimates",
+              "nmax parallel t-hot out",
+              {"methods": ("qme", "pert1", "pert2", "closed"), "out": "fig3b.csv"}),
+    "fig4": ("rectification vs theta for several beta",
+             _SWEEP_FLAGS, {"methods": ("qme",), "out": "fig4.csv"}),
+    "fig6": ("forward/backward spectra at beta = Omega = 0.05 omega_0",
+             "nmax t-hot out", {"out": "fig6.csv"}),
+    "fig7": ("P14 vs beta against both second-order approximations",
+             "nmax parallel t-hot out",
+             {"methods": ("qme", "pert1", "pert2"), "out": "fig7.csv"}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors are input errors: main turns them into exit code 3
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="floqheat",
         description="Heat flux and rectification in modulated resonator networks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("power", help="single-point forward/backward powers")
-    _add_common(p)
-    _add_chain_flags(p)
-
-    p = sub.add_parser("spectrum", help="forward/backward heat-flux spectra")
-    _add_common(p)
-    _add_chain_flags(p)
-
-    p = sub.add_parser("sweep", help="one-parameter sweep")
-    _add_common(p)
-    _add_chain_flags(p)
-    p.add_argument("--parameter", required=True, choices=("beta", "theta", "Omega"))
-    p.add_argument("--values", required=True,
-                   help="comma list; beta/Omega as fractions of omega_0, "
-                        "theta in multiples of pi")
-
-    p = sub.add_parser("compare", help="qme / qle / oracle cross-check")
-    _add_common(p)
-    _add_chain_flags(p)
-
-    for name, doc in (
-        ("fig3a", "normalized P14/P41 vs beta for theta = 0.1 pi and 0.5 pi"),
-        ("fig3b", "flux difference vs beta against perturbation estimates"),
-        ("fig4", "rectification vs theta for several beta"),
-        ("fig6", "forward/backward spectra at beta = Omega = 0.05 omega_0"),
-        ("fig7", "P14 vs beta against both second-order approximations"),
-    ):
+    for name, (doc, flags, defaults) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        _add_common(p, methods_default="")
+        for flag in flags.split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return ap
 
 
-def _system_from(args, beta=None, theta=None):
-    """(constants, net, mod): from --config if given, else the default chain."""
+def _chain(beta_frac, theta_pi, drive_frac=0.05):
+    """The bundled chain; rates as fractions of omega_0, dephasing in pi."""
+    return default_chain(beta=beta_frac * DEFAULT_OMEGA0, theta=theta_pi * math.pi,
+                         Omega=drive_frac * DEFAULT_OMEGA0)
+
+
+def _system_from(args):
+    """(constants, net, mod): from --config if given, else the chain flags."""
     if args.config:
         consts, net, mod = load_config(args.config)
     else:
-        consts = SI
-        b = (args.beta if beta is None else beta) * DEFAULT_OMEGA0
-        th = (args.theta if theta is None else theta) * math.pi
-        net, mod = default_chain(beta=b, theta=th,
-                                 Omega=args.drive * DEFAULT_OMEGA0)
+        consts, (net, mod) = SI, _chain(args.beta, args.theta, args.drive)
     report = validate(net, mod, consts)
     errors = [v.message for v in report if v.severity == "error"]
     if errors:
@@ -107,33 +142,14 @@ def _system_from(args, beta=None, theta=None):
     return consts, net, mod
 
 
-def _methods(args):
-    methods = tuple(m for m in args.methods.split(",") if m)
-    for m in methods:
-        if m not in scenarios.METHODS:
-            raise ValidationError(f"unknown method {m!r}")
-    return methods
-
-
 def _n_max(args, method):
     """--nmax if given (0 included), else the method's default order (None
-    for a method without one).  A negative order is an input error."""
-    if args.nmax is None:
-        return scenarios.DEFAULT_N_MAX.get(method)
-    try:
-        check_n_max(args.nmax)
-    except ValueError as exc:
-        raise ValidationError(f"--nmax: {exc}") from None
-    return args.nmax
-
-
-def _omega_scale(net):
-    return float(net.omega[0])
+    for a method without one)."""
+    return scenarios.DEFAULT_N_MAX.get(method) if args.nmax is None else args.nmax
 
 
 def cmd_power(args):
     consts, net, mod = _system_from(args)
-    methods = _methods(args) or ("qme",)
     if net.N != 4:
         n_max = _n_max(args, "qme")
         pm = master.power_matrix(net, mod, n_max, consts)
@@ -146,61 +162,35 @@ def cmd_power(args):
             print(f"wrote {args.out}")
         return EXIT_OK
     rows = []
-    for method in methods:
-        p14, p41 = scenarios.run_forward_backward(
-            net, mod, method, n_max=_n_max(args, method), quad_tol=args.quad_tol,
-            T_hot=args.t_hot, consts=consts,
-        )
-        e = rectification(p14, p41) if p14 + p41 != 0 else float("nan")
-        rows.append(scenarios.SweepRow(method, mod.beta, mod.Omega,
-                                       float(mod.theta[2] - mod.theta[1]),
-                                       p14, p41, e, p14 - p41))
-        print(f"{method:>7}: P14 = {p14:.6e} W   P41 = {p41:.6e} W   E = {e:+.4f}")
+    for method in args.methods:
+        r = scenarios.operating_point(net, mod, method, _n_max(args, method),
+                                      args.quad_tol, args.t_hot, consts)
+        print(f"{method:>7}: P14 = {r.P14:.6e} W   P41 = {r.P41:.6e} W   "
+              f"dP = {r.dP:.6e} W   E = {r.E:+.4f}")
+        rows.append(r)
     if args.out:
         scenarios.write_sweep_csv(args.out, rows)
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_spectrum(args):
-    consts, net, mod = _system_from(args)
+def _spectrum(args, consts, net, mod):
     grid, fwd, bwd = scenarios.spectrum_run(net, mod, n_max=_n_max(args, "qle"),
                                             T_hot=args.t_hot, consts=consts)
     first, last = 0, net.N - 1
-    out = args.out or "spectrum.csv"
-    langevin.write_spectrum_csv(out, grid, {(first, last): fwd, (last, first): bwd})
+    langevin.write_spectrum_csv(args.out, grid, {(first, last): fwd, (last, first): bwd})
     print(f"{grid.size} grid points, forward peak {fwd.max():.4e}, "
           f"backward peak {bwd.max():.4e} W s/rad")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _run_sweep(args, spec, out_default):
-    rows = sweep(spec, workers=args.parallel)
-    failed = [r for r in rows if r.status != "ok"]
-    out = args.out or out_default
-    scenarios.write_sweep_csv(out, rows)
-    print(f"{len(rows)} rows ({len(failed)} flagged), wrote {out}")
-    for r in failed:
-        print(f"  flagged {r.method} @ beta={r.beta:.3e}: {r.status}",
-              file=sys.stderr)
-    return rows
+def cmd_spectrum(args):
+    return _spectrum(args, *_system_from(args))
 
 
-def cmd_sweep(args):
-    consts, net, mod = _system_from(args)
-    raw = [float(v) for v in args.values.split(",")]
-    scale = _omega_scale(net)
-    if args.parameter in ("beta", "Omega"):
-        values = [v * scale for v in raw]
-    else:
-        values = [v * math.pi for v in raw]
-    spec = SweepSpec(network=net, modulation=mod, parameter=args.parameter,
-                     values=values, methods=_methods(args) or ("qme",),
-                     n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
-                     quad_tol=args.quad_tol, T_hot=args.t_hot)
-    _run_sweep(args, spec, "sweep.csv")
-    return EXIT_OK
+def cmd_fig6(args):
+    return _spectrum(args, SI, *_chain(0.05, 0.5))
 
 
 def cmd_compare(args):
@@ -209,9 +199,40 @@ def cmd_compare(args):
         net, mod, n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
         quad_tol=args.quad_tol, T_hot=args.t_hot, consts=consts,
     )
-    for line in report.lines():
-        print(line)
+    print("\n".join(report.lines()))
     return EXIT_OK
+
+
+def _sweep(args, net, mod, parameter, values):
+    """Rows of one sweep whose spec comes from the subcommand's flags."""
+    try:
+        spec = SweepSpec(network=net, modulation=mod, parameter=parameter,
+                         values=values, methods=args.methods,
+                         n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
+                         # fig3b and fig7 run no qle and take no --quad-tol
+                         quad_tol=getattr(args, "quad_tol", SweepSpec.quad_tol),
+                         T_hot=args.t_hot)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    rows = sweep(spec, workers=args.parallel)
+    for r in rows:
+        if r.status != "ok":
+            print(f"  flagged {r.method} @ beta={r.beta:.3e}: {r.status}",
+                  file=sys.stderr)
+    return rows
+
+
+def _write(out, write, rows):
+    write(out, rows)
+    print(f"{len(rows)} rows, wrote {out}")
+    return EXIT_OK
+
+
+def cmd_sweep(args):
+    consts, net, mod = _system_from(args)
+    scale = float(net.omega[0]) if args.parameter in ("beta", "Omega") else math.pi
+    rows = _sweep(args, net, mod, args.parameter, [v * scale for v in args.values])
+    return _write(args.out, scenarios.write_sweep_csv, rows)
 
 
 def _normalized_rows(rows):
@@ -243,91 +264,36 @@ def _write_norm_csv(path, rows):
                         f"{n41:.8f}", r.status])
 
 
-def _preset_chain(args, beta_frac=0.05, theta_pi=0.5):
-    args.beta = beta_frac
-    args.theta = theta_pi
-    args.drive = 0.05
-    return _system_from(args)
+_BETAS = np.linspace(0.0, 0.06, 13) * DEFAULT_OMEGA0
 
 
 def cmd_fig3a(args):
-    methods = _methods(args) or ("qme", "qle")
-    all_rows = []
-    for theta_pi in (0.1, 0.5):
-        consts, net, mod = _preset_chain(args, beta_frac=0.0, theta_pi=theta_pi)
-        betas = np.linspace(0.0, 0.06, 13) * _omega_scale(net)
-        spec = SweepSpec(network=net, modulation=mod, parameter="beta",
-                         values=betas, methods=methods,
-                         n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
-                         quad_tol=args.quad_tol, T_hot=args.t_hot)
-        all_rows.extend(sweep(spec, workers=args.parallel))
-    out = args.out or "fig3a.csv"
-    _write_norm_csv(out, all_rows)
-    print(f"{len(all_rows)} rows, wrote {out}")
-    return EXIT_OK
+    rows = [r for theta_pi in (0.1, 0.5)
+            for r in _sweep(args, *_chain(0.0, theta_pi), "beta", _BETAS)]
+    return _write(args.out, _write_norm_csv, rows)
 
 
 def cmd_fig3b(args):
+    # rows come per beta in the order of args.methods, the CSV's column order
+    k = len(args.methods)
     records = []
     for theta_pi in (0.1, 0.5):
-        consts, net, mod = _preset_chain(args, beta_frac=0.0, theta_pi=theta_pi)
-        betas = np.linspace(0.0, 0.06, 13) * _omega_scale(net)
-        spec = SweepSpec(network=net, modulation=mod, parameter="beta",
-                         values=betas, methods=("qme", "pert1", "pert2", "closed"),
-                         n_max_qme=_n_max(args, "qme"), quad_tol=args.quad_tol,
-                         T_hot=args.t_hot)
-        rows = sweep(spec, workers=args.parallel)
-        by_beta = {}
-        for r in rows:
-            by_beta.setdefault(r.beta, {})[r.method] = r
-        for beta in sorted(by_beta):
-            group = by_beta[beta]
-            records.append((
-                beta, theta_pi * math.pi,
-                group["qme"].dP, group["pert1"].dP, group["pert2"].dP,
-                group["closed"].dP,
-            ))
-    out = args.out or "fig3b.csv"
-    perturbation.write_perturbation_csv(out, records)
-    print(f"{len(records)} rows, wrote {out}")
-    return EXIT_OK
+        rows = _sweep(args, *_chain(0.0, theta_pi), "beta", _BETAS)
+        records += [(rows[i].beta, theta_pi * math.pi, *(r.dP for r in rows[i:i + k]))
+                    for i in range(0, len(rows), k)]
+    return _write(args.out, perturbation.write_perturbation_csv, records)
 
 
 def cmd_fig4(args):
     thetas = np.arange(-1.0, 1.0 + 1e-9, 0.05) * math.pi
-    methods = _methods(args) or ("qme",)
-    all_rows = []
-    for beta_frac in (0.01, 0.03, 0.05):
-        consts, net, mod = _preset_chain(args, beta_frac=beta_frac, theta_pi=0.5)
-        spec = SweepSpec(network=net, modulation=mod, parameter="theta",
-                         values=thetas, methods=methods,
-                         n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
-                         quad_tol=args.quad_tol, T_hot=args.t_hot)
-        all_rows.extend(sweep(spec, workers=args.parallel))
-    out = args.out or "fig4.csv"
-    scenarios.write_sweep_csv(out, all_rows)
-    print(f"{len(all_rows)} rows, wrote {out}")
-    return EXIT_OK
-
-
-def cmd_fig6(args):
-    _preset_chain(args, beta_frac=0.05, theta_pi=0.5)
-    args.out = args.out or "fig6.csv"
-    return cmd_spectrum(args)
+    rows = [r for beta_frac in (0.01, 0.03, 0.05)
+            for r in _sweep(args, *_chain(beta_frac, 0.5), "theta", thetas)]
+    return _write(args.out, scenarios.write_sweep_csv, rows)
 
 
 def cmd_fig7(args):
-    consts, net, mod = _preset_chain(args, beta_frac=0.0, theta_pi=0.5)
-    betas = np.linspace(0.0, 0.06, 13) * _omega_scale(net)
-    spec = SweepSpec(network=net, modulation=mod, parameter="beta",
-                     values=betas, methods=("qme", "pert1", "pert2"),
-                     n_max_qme=_n_max(args, "qme"), quad_tol=args.quad_tol,
-                     T_hot=args.t_hot)
-    rows = sweep(spec, workers=args.parallel)
-    out = args.out or "fig7.csv"
-    _write_norm_csv(out, rows)
-    print(f"{len(rows)} rows, wrote {out}")
-    return EXIT_OK
+    rows = _sweep(args, *_chain(0.0, 0.5), "beta", _BETAS)
+    return _write(args.out, _write_norm_csv, rows)
 
 
 _COMMANDS = {
@@ -344,8 +310,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, ValidationError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ __all__ = [
     "delta_n14_general",
     "delta_n14_closed_form",
     "delta_power_weak_coupling",
+    "closed_form_delta_power",
     "perturbation_result",
     "write_perturbation_csv",
 ]
@@ -197,17 +198,22 @@ def _require_symmetric_chain(net, mod):
         raise ValueError("closed forms require the inner resonators modulated")
 
 
+def closed_form_delta_power(net, mod, T_hot=300.0, consts=SI):
+    """Weak-coupling flux difference P14 - P41 of the symmetric four-chain [W]."""
+    _require_symmetric_chain(net, mod)
+    ensure_valid(net, mod)
+    n_occ = occupation(T_hot, net.omega[0], consts)
+    return CLOSED_FORM_ORIENTATION * delta_power_weak_coupling(
+        net.omega[0], n_occ, net.g[0, 1].real, net.kappa[0],
+        mod.beta, mod.Omega, mod.theta[2] - mod.theta[1], consts,
+    )
+
+
 def perturbation_result(net, mod, T_hot=300.0, consts=SI):
     """All second-order estimates for the symmetric four-chain protocol."""
-    _require_symmetric_chain(net, mod)
+    closed = closed_form_delta_power(net, mod, T_hot, consts)
     p14_m, p41_m = power_second_order(net, mod, "matrix_inverse", T_hot, consts)
     p14_n, p41_n = power_second_order(net, mod, "neumann", T_hot, consts)
-    n_occ = occupation(T_hot, net.omega[0], consts)
-    theta = mod.theta[2] - mod.theta[1]
-    closed = CLOSED_FORM_ORIENTATION * delta_power_weak_coupling(
-        net.omega[0], n_occ, net.g[0, 1].real, net.kappa[0],
-        mod.beta, mod.Omega, theta, consts,
-    )
     return PerturbationResult(
         P14=p14_m, P41=p41_m,
         deltaP_matrixform=p14_m - p41_m,

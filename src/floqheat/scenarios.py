@@ -23,6 +23,7 @@ __all__ = [
     "default_chain",
     "run_forward_backward",
     "rectification",
+    "operating_point",
     "SweepSpec",
     "SweepRow",
     "sweep",
@@ -58,10 +59,6 @@ def default_chain(beta=0.0, theta=0.5 * math.pi, Omega=None, omega0=DEFAULT_OMEG
                         beta, Omega, theta)
 
 
-def _ends(net):
-    return 0, net.N - 1
-
-
 def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
                          T_hot=DEFAULT_T_HOT, consts=SI):
     """(P14, P41) with the hot bath on the first then on the last resonator.
@@ -69,7 +66,7 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     The backward run reuses the identical modulation (phases untouched);
     only the temperature assignment moves.
     """
-    first, last = _ends(net)
+    first, last = 0, net.N - 1
     if n_max is None:
         n_max = DEFAULT_N_MAX.get(method)
 
@@ -150,10 +147,8 @@ class SweepRow:
 
 
 def _apply_parameter(mod, parameter, value):
-    if parameter == "beta":
-        return dataclasses.replace(mod, beta=float(value))
-    if parameter == "Omega":
-        return dataclasses.replace(mod, Omega=float(value))
+    if parameter != "theta":
+        return dataclasses.replace(mod, **{parameter: float(value)})
     theta = np.array(mod.theta)
     theta[2] = float(value)
     return dataclasses.replace(mod, theta=theta)
@@ -165,29 +160,35 @@ def _dephasing(mod):
     return float("nan")
 
 
-def _n_max_for(spec, method):
-    return spec.n_max_qle if method == "qle" else spec.n_max_qme
+def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
+                    T_hot=DEFAULT_T_HOT, consts=SI):
+    """One SweepRow of the forward/backward protocol; raises on failure.
+
+    A "closed" row holds only the weak-coupling flux difference dP, with
+    P14, P41 and E NaN; E is NaN as well where both powers vanish.
+    """
+    nan = float("nan")
+    if method == "closed":
+        p14 = p41 = nan
+        dP = perturbation.closed_form_delta_power(net, mod, T_hot, consts)
+    else:
+        p14, p41 = run_forward_backward(net, mod, method, n_max, quad_tol,
+                                        T_hot, consts)
+        dP = p14 - p41
+    e = rectification(p14, p41) if p14 + p41 != 0.0 else nan
+    return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
+                    p14, p41, e, dP)
 
 
 def _sweep_point(spec, value, method):
     mod = _apply_parameter(spec.modulation, spec.parameter, value)
-    nan = float("nan")
+    n_max = spec.n_max_qle if method == "qle" else spec.n_max_qme
     try:
-        if method == "closed":
-            res = perturbation.perturbation_result(spec.network, mod,
-                                                   spec.T_hot)
-            return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
-                            nan, nan, nan, res.deltaP_closedform)
-        p14, p41 = run_forward_backward(
-            spec.network, mod, method, n_max=_n_max_for(spec, method),
-            quad_tol=spec.quad_tol, T_hot=spec.T_hot,
-        )
-        total = p14 + p41
-        e = (p14 - p41) / total if total != 0.0 else nan
-        return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
-                        p14, p41, e, p14 - p41)
+        return operating_point(spec.network, mod, method, n_max,
+                               spec.quad_tol, spec.T_hot)
     except (FloqheatError, ValueError) as exc:
         # a failing point must not abort the sweep; flag the row instead
+        nan = float("nan")
         return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
                         nan, nan, nan, nan, status=f"error: {exc}")
 
@@ -225,7 +226,7 @@ def spectrum_run(net, mod, grid=None, n_max=DEFAULT_N_MAX["qle"],
     Returns (grid, forward, backward): forward is P_{1->4, omega} with the
     first resonator hot, backward P_{4->1, omega} with the last hot.
     """
-    first, last = _ends(net)
+    first, last = 0, net.N - 1
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)
     fwd = langevin.heat_flux_spectrum(net.with_hot_bath(first, T_hot), mod,
@@ -279,13 +280,11 @@ def compare_methods(net, mod, n_max_qme=DEFAULT_N_MAX["qme"],
 
     deviations = {}
     passed = not any(isinstance(v, str) for v in powers.values())
-    if not isinstance(powers["qme"], str):
-        if not isinstance(powers["qle"], str):
-            deviations["qme-vs-qle"] = rel_dev(powers["qme"], powers["qle"])
-            passed = passed and deviations["qme-vs-qle"] <= tol_qme_qle
-        if not isinstance(powers["oracle"], str):
-            deviations["qme-vs-oracle"] = rel_dev(powers["qme"], powers["oracle"])
-            passed = passed and deviations["qme-vs-oracle"] <= tol_qme_oracle
+    for other, tol in (("qle", tol_qme_qle), ("oracle", tol_qme_oracle)):
+        if not isinstance(powers["qme"], str) and not isinstance(powers[other], str):
+            label = f"qme-vs-{other}"
+            deviations[label] = rel_dev(powers["qme"], powers[other])
+            passed = passed and deviations[label] <= tol
     return MethodComparison(powers=powers, deviations=deviations, passed=passed,
                             tol_qme_qle=tol_qme_qle, tol_qme_oracle=tol_qme_oracle)
 

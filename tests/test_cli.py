@@ -1,10 +1,13 @@
+import argparse
 import csv
+import pathlib
 
 import numpy as np
 import pytest
 import yaml
 
-from floqheat.cli import main
+from floqheat.cli import build_parser, main
+from floqheat.perturbation import perturbation_result
 from floqheat.scenarios import default_spectrum_grid
 
 from conftest import COUPLING, DRIVE, KAPPA, OMEGA0, chain
@@ -127,6 +130,102 @@ def test_negative_nmax_exits_3(capsys, command):
 def test_unknown_method_exits_3(capsys):
     code, _, err = run(capsys, "power", "--methods", "sorcery")
     assert code == 3
+
+
+SHIPPED_CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
+                     / "demos" / "chain.yaml")
+
+
+@pytest.mark.parametrize("argv", [
+    ("power", "--quad-tol", "0"),
+    ("power", "--quad-tol", "-1e-6"),
+    ("power", "--quad-tol", "nan"),
+    ("power", "--quad-tol", "inf"),
+    ("compare", "--quad-tol", "0"),
+    ("fig3a", "--quad-tol", "0"),
+    ("fig4", "--parallel", "0"),
+    ("fig4", "--parallel", "-1"),
+    ("sweep", "--parameter", "beta", "--values", "0", "--parallel", "0"),
+    ("power", "--nmax", "1.5"),
+    ("power", "--nmax", "two"),
+    ("fig6", "--nmax", "-1"),
+    ("power", "--t-hot", "-1"),
+    ("power", "--methods", ""),
+    ("sweep", "--parameter", "beta", "--values", "0,nan"),
+    ("sweep", "--parameter", "beta", "--values", "0,x"),
+    ("sweep", "--parameter", "gamma", "--values", "0"),
+    ("sweep", "--values", "0"),
+    ("power", "--no-such-flag"),
+    ("power", "--parallel", "2"),
+    ("compare", "--out", "x.csv"),
+    ("compare", "--methods", "qme"),
+    ("spectrum", "--methods", "qle"),
+    ("spectrum", "--quad-tol", "1e-6"),
+    ("fig4", "--config", SHIPPED_CONFIG),
+    ("fig6", "--quad-tol", "-5"),
+    ("fig3b", "--methods", "qme"),
+    ("fig7", "--quad-tol", "1e-6"),
+    ("no-such-command",),
+    (),
+])
+def test_usage_errors_exit_3(capsys, tmp_path, monkeypatch, argv):
+    # malformed values, unknown and removed flags: rejected before any
+    # solver (or worker process) starts, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "invalid input" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["power", "--help"], ["fig6", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+CHAIN = {"--config", "--beta", "--theta", "--drive"}
+SWEEP = {"--nmax", "--quad-tol", "--methods", "--parallel", "--t-hot", "--out"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help")}
+               for name, p in sub.choices.items()}
+    assert options == {
+        "power": CHAIN | SWEEP - {"--parallel"},
+        "spectrum": CHAIN | {"--nmax", "--t-hot", "--out"},
+        "sweep": CHAIN | SWEEP | {"--parameter", "--values"},
+        "compare": CHAIN | {"--nmax", "--quad-tol", "--t-hot"},
+        "fig3a": SWEEP,
+        "fig3b": SWEEP - {"--methods", "--quad-tol"},
+        "fig4": SWEEP,
+        "fig6": {"--nmax", "--t-hot", "--out"},
+        "fig7": SWEEP - {"--methods", "--quad-tol"},
+    }
+    assert sum(map(len, options.values())) == 58
+
+
+def test_power_closed_form(capsys, tmp_path):
+    out_csv = tmp_path / "closed.csv"
+    code, out, _ = run(capsys, "power", "--methods", "closed,qme",
+                       "--out", str(out_csv))
+    assert code == 0
+    assert out.count("dP =") == 2
+    with open(out_csv) as fh:
+        closed, qme = list(csv.DictReader(fh))
+    assert closed["method"] == "closed" and closed["status"] == "ok"
+    for key in ("P14_W", "P41_W", "E"):
+        assert closed[key] == "nan"
+    net, mod = chain(0.05, 0.5)
+    expected = perturbation_result(net, mod).deltaP_closedform
+    assert closed["dP_W"] == f"{expected:.12e}"
+    # same sign as the full solver's flux difference
+    assert np.sign(float(closed["dP_W"])) == np.sign(float(qme["dP_W"]))
 
 
 def test_sweep_command(capsys, tmp_path):

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from floqheat import build_chain4
+from floqheat import build_chain4, perturbation
 from floqheat.scenarios import (MethodComparison, SweepSpec, compare_methods,
-                                default_chain, rectification,
+                                default_chain, operating_point, rectification,
                                 run_forward_backward, spectrum_run, sweep,
                                 write_sweep_csv)
 
@@ -96,6 +97,44 @@ class TestSweep:
         (row,) = sweep(bad)
         assert row.status.startswith("error:")
         assert np.isnan(row.P14)
+
+    def test_closed_rows_do_no_second_order_solve(self, monkeypatch):
+        net, mod = chain(0.02, 0.5)
+        calls = []
+        solve = perturbation.power_second_order
+        monkeypatch.setattr(perturbation, "power_second_order",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        betas = np.array([0.0, 0.02, 0.04]) * OMEGA0
+        rows = sweep(SweepSpec(network=net, modulation=mod, parameter="beta",
+                               values=betas, methods=("closed",)))
+        assert calls == []
+        for row, beta in zip(rows, betas, strict=True):
+            expected = perturbation.perturbation_result(
+                net, dataclasses.replace(mod, beta=beta), T_HOT)
+            assert row.status == "ok"
+            assert row.dP == expected.deltaP_closedform
+            assert np.isnan([row.P14, row.P41, row.E]).all()
+        assert len(calls) == 2 * len(betas)   # the spy does see the full result
+        (bad,) = sweep(SweepSpec(network=net, modulation=mod, parameter="Omega",
+                                 values=[-1.0], methods=("closed",)))
+        assert bad.status.startswith("error:") and np.isnan(bad.dP)
+
+    def test_sweep_rows_are_operating_points(self, chain_modulated):
+        net, mod = chain_modulated
+        methods = ("qme", "pert1", "closed")
+        spec = SweepSpec(network=net, modulation=mod, parameter="beta",
+                         values=[mod.beta], methods=methods)
+        for row, method in zip(sweep(spec), methods, strict=True):
+            direct = dataclasses.astuple(operating_point(net, mod, method))
+            for x, y in zip(dataclasses.astuple(row), direct, strict=True):
+                assert x == y or (np.isnan(x) and np.isnan(y))
+
+    def test_operating_point_raises_and_flags_zero_total(self):
+        net, mod = build_chain4(OMEGA0, 0.0, KAPPA, 0.02 * OMEGA0, DRIVE, 0.5)
+        row = operating_point(net, mod, "qme")
+        assert row.P14 == 0.0 and row.P41 == 0.0 and np.isnan(row.E)
+        with pytest.raises(ValueError, match="unknown method"):
+            operating_point(net, mod, "magic")
 
     def test_spec_validation(self, chain_static):
         net, mod = chain_static
