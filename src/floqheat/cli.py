@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import langevin, master, perturbation, scenarios
+from . import langevin, perturbation, scenarios
 from .config import ConfigError, load_config
 from .model import SI, FloqheatError, ValidationError, validate
 from .scenarios import (DEFAULT_OMEGA0, DEFAULT_T_HOT, SweepSpec,
@@ -142,28 +142,11 @@ def _system_from(args):
     return consts, net, mod
 
 
-def _n_max(args, method):
-    """--nmax if given (0 included), else the method's default order (None
-    for a method without one)."""
-    return scenarios.DEFAULT_N_MAX.get(method) if args.nmax is None else args.nmax
-
-
 def cmd_power(args):
     consts, net, mod = _system_from(args)
-    if net.N != 4:
-        n_max = _n_max(args, "qme")
-        pm = master.power_matrix(net, mod, n_max, consts)
-        print(f"power matrix for N = {net.N} (qme); hot baths taken from config temperatures")
-        for k in range(net.N):
-            if net.T[k] > 0:
-                print(f"  source {k + 1}: P_em = {pm.P_em[k]:.6e} W")
-        if args.out:
-            master.write_power_csv(args.out, net, mod, pm, n_max)
-            print(f"wrote {args.out}")
-        return EXIT_OK
     rows = []
     for method in args.methods:
-        r = scenarios.operating_point(net, mod, method, _n_max(args, method),
+        r = scenarios.operating_point(net, mod, method, args.nmax,
                                       args.quad_tol, args.t_hot, consts)
         print(f"{method:>7}: P14 = {r.P14:.6e} W   P41 = {r.P41:.6e} W   "
               f"dP = {r.dP:.6e} W   E = {r.E:+.4f}")
@@ -175,7 +158,7 @@ def cmd_power(args):
 
 
 def _spectrum(args, consts, net, mod):
-    grid, fwd, bwd = scenarios.spectrum_run(net, mod, n_max=_n_max(args, "qle"),
+    grid, fwd, bwd = scenarios.spectrum_run(net, mod, n_max=args.nmax,
                                             T_hot=args.t_hot, consts=consts)
     first, last = 0, net.N - 1
     langevin.write_spectrum_csv(args.out, grid, {(first, last): fwd, (last, first): bwd})
@@ -195,23 +178,20 @@ def cmd_fig6(args):
 
 def cmd_compare(args):
     consts, net, mod = _system_from(args)
-    report = scenarios.compare_methods(
-        net, mod, n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
-        quad_tol=args.quad_tol, T_hot=args.t_hot, consts=consts,
-    )
+    report = scenarios.compare_methods(net, mod, args.nmax, args.quad_tol,
+                                       args.t_hot, consts)
     print("\n".join(report.lines()))
     return EXIT_OK
 
 
-def _sweep(args, net, mod, parameter, values):
+def _sweep(args, net, mod, parameter, values, consts=SI):
     """Rows of one sweep whose spec comes from the subcommand's flags."""
     try:
         spec = SweepSpec(network=net, modulation=mod, parameter=parameter,
-                         values=values, methods=args.methods,
-                         n_max_qme=_n_max(args, "qme"), n_max_qle=_n_max(args, "qle"),
+                         values=values, methods=args.methods, n_max=args.nmax,
                          # fig3b and fig7 run no qle and take no --quad-tol
                          quad_tol=getattr(args, "quad_tol", SweepSpec.quad_tol),
-                         T_hot=args.t_hot)
+                         T_hot=args.t_hot, consts=consts)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     rows = sweep(spec, workers=args.parallel)
@@ -231,7 +211,8 @@ def _write(out, write, rows):
 def cmd_sweep(args):
     consts, net, mod = _system_from(args)
     scale = float(net.omega[0]) if args.parameter in ("beta", "Omega") else math.pi
-    rows = _sweep(args, net, mod, args.parameter, [v * scale for v in args.values])
+    rows = _sweep(args, net, mod, args.parameter, [v * scale for v in args.values],
+                  consts)
     return _write(args.out, scenarios.write_sweep_csv, rows)
 
 

@@ -15,7 +15,6 @@ bath is one right-hand-side column of the same elimination.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "power_matrix",
     "converged_power_matrix",
     "periodic_expectations",
-    "write_power_csv",
 ]
 
 
@@ -261,19 +259,3 @@ def periodic_expectations(sol, t):
     n = np.arange(sol.n_max, -sol.n_max - 1, -1)
     phases = np.exp(-1j * n * sol.Omega * t)
     return phases @ sol.coeffs
-
-
-def write_power_csv(path, net, mod, pm, n_max):
-    """Long-format power table; resonator labels are 1-based."""
-    theta_txt = ";".join(f"{t:.17g}" for t in mod.theta)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["source", "observer", "P_watt", "P_em_watt",
-                    "n_max", "beta", "Omega", "theta"])
-        for k in range(net.N):
-            for l in range(net.N):
-                if k == l:
-                    continue
-                w.writerow([k + 1, l + 1, f"{pm.P[k, l]:.12e}",
-                            f"{pm.P_em[k]:.12e}", n_max,
-                            f"{mod.beta:.17g}", f"{mod.Omega:.17g}", theta_txt])

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .master import assemble_Mn, contrast_vector, moment_index_map, shift_Mn
-from .model import SI, SingularBlockError, ensure_valid, occupation
+from .model import (SI, SingularBlockError, ValidationError, ensure_valid,
+                    occupation)
 
 __all__ = [
     "PerturbationResult",
@@ -191,11 +192,11 @@ class PerturbationResult:
 
 def _require_symmetric_chain(net, mod):
     if net.N != 4:
-        raise ValueError("closed forms require the four-resonator chain")
+        raise ValidationError("closed forms require the four-resonator chain")
     if not (np.allclose(net.omega, net.omega[0]) and np.allclose(net.kappa, net.kappa[0])):
-        raise ValueError("closed forms require identical resonators")
+        raise ValidationError("closed forms require identical resonators")
     if not np.array_equal(mod.mask, [0, 1, 1, 0]):
-        raise ValueError("closed forms require the inner resonators modulated")
+        raise ValidationError("closed forms require the inner resonators modulated")
 
 
 def closed_form_delta_power(net, mod, T_hot=300.0, consts=SI):

@@ -1,8 +1,12 @@
-"""Four-resonator chain drivers: forward/backward runs, sweeps, method checks.
+"""Forward/backward drivers: operating points, sweeps, spectra, method checks.
 
 The measurement protocol keeps the modulation fixed and moves only the hot
-bath: forward puts resonator 1 at T_hot, backward resonator 4.  Rectification
-is the normalized asymmetry E = (P14 - P41)/(P14 + P41).
+bath: forward puts the first resonator at T_hot, backward the last one
+(resonators 1 and 4 of the bundled four-resonator chain, 1 and N of any
+network).  Rectification is the normalized asymmetry
+E = (P14 - P41)/(P14 + P41), where P14 is the forward and P41 the backward
+power.  The moment solver gets both directions from one elimination;
+theta sweeps and the closed forms assume the four-resonator chain.
 """
 from __future__ import annotations
 
@@ -44,6 +48,9 @@ DEFAULT_T_HOT = 300.0             # K
 
 METHODS = ("qme", "qle", "oracle", "pert1", "pert2", "closed")
 DEFAULT_N_MAX = {"qme": 15, "qle": 10}
+# compare_methods: largest relative deviation from qme that still passes
+TOL_QME_QLE = 5e-3                # criterion 2
+TOL_QME_ORACLE = 1e-4             # criterion 3
 # default spectrum grid
 _PEAK_POINTS = 121                # points per expected peak
 _PEAK_HALFWIDTH = 8.0             # in units of the largest linewidth
@@ -64,30 +71,38 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     """(P14, P41) with the hot bath on the first then on the last resonator.
 
     The backward run reuses the identical modulation (phases untouched);
-    only the temperature assignment moves.
+    only the temperature assignment moves.  n_max None means the method's
+    DEFAULT_N_MAX.  qme solves both directions in one power_matrix call:
+    the moment operator does not depend on which bath is hot, and each hot
+    bath is its own right-hand side.
     """
     first, last = 0, net.N - 1
     if n_max is None:
         n_max = DEFAULT_N_MAX.get(method)
-
-    def one_direction(source, observer):
-        hot = net.with_hot_bath(source, T_hot)
-        if method == "qme":
-            pm = master.power_matrix(hot, mod, n_max, consts)
-            return pm.P[source, observer]
-        if method == "qle":
-            return langevin.integrate_power(hot, mod, source, observer,
-                                            n_max, quad_tol, consts)
-        if method == "oracle":
-            samples = timedomain.evolve_to_cycle(hot, mod, consts=consts)
-            row, _ = timedomain.cycle_average_power(samples, hot, source, consts)
-            return row[observer]
-        raise ValueError(f"unknown method {method!r}")
-
+    if method == "qme":
+        temp = np.zeros(net.N)
+        temp[[first, last]] = T_hot
+        P = master.power_matrix(net.with_temperatures(temp), mod, n_max, consts).P
+        return P[first, last], P[last, first]
     if method in ("pert1", "pert2"):
         variant = "matrix_inverse" if method == "pert1" else "neumann"
         return perturbation.power_second_order(net, mod, variant, T_hot, consts)
-    return (one_direction(first, last), one_direction(last, first))
+    if method not in ("qle", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
+    powers = []
+    for source, observer in ((first, last), (last, first)):
+        hot = net.with_hot_bath(source, T_hot)
+        if method == "qle":
+            powers.append(langevin.integrate_power(hot, mod, source, observer,
+                                                   n_max, quad_tol, consts))
+        else:
+            # the samples are a temporary: one direction's period is freed
+            # before the next is stepped
+            row, _ = timedomain.cycle_average_power(
+                timedomain.evolve_to_cycle(hot, mod, consts=consts), hot, source,
+                consts)
+            powers.append(row[observer])
+    return tuple(powers)
 
 
 def rectification(P14, P41):
@@ -112,10 +127,10 @@ class SweepSpec:
     parameter: str
     values: np.ndarray
     methods: tuple = ("qme",)
-    n_max_qme: int = DEFAULT_N_MAX["qme"]
-    n_max_qle: int = DEFAULT_N_MAX["qle"]
+    n_max: int | None = None          # None: each method's DEFAULT_N_MAX
     quad_tol: float = 1e-6
     T_hot: float = DEFAULT_T_HOT
+    consts: object = SI
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -182,10 +197,9 @@ def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
 
 def _sweep_point(spec, value, method):
     mod = _apply_parameter(spec.modulation, spec.parameter, value)
-    n_max = spec.n_max_qle if method == "qle" else spec.n_max_qme
     try:
-        return operating_point(spec.network, mod, method, n_max,
-                               spec.quad_tol, spec.T_hot)
+        return operating_point(spec.network, mod, method, spec.n_max,
+                               spec.quad_tol, spec.T_hot, spec.consts)
     except (FloqheatError, ValueError) as exc:
         # a failing point must not abort the sweep; flag the row instead
         nan = float("nan")
@@ -219,14 +233,17 @@ def default_spectrum_grid(net, mod, n_max):
     return grid[(grid >= lo) & (grid <= hi)]
 
 
-def spectrum_run(net, mod, grid=None, n_max=DEFAULT_N_MAX["qle"],
-                 T_hot=DEFAULT_T_HOT, consts=SI):
-    """Forward and backward heat-flux spectra of the chain on a shared grid.
+def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT,
+                 consts=SI):
+    """Forward and backward heat-flux spectra on a shared grid.
 
-    Returns (grid, forward, backward): forward is P_{1->4, omega} with the
-    first resonator hot, backward P_{4->1, omega} with the last hot.
+    Returns (grid, forward, backward): forward is P_{1->N, omega} with the
+    first resonator hot, backward P_{N->1, omega} with the last hot.  n_max
+    None means the qle DEFAULT_N_MAX.
     """
     first, last = 0, net.N - 1
+    if n_max is None:
+        n_max = DEFAULT_N_MAX["qle"]
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)
     fwd = langevin.heat_flux_spectrum(net.with_hot_bath(first, T_hot), mod,
@@ -243,8 +260,6 @@ class MethodComparison:
     powers: dict                   # method -> (P14, P41) or error string
     deviations: dict               # pair label -> max relative deviation
     passed: bool
-    tol_qme_qle: float
-    tol_qme_oracle: float
 
     def lines(self):
         out = []
@@ -259,19 +274,20 @@ class MethodComparison:
         return out
 
 
-def compare_methods(net, mod, n_max_qme=DEFAULT_N_MAX["qme"],
-                    n_max_qle=DEFAULT_N_MAX["qle"], quad_tol=1e-6,
-                    T_hot=DEFAULT_T_HOT, consts=SI,
-                    tol_qme_qle=5e-3, tol_qme_oracle=1e-4):
-    """Run qme, qle and oracle on the same point and grade the agreement."""
-    settings = {"qme": n_max_qme, "qle": n_max_qle, "oracle": None}
+def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT,
+                    consts=SI):
+    """Run qme, qle and oracle on the same point and grade the agreement.
+
+    n_max None gives qme and qle their DEFAULT_N_MAX orders; an integer sets
+    both.  The point passes when every method succeeds and, in both
+    directions, qle lies within TOL_QME_QLE = 5e-3 (criterion 2) and the
+    oracle within TOL_QME_ORACLE = 1e-4 (criterion 3) of qme, relative.
+    """
     powers = {}
-    for method, n_max in settings.items():
+    for method in ("qme", "qle", "oracle"):
         try:
-            powers[method] = run_forward_backward(
-                net, mod, method, n_max=n_max, quad_tol=quad_tol,
-                T_hot=T_hot, consts=consts,
-            )
+            powers[method] = run_forward_backward(net, mod, method, n_max,
+                                                  quad_tol, T_hot, consts)
         except (FloqheatError, ValueError) as exc:
             powers[method] = str(exc)
 
@@ -280,13 +296,12 @@ def compare_methods(net, mod, n_max_qme=DEFAULT_N_MAX["qme"],
 
     deviations = {}
     passed = not any(isinstance(v, str) for v in powers.values())
-    for other, tol in (("qle", tol_qme_qle), ("oracle", tol_qme_oracle)):
+    for other, tol in (("qle", TOL_QME_QLE), ("oracle", TOL_QME_ORACLE)):
         if not isinstance(powers["qme"], str) and not isinstance(powers[other], str):
             label = f"qme-vs-{other}"
             deviations[label] = rel_dev(powers["qme"], powers[other])
             passed = passed and deviations[label] <= tol
-    return MethodComparison(powers=powers, deviations=deviations, passed=passed,
-                            tol_qme_qle=tol_qme_qle, tol_qme_oracle=tol_qme_oracle)
+    return MethodComparison(powers=powers, deviations=deviations, passed=passed)
 
 
 def write_sweep_csv(path, rows):

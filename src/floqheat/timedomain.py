@@ -14,7 +14,6 @@ repeat.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "evolve_to_cycle",
     "cycle_averaged_moments",
     "cycle_average_power",
-    "write_trajectory_csv",
 ]
 
 
@@ -199,13 +197,3 @@ def cycle_average_power(samples, net, source, consts=SI):
             row[l] = pref * 2.0 * net.kappa[l] * avg[imap.index(l, l)].real
     p_em = pref * 2.0 * net.kappa[source] * (n_src - avg[imap.index(source, source)].real)
     return row, p_em
-
-
-def write_trajectory_csv(path, samples):
-    """Debug dump of the stored period, one row per (t, moment)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_s", "moment_index", "re", "im"])
-        for t, row in zip(samples.t, samples.y):
-            for idx, val in enumerate(row):
-                w.writerow([f"{t:.10e}", idx, f"{val.real:.12e}", f"{val.imag:.12e}"])

@@ -7,8 +7,9 @@ import pytest
 import yaml
 
 from floqheat.cli import build_parser, main
+from floqheat.config import load_config
 from floqheat.perturbation import perturbation_result
-from floqheat.scenarios import default_spectrum_grid
+from floqheat.scenarios import default_spectrum_grid, run_forward_backward
 
 from conftest import COUPLING, DRIVE, KAPPA, OMEGA0, chain
 
@@ -67,6 +68,69 @@ def test_power_config_matches_flags(capsys, tmp_path):
         line = [l for l in text.splitlines() if "qme" in l][0]
         return float(line.split("P14 =")[1].split("W")[0])
     assert p14(out_cfg) == pytest.approx(p14(out_flags), rel=1e-12)
+
+
+def csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_power_config_of_any_size_runs_the_protocol(capsys, tmp_path):
+    # a three-resonator config takes the same resonator-1 <-> resonator-N
+    # path as the chain, with the flags' method, tolerance and T_hot
+    path = tmp_path / "three.yaml"
+    path.write_text(yaml.safe_dump({
+        "network": {"omega": [OMEGA0] * 3, "kappa": [KAPPA] * 3,
+                    "T": [300.0, 0.0, 0.0], "hermitian": True,
+                    "couplings": [[1, 2, COUPLING, 0.0], [2, 3, COUPLING, 0.0]]},
+        "modulation": {"beta": 0.05 * OMEGA0, "Omega": DRIVE,
+                       "theta": [0.0, 0.0, 0.5 * np.pi], "mask": [0, 1, 1]},
+    }))
+    out_csv = tmp_path / "power.csv"
+    code, out, _ = run(capsys, "power", "--config", str(path), "--methods", "qle",
+                       "--t-hot", "5", "--quad-tol", "1e-3", "--out", str(out_csv))
+    assert code == 0
+    assert out.count("P14 =") == 1 and "qle: P14 =" in out
+    (row,) = csv_rows(out_csv)
+    _, net, mod = load_config(path)
+    p14, p41 = run_forward_backward(net, mod, "qle", quad_tol=1e-3, T_hot=5.0)
+    assert row["method"] == "qle"
+    assert (row["P14_W"], row["P41_W"]) == (f"{p14:.12e}", f"{p41:.12e}")
+
+
+def test_sweep_config_uses_config_constants(capsys, tmp_path):
+    cfg = chain_config(tmp_path)
+    doc = yaml.safe_load(cfg.read_text())
+    doc["constants"] = {"hbar": 2.0e-34}
+    cfg.write_text(yaml.safe_dump(doc))
+    power_csv, sweep_csv = tmp_path / "power.csv", tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "power", "--config", str(cfg),
+                     "--methods", "qme,closed", "--out", str(power_csv))
+    assert code == 0
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--parameter", "theta",
+                     "--values", "0.5", "--methods", "qme,closed",
+                     "--out", str(sweep_csv))
+    assert code == 0
+    assert csv_rows(sweep_csv) == csv_rows(power_csv)
+    # and not the SI value at the same point
+    si_p14 = run_forward_backward(*chain(0.05, 0.5), "qme")[0]
+    assert abs(float(csv_rows(power_csv)[0]["P14_W"]) / si_p14 - 1.0) > 0.5
+
+
+def test_closed_form_on_unequal_chain_exits_3(capsys, tmp_path):
+    cfg = chain_config(tmp_path, kappa=[KAPPA] * 3 + [1.1 * KAPPA])
+    code, _, err = run(capsys, "power", "--config", str(cfg), "--methods", "closed")
+    assert code == 3
+    assert "invalid input: closed forms require identical resonators" in err
+    # a sweep flags the row instead of aborting
+    out_csv = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--config", str(cfg), "--parameter", "theta",
+                       "--values", "0.5", "--methods", "closed,qme",
+                       "--out", str(out_csv))
+    assert code == 0
+    closed, qme = csv_rows(out_csv)
+    assert closed["status"] == "error: closed forms require identical resonators"
+    assert qme["status"] == "ok"
 
 
 def test_shipped_example_config(capsys):

@@ -290,23 +290,6 @@ class TestConvergedPowerMatrix:
                                    n_max_limit=2)
 
 
-class TestPowerCsv:
-    def test_format_and_labels(self, tmp_path, chain_modulated):
-        from floqheat.master import write_power_csv
-        net, mod = chain_modulated
-        hot = net.with_hot_bath(0, T_HOT)
-        pm = power_matrix(hot, mod, 8)
-        path = tmp_path / "power.csv"
-        write_power_csv(path, hot, mod, pm, 8)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "source,observer,P_watt,P_em_watt,n_max,beta,Omega,theta"
-        assert len(lines) == 1 + 12  # every ordered pair
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "2"
-        assert float(first[2]) == pytest.approx(pm.P[0, 1], rel=1e-10)
-        assert first[4] == "8"
-
-
 class TestPeriodicExpectations:
     def test_static_is_time_independent(self, chain_static):
         net, mod = chain_static

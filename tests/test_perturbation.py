@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floqheat import SI, occupation
+from floqheat import SI, ValidationError, occupation
 from floqheat.master import assemble_Mn, power_matrix
 from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
                                    chain_contrasts, delta_n14_closed_form,
@@ -184,7 +184,7 @@ class TestResultPlumbing:
                                kappa=[KAPPA] * 3, T=[0.0] * 3)
         mod = ModulationProtocol(beta=0.0, Omega=DRIVE, theta=np.zeros(3),
                                  mask=[0, 1, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             perturbation_result(net, mod)
 
     def test_csv_format(self, tmp_path):

@@ -4,13 +4,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from floqheat import build_chain4, perturbation
-from floqheat.scenarios import (MethodComparison, SweepSpec, compare_methods,
-                                default_chain, operating_point, rectification,
-                                run_forward_backward, spectrum_run, sweep,
-                                write_sweep_csv)
+from floqheat import build_chain4, master, perturbation
+from floqheat.scenarios import (DEFAULT_N_MAX, MethodComparison, SweepSpec,
+                                compare_methods, default_chain, operating_point,
+                                rectification, run_forward_backward,
+                                spectrum_run, sweep, write_sweep_csv)
 
-from conftest import DRIVE, KAPPA, OMEGA0, T_HOT, chain
+from conftest import DRIVE, KAPPA, OMEGA0, T_HOT, chain, random_network
 
 
 class TestRunForwardBackward:
@@ -136,6 +136,26 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown method"):
             operating_point(net, mod, "magic")
 
+    def test_qme_directions_share_one_solve(self, monkeypatch):
+        # both end baths hot in one power_matrix call: the sideband operator
+        # is the same, and each hot bath is its own right-hand side
+        cases = [(chain(0.05, 0.5), DEFAULT_N_MAX["qme"]),
+                 (random_network(np.random.default_rng(6), 6), DEFAULT_N_MAX["qme"]),
+                 (chain(0.2, 0.5, drive_frac=0.02), 32)]      # strong drive
+        solve = master.power_matrix
+        calls = []
+        monkeypatch.setattr(master, "power_matrix",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        for (net, mod), n_max in cases:
+            calls.clear()
+            row = operating_point(net, mod, "qme", n_max)
+            assert len(calls) == 1
+            last = net.N - 1
+            p14 = solve(net.with_hot_bath(0, T_HOT), mod, n_max).P[0, last]
+            p41 = solve(net.with_hot_bath(last, T_HOT), mod, n_max).P[last, 0]
+            assert abs(row.P14 / p14 - 1.0) <= 1e-14
+            assert abs(row.P41 / p41 - 1.0) <= 1e-14
+
     def test_spec_validation(self, chain_static):
         net, mod = chain_static
         with pytest.raises(ValueError):
@@ -249,13 +269,13 @@ class TestCompareMethods:
 
     def test_static_point_agrees_tightly(self, chain_static):
         net, mod = chain_static
-        report = compare_methods(net, mod, n_max_qme=4, n_max_qle=4)
+        report = compare_methods(net, mod, n_max=4)
         assert report.passed
         assert report.deviations["qme-vs-qle"] <= 3e-6
 
     def test_truncation_starvation_fails(self):
         net, mod = chain(0.06, 0.5)
-        report = compare_methods(net, mod, n_max_qme=1, n_max_qle=8)
+        report = compare_methods(net, mod, n_max=1)
         assert not report.passed
         assert report.deviations["qme-vs-qle"] > 5e-3
         assert "FAIL" in report.lines()[-1]

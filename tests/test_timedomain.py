@@ -7,8 +7,7 @@ from floqheat import (ConvergenceError, ModulationProtocol, ResonatorNetwork,
 from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
                              solve_fourier)
 from floqheat.timedomain import (cycle_average_power, cycle_averaged_moments,
-                                 evolve_to_cycle, generator,
-                                 write_trajectory_csv)
+                                 evolve_to_cycle, generator)
 
 from conftest import KAPPA, OMEGA0, T_HOT, chain, random_network
 
@@ -189,21 +188,6 @@ class TestCycleAveragePower:
         n_src = occupation(T_HOT, OMEGA0)
         scale = SI.hbar * OMEGA0 * 2 * KAPPA * n_src
         assert abs(p_em - row.sum()) <= 5e-7 * scale
-
-    def test_trajectory_csv(self, tmp_path):
-        net = ResonatorNetwork(omega=[OMEGA0], g=[[0.0]], kappa=[KAPPA],
-                               T=[T_HOT])
-        mod = ModulationProtocol(beta=0.0, Omega=0.05 * OMEGA0, theta=[0.0],
-                                 mask=[0])
-        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, samples)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t_s,moment_index,re,im"
-        assert len(lines) == 1 + samples.t.size
-        t0, idx, re, im = lines[1].split(",")
-        assert idx == "0"
-        assert float(re) == pytest.approx(samples.y[0, 0].real)
 
 
 class TestOracleEquivalence:
