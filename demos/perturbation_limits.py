@@ -1,31 +1,26 @@
 """Where second-order perturbation theory works, and where it gives out.
 
-Three approximations to the flux asymmetry: the full inverse of the
-sideband-eliminated system, its Neumann expansion, and the weak-coupling
-closed form proportional to beta^2 sin(theta).  All three converge on the
-exact answer as beta -> 0; the full inverse survives to the largest drive.
+Three approximations to the flux asymmetry: the moment solver truncated at
+the first sidebands (pert1, the full inverse of the sideband-eliminated
+system), its Neumann expansion (pert2), and the weak-coupling closed form
+proportional to beta^2 sin(theta).  All three converge on the exact answer
+as beta -> 0; pert1 survives to the largest drive.
 """
 import numpy as np
 
-from floqheat.master import power_matrix
-from floqheat.perturbation import perturbation_result, write_perturbation_csv
-from floqheat.scenarios import DEFAULT_OMEGA0, DEFAULT_T_HOT, default_chain
+from floqheat.perturbation import write_perturbation_csv
+from floqheat.scenarios import DEFAULT_OMEGA0, default_chain, operating_point
 
 theta = 0.5 * np.pi
+methods = ("qme", "pert1", "pert2", "closed")
 records = []
 print(" beta/w0    dP exact [W]    full inv      Neumann      closed form")
 for beta_frac in (0.002, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06):
     net, mod = default_chain(beta=beta_frac * DEFAULT_OMEGA0, theta=theta)
-    p14 = power_matrix(net.with_hot_bath(0, DEFAULT_T_HOT), mod, 15).P[0, 3]
-    p41 = power_matrix(net.with_hot_bath(3, DEFAULT_T_HOT), mod, 15).P[3, 0]
-    exact = p14 - p41
-    res = perturbation_result(net, mod, DEFAULT_T_HOT)
-    records.append((mod.beta, theta, exact, res.deltaP_matrixform,
-                    res.deltaP_expansion, res.deltaP_closedform))
+    exact, *approx = (operating_point(net, mod, m).dP for m in methods)
+    records.append((mod.beta, theta, exact, *approx))
     print(f"  {beta_frac:5.3f}    {exact:+.4e}   "
-          f"{res.deltaP_matrixform / exact:7.3f}x     "
-          f"{res.deltaP_expansion / exact:7.3f}x     "
-          f"{res.deltaP_closedform / exact:7.3f}x")
+          + "     ".join(f"{d / exact:7.3f}x" for d in approx))
 
 print("\n(ratios to the exact difference; 1.000x is perfect)")
 print("the beta^2 law is exact for the closed form, so its ratio drifts")

@@ -44,12 +44,10 @@ from .master import (
     solve_fourier,
 )
 from .perturbation import (
-    PerturbationResult,
     assemble_Npert,
     delta_n14_closed_form,
     delta_n14_general,
     delta_power_weak_coupling,
-    perturbation_result,
     power_second_order,
 )
 from .scenarios import (

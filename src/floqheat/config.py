@@ -103,10 +103,11 @@ def parse_config(doc):
             raise ConfigError(f"coupling indices out of range or diagonal: {entry!r}")
         g[i - 1, j - 1] = complex(float(re), float(im))
         explicit.add((i - 1, j - 1))
-    if hermitian:
-        for (i, j) in list(explicit):
-            if (j, i) not in explicit:
-                g[j, i] = np.conj(g[i, j])
+    for (i, j) in sorted(p for p in explicit if p[::-1] not in explicit):
+        if not hermitian:
+            raise ConfigError(f"coupling [{i + 1}, {j + 1}] has no [{j + 1}, "
+                              f"{i + 1}] entry; list both or set hermitian: true")
+        g[j, i] = np.conj(g[i, j])
 
     net = ResonatorNetwork(omega=omega, g=g, kappa=kappa, T=temp,
                            hermitian=hermitian)

@@ -76,9 +76,10 @@ def assemble_Mn(net):
 
     C_kl = <a_k^+ a_l> obeys dC/dt = -(L C + C R^T) + source with
     L = diag(kappa - i omega) - i g^T on the bra index and
-    R = diag(kappa + i omega) + i g on the ket index.  On row-major vec(C)
-    that is the Kronecker sum L (x) I + I (x) R, permuted into
-    MomentIndexMap order by p = bra * N + ket.  The bra side carries g^T,
+    R = diag(kappa + i omega) + i g on the ket index.  On vec(C) that is
+    the Kronecker sum L (x) I + I (x) R, gathered straight into
+    MomentIndexMap order: slot (a, b) couples to (c, d) through L[a, c]
+    when b == d and through R[b, d] when a == c.  The bra side carries g^T,
     which is conj(g) only for Hermitian g; non-Hermitian g follows the same
     convention as the time-domain generator.  The diagonal of g is ignored;
     sideband blocks come from ``shift_Mn``.
@@ -89,9 +90,9 @@ def assemble_Mn(net):
     np.fill_diagonal(left, net.kappa - 1j * net.omega)
     right = 1j * net.g
     np.fill_diagonal(right, net.kappa + 1j * net.omega)
-    eye = np.eye(N)
-    p = imap.bra * N + imap.ket
-    return (np.kron(left, eye) + np.kron(eye, right))[np.ix_(p, p)]
+    bra, ket = imap.bra, imap.ket
+    return (np.where(ket[:, None] == ket, left[bra[:, None], bra], 0.0)
+            + np.where(bra[:, None] == bra, right[ket[:, None], ket], 0.0))
 
 
 def contrast_vector(mod):
@@ -205,16 +206,25 @@ def power_matrix(net, mod, n_max, consts=SI):
     """
     ensure_valid(net, mod, consts)
     check_n_max(n_max)
+    n_occ = net.occupations(consts)
+    hot = np.flatnonzero(n_occ)
+    zeroth = ()
+    if hot.size:
+        # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
+        zeroth = _solve_fourier_nvec(net, mod, n_max,
+                                     np.diag(n_occ)[hot])[:, n_max, :net.N].real
+    return _hot_bath_powers(net, n_occ, hot, zeroth, consts)
+
+
+def _hot_bath_powers(net, n_occ, hot, zeroth, consts):
+    """PowerMatrix from the cycle-averaged occupations of each hot bath.
+
+    zeroth[i] holds <a_l^+ a_l>_0 for every l with bath hot[i] alone at
+    occupation n_occ[hot[i]]; rows of baths not in ``hot`` stay zero.
+    """
     N = net.N
     P = np.zeros((N, N))
     P_em = np.zeros(N)
-    n_occ = net.occupations(consts)
-    hot = np.flatnonzero(n_occ)
-    if hot.size == 0:
-        return PowerMatrix(P=P, P_em=P_em)
-    # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
-    zeroth = _solve_fourier_nvec(net, mod, n_max,
-                                 np.diag(n_occ)[hot])[:, n_max, :N].real
     for k, occ in zip(hot, zeroth):
         pref = consts.hbar * net.omega[k]
         P[k] = pref * 2.0 * net.kappa * occ

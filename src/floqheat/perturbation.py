@@ -1,38 +1,43 @@
 """Second-order sideband elimination and weak-coupling closed forms.
 
-Eliminating the n = +-1 Fourier blocks gives an effective zeroth-sideband
-matrix whose inverse already captures the leading nonreciprocity; in the
-weak-coupling limit the forward/backward flux difference of the symmetric
-four-chain collapses to a closed expression proportional to sin(theta).
+Eliminating the n = +-1 Fourier blocks leaves an effective zeroth-sideband
+matrix N = M_0 + D (``assemble_Npert``).  Its inverse is the Schur
+complement that block elimination forms in ``master.power_matrix`` at
+n_max = 1, so the "pert1" estimate is that call; ``power_second_order``
+keeps the inverse to first order in D ("pert2").  In the weak-coupling
+limit the forward/backward flux difference of the symmetric four-chain
+collapses to a closed expression proportional to sin(theta).
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .master import assemble_Mn, contrast_vector, moment_index_map, shift_Mn
+from .master import _hot_bath_powers, assemble_Mn, contrast_vector, shift_Mn
 from .model import (SI, SingularBlockError, ValidationError, ensure_valid,
                     occupation)
 
 __all__ = [
-    "PerturbationResult",
     "assemble_Npert",
-    "second_order_inverse",
     "power_second_order",
     "delta_n14_general",
     "delta_n14_closed_form",
     "delta_power_weak_coupling",
     "closed_form_delta_power",
-    "perturbation_result",
     "write_perturbation_csv",
 ]
 
 
-def _eliminate_first_sidebands(m0, mod):
-    """``assemble_Npert`` for a given static block M_0; M_+-1 are shifted
-    from it."""
+def assemble_Npert(net, mod):
+    """Effective zeroth-sideband matrix after eliminating n = +-1.
+
+    N = M_0 + (beta^2/4) (Gt M_+1^-1 Gt* + Gt* M_-1^-1 Gt) with
+    Gt = diag(eta) from ``master.contrast_vector``, so that G+ = (i beta/2)
+    Gt; blocks with |n| >= 2 are discarded.
+    """
+    ensure_valid(net, mod)
+    m0 = assemble_Mn(net)
     if mod.beta == 0.0:
         return m0
     eta = contrast_vector(mod)
@@ -45,53 +50,25 @@ def _eliminate_first_sidebands(m0, mod):
     return m0 + 0.25 * mod.beta**2 * (gt @ inv_p @ gts + gts @ inv_m @ gt)
 
 
-def assemble_Npert(net, mod):
-    """Effective zeroth-sideband matrix after eliminating n = +-1.
+def power_second_order(net, mod, consts=SI):
+    """Neumann-expanded second-order powers, as a PowerMatrix.
 
-    N = M_0 + (beta^2/4) (Gt M_+1^-1 Gt* + Gt* M_-1^-1 Gt) with
-    Gt = diag(eta) from ``master.contrast_vector``, so that G+ = (i beta/2)
-    Gt; blocks with |n| >= 2 are discarded.
+    Inverts N = M_0 + D from ``assemble_Npert`` to first order in D,
+    [1 - M_0^-1 D] M_0^-1: cheaper than the full elimination but valid over
+    a smaller modulation range.  Same contract as ``master.power_matrix``:
+    one row per hot bath of ``net``, P[k, k] = 0, and the same P and P_em
+    prefactors.
     """
-    ensure_valid(net, mod)
-    return _eliminate_first_sidebands(assemble_Mn(net), mod)
-
-
-def second_order_inverse(net, mod, variant="matrix_inverse"):
-    """Inverse of the effective matrix, exact or Neumann-expanded.
-
-    "matrix_inverse" inverts the eliminated system directly;
-    "neumann" keeps only the first-order correction
-    [1 - (beta^2/4) M_0^-1 (...)] M_0^-1, cheaper but valid over a smaller
-    modulation range.
-    """
-    if variant == "matrix_inverse":
-        return np.linalg.inv(assemble_Npert(net, mod))
-    ensure_valid(net, mod)
-    if variant == "neumann":
-        m0 = assemble_Mn(net)
-        m0_inv = np.linalg.inv(m0)
-        correction = m0_inv @ (_eliminate_first_sidebands(m0, mod) - m0)
-        return (np.eye(m0.shape[0]) - correction) @ m0_inv
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def power_second_order(net, mod, variant="matrix_inverse", T_hot=300.0, consts=SI):
-    """Second-order forward/backward powers between the chain ends.
-
-    Returns (P_fwd, P_bwd): end resonator 1 hot at T_hot for the forward
-    run, end resonator N hot for the backward run, all other baths at 0 K.
-    """
-    ninv = second_order_inverse(net, mod, variant)
-    imap = moment_index_map(net.N)
-    first, last = 0, net.N - 1
-
-    def transfer(source, observer):
-        n_src = occupation(T_hot, net.omega[source], consts)
-        occ = (ninv[imap.index(observer, observer), imap.index(source, source)]
-               * 2.0 * net.kappa[source] * n_src)
-        return consts.hbar * net.omega[source] * 2.0 * net.kappa[observer] * occ.real
-
-    return transfer(first, last), transfer(last, first)
+    npert = assemble_Npert(net, mod)
+    m0 = assemble_Mn(net)
+    m0_inv = np.linalg.inv(m0)
+    ninv = (np.eye(m0.shape[0]) - m0_inv @ (npert - m0)) @ m0_inv
+    n_occ = net.occupations(consts)
+    hot = np.flatnonzero(n_occ)
+    # diagonal moments occupy the first N flat slots; the source of bath k
+    # is 2 kappa_k n_k on slot k
+    zeroth = (ninv[:net.N, hot] * 2.0 * net.kappa[hot] * n_occ[hot]).real.T
+    return _hot_bath_powers(net, n_occ, hot, zeroth, consts)
 
 
 def _an(kappa, Omega, n):
@@ -179,17 +156,6 @@ def chain_contrasts(mod):
             for k in range(4) for l in range(k + 1, 4)}
 
 
-@dataclass(frozen=True)
-class PerturbationResult:
-    """Forward/backward powers and three flux-difference estimates [W]."""
-
-    P14: float
-    P41: float
-    deltaP_matrixform: float   # full inverse of the eliminated system
-    deltaP_expansion: float    # Neumann-expanded inverse
-    deltaP_closedform: float   # weak-coupling closed form, oriented forward-backward
-
-
 def _require_symmetric_chain(net, mod):
     if net.N != 4:
         raise ValidationError("closed forms require the four-resonator chain")
@@ -207,19 +173,6 @@ def closed_form_delta_power(net, mod, T_hot=300.0, consts=SI):
     return CLOSED_FORM_ORIENTATION * delta_power_weak_coupling(
         net.omega[0], n_occ, net.g[0, 1].real, net.kappa[0],
         mod.beta, mod.Omega, mod.theta[2] - mod.theta[1], consts,
-    )
-
-
-def perturbation_result(net, mod, T_hot=300.0, consts=SI):
-    """All second-order estimates for the symmetric four-chain protocol."""
-    closed = closed_form_delta_power(net, mod, T_hot, consts)
-    p14_m, p41_m = power_second_order(net, mod, "matrix_inverse", T_hot, consts)
-    p14_n, p41_n = power_second_order(net, mod, "neumann", T_hot, consts)
-    return PerturbationResult(
-        P14=p14_m, P41=p41_m,
-        deltaP_matrixform=p14_m - p41_m,
-        deltaP_expansion=p14_n - p41_n,
-        deltaP_closedform=closed,
     )
 
 

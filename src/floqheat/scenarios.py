@@ -3,10 +3,13 @@
 The measurement protocol keeps the modulation fixed and moves only the hot
 bath: forward puts the first resonator at T_hot, backward the last one
 (resonators 1 and 4 of the bundled four-resonator chain, 1 and N of any
-network).  Rectification is the normalized asymmetry
+network of at least two).  Rectification is the normalized asymmetry
 E = (P14 - P41)/(P14 + P41), where P14 is the forward and P41 the backward
-power.  The moment solver gets both directions from one elimination;
-theta sweeps and the closed forms assume the four-resonator chain.
+power.  Every solver but the RK4 oracle reads one direction per hot bath,
+so qme, pert1, pert2, qle and the spectra take both directions from one
+network with both end baths hot; pert1 is qme truncated at one sideband
+and pert2 its Neumann expansion.  Theta sweeps and the closed forms assume
+the four-resonator chain.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import langevin, master, perturbation, timedomain
-from .model import SI, FloqheatError, build_chain4
+from .model import SI, FloqheatError, ValidationError, build_chain4
 
 __all__ = [
     "DEFAULT_OMEGA0",
@@ -66,43 +69,61 @@ def default_chain(beta=0.0, theta=0.5 * math.pi, Omega=None, omega0=DEFAULT_OMEG
                         beta, Omega, theta)
 
 
+def _ends(net):
+    """(first, last) resonator of the protocol, raising unless they differ."""
+    if net.N < 2:
+        raise ValidationError(
+            "the forward/backward protocol needs at least two resonators")
+    return 0, net.N - 1
+
+
+def _ends_hot(net, T_hot):
+    """(first, last, copy of net with both end baths at T_hot, others at 0 K)."""
+    first, last = _ends(net)
+    temp = np.zeros(net.N)
+    temp[[first, last]] = T_hot
+    return first, last, net.with_temperatures(temp)
+
+
 def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
                          T_hot=DEFAULT_T_HOT, consts=SI):
     """(P14, P41) with the hot bath on the first then on the last resonator.
 
     The backward run reuses the identical modulation (phases untouched);
     only the temperature assignment moves.  n_max None means the method's
-    DEFAULT_N_MAX.  qme solves both directions in one power_matrix call:
-    the moment operator does not depend on which bath is hot, and each hot
-    bath is its own right-hand side.
+    DEFAULT_N_MAX; pert1 is qme at n_max = 1 whatever n_max says.  qme,
+    pert1 and pert2 read both directions from one power matrix of the
+    network with both ends hot, and qle integrates both on that network:
+    each reads only the source bath's occupation.  The oracle's samples
+    carry the sum of every hot bath, so it runs one direction at a time.
     """
-    first, last = 0, net.N - 1
+    first, last, both = _ends_hot(net, T_hot)
     if n_max is None:
         n_max = DEFAULT_N_MAX.get(method)
     if method == "qme":
-        temp = np.zeros(net.N)
-        temp[[first, last]] = T_hot
-        P = master.power_matrix(net.with_temperatures(temp), mod, n_max, consts).P
-        return P[first, last], P[last, first]
-    if method in ("pert1", "pert2"):
-        variant = "matrix_inverse" if method == "pert1" else "neumann"
-        return perturbation.power_second_order(net, mod, variant, T_hot, consts)
-    if method not in ("qle", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
-    powers = []
-    for source, observer in ((first, last), (last, first)):
-        hot = net.with_hot_bath(source, T_hot)
-        if method == "qle":
-            powers.append(langevin.integrate_power(hot, mod, source, observer,
-                                                   n_max, quad_tol, consts))
-        else:
+        P = master.power_matrix(both, mod, n_max, consts).P
+    elif method == "pert1":
+        P = master.power_matrix(both, mod, 1, consts).P
+    elif method == "pert2":
+        P = perturbation.power_second_order(both, mod, consts).P
+    elif method == "qle":
+        return tuple(langevin.integrate_power(both, mod, source, observer,
+                                              n_max, quad_tol, consts)
+                     for source, observer in ((first, last), (last, first)))
+    elif method == "oracle":
+        powers = []
+        for source, observer in ((first, last), (last, first)):
+            hot = net.with_hot_bath(source, T_hot)
             # the samples are a temporary: one direction's period is freed
             # before the next is stepped
             row, _ = timedomain.cycle_average_power(
                 timedomain.evolve_to_cycle(hot, mod, consts=consts), hot, source,
                 consts)
             powers.append(row[observer])
-    return tuple(powers)
+        return tuple(powers)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return P[first, last], P[last, first]
 
 
 def rectification(P14, P41):
@@ -239,17 +260,16 @@ def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT,
 
     Returns (grid, forward, backward): forward is P_{1->N, omega} with the
     first resonator hot, backward P_{N->1, omega} with the last hot.  n_max
-    None means the qle DEFAULT_N_MAX.
+    None means the qle DEFAULT_N_MAX.  Both spectra come from one network
+    with both end baths hot.
     """
-    first, last = 0, net.N - 1
+    first, last, both = _ends_hot(net, T_hot)
     if n_max is None:
         n_max = DEFAULT_N_MAX["qle"]
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)
-    fwd = langevin.heat_flux_spectrum(net.with_hot_bath(first, T_hot), mod,
-                                      first, last, grid, n_max, consts)
-    bwd = langevin.heat_flux_spectrum(net.with_hot_bath(last, T_hot), mod,
-                                      last, first, grid, n_max, consts)
+    fwd = langevin.heat_flux_spectrum(both, mod, first, last, grid, n_max, consts)
+    bwd = langevin.heat_flux_spectrum(both, mod, last, first, grid, n_max, consts)
     return grid, fwd, bwd
 
 
@@ -282,7 +302,10 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT,
     both.  The point passes when every method succeeds and, in both
     directions, qle lies within TOL_QME_QLE = 5e-3 (criterion 2) and the
     oracle within TOL_QME_ORACLE = 1e-4 (criterion 3) of qme, relative.
+    A network without two distinct ends raises ValidationError; solver
+    failures are reported per method.
     """
+    _ends(net)
     powers = {}
     for method in ("qme", "qle", "oracle"):
         try:

@@ -8,7 +8,7 @@ import yaml
 
 from floqheat.cli import build_parser, main
 from floqheat.config import load_config
-from floqheat.perturbation import perturbation_result
+from floqheat.perturbation import closed_form_delta_power
 from floqheat.scenarios import default_spectrum_grid, run_forward_backward
 
 from conftest import COUPLING, DRIVE, KAPPA, OMEGA0, chain
@@ -131,6 +131,43 @@ def test_closed_form_on_unequal_chain_exits_3(capsys, tmp_path):
     closed, qme = csv_rows(out_csv)
     assert closed["status"] == "error: closed forms require identical resonators"
     assert qme["status"] == "ok"
+
+
+def one_resonator_config(tmp_path):
+    path = tmp_path / "single.yaml"
+    path.write_text(yaml.safe_dump({
+        "network": {"omega": [OMEGA0], "kappa": [KAPPA], "T": [300.0]},
+        "modulation": {"beta": 0.05 * OMEGA0, "Omega": DRIVE, "theta": [0.0],
+                       "mask": [1]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("power", "--methods", "qme,pert1,pert2,oracle"),
+    ("power", "--methods", "qle"),
+    ("spectrum",),
+    ("compare",),
+])
+def test_one_resonator_config_exits_3(capsys, tmp_path, monkeypatch, argv):
+    # the protocol needs two distinct ends: refused before any solve
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--config", one_resonator_config(tmp_path))
+    assert code == 3
+    assert ("invalid input: the forward/backward protocol needs at least two "
+            "resonators") in err
+    assert "P14 =" not in out and "cross-validation" not in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["single.yaml"]
+
+
+def test_one_sided_coupling_config_exits_3(capsys, tmp_path):
+    # without hermitian: true each coupling must be listed in both directions
+    cfg = chain_config(tmp_path, hermitian=False)
+    code, out, err = run(capsys, "compare", "--config", str(cfg))
+    assert code == 3
+    assert ("invalid input: coupling [1, 2] has no [2, 1] entry; list both or "
+            "set hermitian: true") in err
+    assert "cross-validation" not in out
 
 
 def test_shipped_example_config(capsys):
@@ -286,7 +323,7 @@ def test_power_closed_form(capsys, tmp_path):
     for key in ("P14_W", "P41_W", "E"):
         assert closed[key] == "nan"
     net, mod = chain(0.05, 0.5)
-    expected = perturbation_result(net, mod).deltaP_closedform
+    expected = closed_form_delta_power(net, mod)
     assert closed["dP_W"] == f"{expected:.12e}"
     # same sign as the full solver's flux difference
     assert np.sign(float(closed["dP_W"])) == np.sign(float(qme["dP_W"]))

@@ -65,6 +65,18 @@ def test_explicit_mirror_wins_over_auto():
     assert net.g[1, 0] == 5e8
 
 
+def test_one_sided_coupling_needs_hermitian():
+    doc = chain_doc()
+    doc["network"]["hermitian"] = False
+    with pytest.raises(ConfigError, match=r"coupling \[1, 2\] has no \[2, 1\] "
+                                          r"entry; list both or set hermitian: true"):
+        parse_config(doc)
+    doc["network"]["couplings"] = [[2, 1, 1e9, 0.0], [1, 2, 1e9, 0.0],
+                                   [3, 2, 1e9, 0.0]]
+    with pytest.raises(ConfigError, match=r"coupling \[3, 2\] has no \[2, 3\]"):
+        parse_config(doc)
+
+
 def test_constants_override():
     doc = chain_doc(constants={"hbar": 1.0, "kB": 2.0})
     consts, _, _ = parse_config(doc)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from floqheat import SI, ValidationError, occupation
-from floqheat.master import assemble_Mn, power_matrix
+from floqheat import (SI, ModulationProtocol, ResonatorNetwork, ValidationError,
+                      occupation)
+from floqheat.master import assemble_Mn, moment_index_map, power_matrix, solve_fourier
 from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
-                                   chain_contrasts, delta_n14_closed_form,
-                                   delta_n14_general,
-                                   delta_power_weak_coupling,
-                                   perturbation_result, power_second_order,
+                                   chain_contrasts, closed_form_delta_power,
+                                   delta_n14_closed_form, delta_n14_general,
+                                   delta_power_weak_coupling, power_second_order,
                                    write_perturbation_csv)
+from floqheat.scenarios import operating_point
 
-from conftest import COUPLING, DRIVE, KAPPA, OMEGA0, T_HOT, chain
+from conftest import (COUPLING, DRIVE, KAPPA, OMEGA0, T_HOT, chain,
+                      random_network)
 
 
 def exact_delta(beta_frac, theta_pi, n_max=15):
@@ -26,7 +28,6 @@ class TestAssembleNpert:
         assert np.array_equal(assemble_Npert(net, mod), assemble_Mn(net))
 
     def test_real_contrasts_keep_reciprocity(self):
-        from floqheat.master import moment_index_map
         imap = moment_index_map(4)
         for theta_pi in (0.0, 1.0):
             net, mod = chain(0.03, theta_pi)
@@ -36,7 +37,6 @@ class TestAssembleNpert:
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_complex_contrasts_break_reciprocity(self):
-        from floqheat.master import moment_index_map
         imap = moment_index_map(4)
         net, mod = chain(0.03, 0.5)
         ninv = np.linalg.inv(assemble_Npert(net, mod))
@@ -45,45 +45,101 @@ class TestAssembleNpert:
         assert abs(a - b) > 1e-6 * abs(a)
 
 
+# pert1 is the moment solver truncated at one sideband, pert2 its Neumann
+# expansion; each maps (net, mod) to a PowerMatrix
+ESTIMATES = {"pert1": lambda net, mod: power_matrix(net, mod, 1),
+             "pert2": power_second_order}
+
+
+def second_order_pair(beta_frac, theta_pi, solve):
+    net, mod = chain(beta_frac, theta_pi)
+    return (solve(net.with_hot_bath(0, T_HOT), mod).P[0, 3],
+            solve(net.with_hot_bath(3, T_HOT), mod).P[3, 0])
+
+
 class TestPowerSecondOrder:
     def test_zero_drive_matches_static_solver(self):
-        net, mod = chain(0.0)
-        for variant in ("matrix_inverse", "neumann"):
-            p14, p41 = power_second_order(net, mod, variant, T_hot=T_HOT)
-            exact14, exact41 = exact_delta(0.0, 0.5, n_max=2)
+        exact14, exact41 = exact_delta(0.0, 0.5, n_max=2)
+        for solve in ESTIMATES.values():
+            p14, p41 = second_order_pair(0.0, 0.5, solve)
             assert p14 == pytest.approx(exact14, rel=1e-10)
             assert p41 == pytest.approx(exact41, rel=1e-10)
 
     def test_small_drive_tracks_exact_power(self):
         exact14, _ = exact_delta(0.02, 0.5)
-        net, mod = chain(0.02, 0.5)
-        p14_a, _ = power_second_order(net, mod, "matrix_inverse", T_HOT)
+        p14_a, _ = second_order_pair(0.02, 0.5, ESTIMATES["pert1"])
         assert p14_a == pytest.approx(exact14, rel=0.05)
 
     def test_both_variants_within_ten_percent_at_weak_drive(self):
         exact14, exact41 = exact_delta(0.01, 0.5)
         d_exact = exact14 - exact41
-        net, mod = chain(0.01, 0.5)
-        for variant in ("matrix_inverse", "neumann"):
-            p14, p41 = power_second_order(net, mod, variant, T_HOT)
+        for solve in ESTIMATES.values():
+            p14, p41 = second_order_pair(0.01, 0.5, solve)
             assert (p14 - p41) == pytest.approx(d_exact, rel=0.10)
 
     def test_full_inverse_outlasts_neumann(self):
-        # the direct inverse stays useful to larger drive than the
-        # first-order expansion
+        # the first-sideband elimination stays useful to larger drive than
+        # its first-order expansion
         for beta_frac in (0.04, 0.06):
             exact14, _ = exact_delta(beta_frac, 0.5)
-            net, mod = chain(beta_frac, 0.5)
-            err_a = abs(power_second_order(net, mod, "matrix_inverse", T_HOT)[0]
+            err_a = abs(second_order_pair(beta_frac, 0.5, ESTIMATES["pert1"])[0]
                         / exact14 - 1)
-            err_n = abs(power_second_order(net, mod, "neumann", T_HOT)[0]
+            err_n = abs(second_order_pair(beta_frac, 0.5, ESTIMATES["pert2"])[0]
                         / exact14 - 1)
             assert err_a < err_n
 
-    def test_unknown_variant(self):
-        net, mod = chain(0.01)
-        with pytest.raises(ValueError):
-            power_second_order(net, mod, "bogus")
+    def test_follows_the_power_matrix_contract(self):
+        # one row per hot bath, close to the full elimination's, zero
+        # diagonal, and zero rows for cold baths
+        net, mod = random_network(np.random.default_rng(4), 5)
+        net = net.with_temperatures([300.0, 0.0, 150.0, 0.0, 0.0])
+        pm = power_second_order(net, mod)
+        ref = power_matrix(net, mod, 1)
+        assert np.all(np.diag(pm.P) == 0.0)
+        assert not pm.P[[1, 3, 4]].any() and not pm.P_em[[1, 3, 4]].any()
+        for k in (0, 2):
+            assert pm.P[k] == pytest.approx(ref.P[k], rel=0.05)
+            assert pm.P_em[k] == pytest.approx(ref.P_em[k], rel=0.05)
+
+    def test_one_resonator_network_transfers_nothing(self):
+        net = ResonatorNetwork(omega=[OMEGA0], g=np.zeros((1, 1)), kappa=[KAPPA],
+                               T=[T_HOT])
+        mod = ModulationProtocol(beta=0.02 * OMEGA0, Omega=DRIVE, theta=[0.0],
+                                 mask=[1])
+        assert not power_second_order(net, mod).P.any()
+
+
+def _explicit_inverse_moments(net, mod, k):
+    """Zeroth-sideband moments with bath k alone hot, by inverting N."""
+    n_k = occupation(T_HOT, net.omega[k])
+    return (np.linalg.inv(assemble_Npert(net, mod))[:, k]
+            * 2.0 * net.kappa[k] * n_k)
+
+
+class TestFirstSidebandElimination:
+    # pert1 is the moment solver at n_max = 1: block elimination forms the
+    # Schur complement N = M_0 + (beta^2/4)(...) that assemble_Npert builds
+    # by hand, so both give the same zeroth-sideband moments
+    @pytest.mark.parametrize("case", ["chain", "network6", "network8", "strong"])
+    def test_moments_equal_the_explicit_inverse(self, case):
+        net, mod = {
+            "chain": lambda: chain(0.05, 0.5),
+            "network6": lambda: random_network(np.random.default_rng(6), 6),
+            "network8": lambda: random_network(np.random.default_rng(8), 8),
+            "strong": lambda: chain(0.3, 0.5, drive_frac=0.02),
+        }[case]()
+        N = net.N
+        pm = power_matrix(net.with_temperatures(np.full(N, T_HOT)), mod, 1)
+        for k in range(N):
+            hot = net.with_hot_bath(k, T_HOT)
+            got = solve_fourier(hot, mod, 1, k).coefficient(0)
+            ref = _explicit_inverse_moments(net, mod, k)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            # the power row, read off the same moments
+            p_ref = (SI.hbar * net.omega[k] * 2.0 * net.kappa
+                     * ref[:N].real)
+            p_ref[k] = 0.0
+            assert np.allclose(pm.P[k], p_ref, rtol=1e-13, atol=0.0)
 
 
 class TestClosedForms:
@@ -160,32 +216,31 @@ class TestOrientationCrossCheck:
 
     def test_result_estimates_cohere_at_weak_drive(self):
         net, mod = chain(0.01, 0.5)
-        res = perturbation_result(net, mod, T_HOT)
-        estimates = [res.deltaP_matrixform, res.deltaP_expansion,
-                     res.deltaP_closedform]
+        pert1, pert2, closed = (operating_point(net, mod, m, T_hot=T_HOT)
+                                for m in ("pert1", "pert2", "closed"))
+        estimates = [pert1.dP, pert2.dP, closed.dP]
         mid = np.mean(estimates)
         assert all(abs(e / mid - 1) <= 0.10 for e in estimates)
-        assert res.P14 > res.P41  # recorded sign at theta = +pi/2
+        assert pert1.P14 > pert1.P41  # recorded sign at theta = +pi/2
 
     def test_asymptotic_agreement_improves(self):
         ratios = []
         for beta_frac in (0.02, 0.01, 0.005):
             exact14, exact41 = exact_delta(beta_frac, 0.5)
             net, mod = chain(beta_frac, 0.5)
-            res = perturbation_result(net, mod, T_HOT)
-            ratios.append(abs(res.deltaP_closedform / (exact14 - exact41) - 1))
+            closed = operating_point(net, mod, "closed", T_hot=T_HOT).dP
+            ratios.append(abs(closed / (exact14 - exact41) - 1))
         assert ratios[0] > ratios[1] > ratios[2]
 
 
 class TestResultPlumbing:
     def test_requires_symmetric_chain(self):
-        from floqheat import ModulationProtocol, ResonatorNetwork
         net = ResonatorNetwork(omega=[OMEGA0] * 3, g=np.zeros((3, 3)),
                                kappa=[KAPPA] * 3, T=[0.0] * 3)
         mod = ModulationProtocol(beta=0.0, Omega=DRIVE, theta=np.zeros(3),
                                  mask=[0, 1, 0])
         with pytest.raises(ValidationError):
-            perturbation_result(net, mod)
+            closed_form_delta_power(net, mod)
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "pert.csv"

@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from floqheat import build_chain4, master, perturbation
+from floqheat import (ModulationProtocol, ResonatorNetwork, ValidationError,
+                      build_chain4, langevin, master, perturbation)
 from floqheat.scenarios import (DEFAULT_N_MAX, MethodComparison, SweepSpec,
                                 compare_methods, default_chain, operating_point,
                                 rectification, run_forward_backward,
@@ -39,6 +40,39 @@ class TestRunForwardBackward:
         net, mod = chain_static
         with pytest.raises(ValueError):
             run_forward_backward(net, mod, "magic")
+
+
+class TestOneResonator:
+    # the protocol needs two distinct ends; every driver refuses before
+    # any solve, and a sweep flags the row
+    @pytest.fixture
+    def single(self):
+        net = ResonatorNetwork(omega=[OMEGA0], g=np.zeros((1, 1)), kappa=[KAPPA],
+                               T=[0.0])
+        mod = ModulationProtocol(beta=0.02 * OMEGA0, Omega=DRIVE, theta=[0.0],
+                                 mask=[1])
+        return net, mod
+
+    @pytest.mark.parametrize("method", ["qme", "qle", "oracle", "pert1", "pert2"])
+    def test_run_forward_backward_raises(self, single, method):
+        with pytest.raises(ValidationError, match="at least two resonators"):
+            run_forward_backward(*single, method)
+
+    def test_spectrum_and_compare_raise(self, single, monkeypatch):
+        def no_solve(*a, **k):
+            raise AssertionError("solver reached")
+        monkeypatch.setattr(langevin, "heat_flux_spectrum", no_solve)
+        monkeypatch.setattr(master, "power_matrix", no_solve)
+        for call in (spectrum_run, compare_methods):
+            with pytest.raises(ValidationError, match="at least two resonators"):
+                call(*single)
+
+    def test_sweep_flags_the_row(self, single):
+        net, mod = single
+        (row,) = sweep(SweepSpec(network=net, modulation=mod, parameter="beta",
+                                 values=[mod.beta], methods=("pert1",)))
+        assert row.status == ("error: the forward/backward protocol needs at "
+                              "least two resonators")
 
 
 class TestRectification:
@@ -109,12 +143,13 @@ class TestSweep:
                                values=betas, methods=("closed",)))
         assert calls == []
         for row, beta in zip(rows, betas, strict=True):
-            expected = perturbation.perturbation_result(
+            expected = perturbation.closed_form_delta_power(
                 net, dataclasses.replace(mod, beta=beta), T_HOT)
             assert row.status == "ok"
-            assert row.dP == expected.deltaP_closedform
+            assert row.dP == expected
             assert np.isnan([row.P14, row.P41, row.E]).all()
-        assert len(calls) == 2 * len(betas)   # the spy does see the full result
+        operating_point(net, mod, "pert2")
+        assert len(calls) == 1                # the spy does see a pert2 row
         (bad,) = sweep(SweepSpec(network=net, modulation=mod, parameter="Omega",
                                  values=[-1.0], methods=("closed",)))
         assert bad.status.startswith("error:") and np.isnan(bad.dP)
@@ -155,6 +190,32 @@ class TestSweep:
             p41 = solve(net.with_hot_bath(last, T_HOT), mod, n_max).P[last, 0]
             assert abs(row.P14 / p14 - 1.0) <= 1e-14
             assert abs(row.P41 / p41 - 1.0) <= 1e-14
+
+    def test_solves_per_row(self, monkeypatch):
+        # pert1 is one first-sideband moment solve, pert2 one Neumann
+        # solve, and qle integrates both directions on one network
+        net, mod = chain(0.02, 0.5)
+        calls = {}
+
+        def spy(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.setdefault(
+                name, []).append(a) or fn(*a, **k))
+
+        spy(master, "power_matrix")
+        spy(perturbation, "power_second_order")
+        spy(langevin, "integrate_power")
+        for method, name, count in (("pert1", "power_matrix", 1),
+                                    ("pert2", "power_second_order", 1),
+                                    ("qle", "integrate_power", 2)):
+            calls.clear()
+            operating_point(net, mod, method, n_max=4, quad_tol=1e-4)
+            assert list(calls) == [name] and len(calls[name]) == count
+            if method == "pert1":
+                assert calls[name][0][2] == 1   # n_max does not reach pert1
+        first, second = calls["integrate_power"]
+        assert first[0] is second[0]
+        assert (first[2], first[3], second[2], second[3]) == (0, 3, 3, 0)
 
     def test_spec_validation(self, chain_static):
         net, mod = chain_static
