@@ -12,7 +12,6 @@ from .model import (
     SingularBlockError,
     QuadratureError,
     ConvergenceError,
-    PhysicalConstants,
     SI,
     ResonatorNetwork,
     ModulationProtocol,

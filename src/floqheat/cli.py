@@ -17,7 +17,7 @@ import numpy as np
 
 from . import langevin, perturbation, scenarios
 from .config import ConfigError, load_config
-from .model import SI, FloqheatError, ValidationError, validate
+from .model import FloqheatError, ValidationError, validate
 from .scenarios import (DEFAULT_OMEGA0, DEFAULT_T_HOT, SweepSpec,
                         default_chain, sweep)
 
@@ -127,27 +127,27 @@ def _chain(beta_frac, theta_pi, drive_frac=0.05):
 
 
 def _system_from(args):
-    """(constants, net, mod): from --config if given, else the chain flags."""
+    """(net, mod): from --config if given, else the chain flags."""
     if args.config:
-        consts, net, mod = load_config(args.config)
+        net, mod = load_config(args.config)
     else:
-        consts, (net, mod) = SI, _chain(args.beta, args.theta, args.drive)
-    report = validate(net, mod, consts)
+        net, mod = _chain(args.beta, args.theta, args.drive)
+    report = validate(net, mod)
     errors = [v.message for v in report if v.severity == "error"]
     if errors:
         raise ValidationError("; ".join(errors))
     for v in report:
         if v.severity == "warning":
             print(f"warning: {v.message}", file=sys.stderr)
-    return consts, net, mod
+    return net, mod
 
 
 def cmd_power(args):
-    consts, net, mod = _system_from(args)
+    net, mod = _system_from(args)
     rows = []
     for method in args.methods:
-        r = scenarios.operating_point(net, mod, method, args.nmax,
-                                      args.quad_tol, args.t_hot, consts)
+        r = scenarios.operating_point(net, mod, method, args.nmax, args.quad_tol,
+                                      args.t_hot)
         print(f"{method:>7}: P14 = {r.P14:.6e} W   P41 = {r.P41:.6e} W   "
               f"dP = {r.dP:.6e} W   E = {r.E:+.4f}")
         rows.append(r)
@@ -157,9 +157,9 @@ def cmd_power(args):
     return EXIT_OK
 
 
-def _spectrum(args, consts, net, mod):
+def _spectrum(args, net, mod):
     grid, fwd, bwd = scenarios.spectrum_run(net, mod, n_max=args.nmax,
-                                            T_hot=args.t_hot, consts=consts)
+                                            T_hot=args.t_hot)
     first, last = 0, net.N - 1
     langevin.write_spectrum_csv(args.out, grid, {(first, last): fwd, (last, first): bwd})
     print(f"{grid.size} grid points, forward peak {fwd.max():.4e}, "
@@ -173,25 +173,24 @@ def cmd_spectrum(args):
 
 
 def cmd_fig6(args):
-    return _spectrum(args, SI, *_chain(0.05, 0.5))
+    return _spectrum(args, *_chain(0.05, 0.5))
 
 
 def cmd_compare(args):
-    consts, net, mod = _system_from(args)
-    report = scenarios.compare_methods(net, mod, args.nmax, args.quad_tol,
-                                       args.t_hot, consts)
+    net, mod = _system_from(args)
+    report = scenarios.compare_methods(net, mod, args.nmax, args.quad_tol, args.t_hot)
     print("\n".join(report.lines()))
     return EXIT_OK
 
 
-def _sweep(args, net, mod, parameter, values, consts=SI):
+def _sweep(args, net, mod, parameter, values):
     """Rows of one sweep whose spec comes from the subcommand's flags."""
     try:
         spec = SweepSpec(network=net, modulation=mod, parameter=parameter,
                          values=values, methods=args.methods, n_max=args.nmax,
                          # fig3b and fig7 run no qle and take no --quad-tol
                          quad_tol=getattr(args, "quad_tol", SweepSpec.quad_tol),
-                         T_hot=args.t_hot, consts=consts)
+                         T_hot=args.t_hot)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     rows = sweep(spec, workers=args.parallel)
@@ -209,10 +208,9 @@ def _write(out, write, rows):
 
 
 def cmd_sweep(args):
-    consts, net, mod = _system_from(args)
+    net, mod = _system_from(args)
     scale = float(net.omega[0]) if args.parameter in ("beta", "Omega") else math.pi
-    rows = _sweep(args, net, mod, args.parameter, [v * scale for v in args.values],
-                  consts)
+    rows = _sweep(args, net, mod, args.parameter, [v * scale for v in args.values])
     return _write(args.out, scenarios.write_sweep_csv, rows)
 
 

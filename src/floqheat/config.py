@@ -1,4 +1,4 @@
-"""YAML run configuration: constants overrides, network and modulation.
+"""YAML run configuration: network and modulation.
 
 Unknown keys anywhere in the document are rejected so a typo cannot
 silently fall back to a default.  Resonator indices in ``couplings`` are
@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 import yaml
 
-from .model import (FloqheatError, ModulationProtocol, PhysicalConstants,
-                    ResonatorNetwork)
+from .model import FloqheatError, ModulationProtocol, ResonatorNetwork
 
 __all__ = ["ConfigError", "load_config", "parse_config"]
 
@@ -19,8 +18,7 @@ class ConfigError(FloqheatError):
     """Malformed or inconsistent run configuration."""
 
 
-_TOP_KEYS = {"constants", "network", "modulation"}
-_CONST_KEYS = {"hbar", "kB"}
+_TOP_KEYS = {"network", "modulation"}
 _NET_KEYS = {"N", "omega", "kappa", "T", "couplings", "hermitian"}
 _MOD_KEYS = {"beta", "Omega", "theta", "mask"}
 
@@ -64,18 +62,11 @@ def _scalar(section, mapping, key):
 
 
 def parse_config(doc):
-    """Build (constants, network, modulation) from a parsed YAML mapping."""
+    """Build (network, modulation) from a parsed YAML mapping."""
     _check_keys("top level", doc, _TOP_KEYS)
     for key in ("network", "modulation"):
         if key not in doc:
             raise ConfigError(f"missing section {key!r}")
-
-    consts_map = doc.get("constants", {}) or {}
-    _check_keys("constants", consts_map, _CONST_KEYS)
-    consts = PhysicalConstants(
-        hbar=float(consts_map.get("hbar", PhysicalConstants.hbar)),
-        kB=float(consts_map.get("kB", PhysicalConstants.kB)),
-    )
 
     net_map = doc["network"]
     _check_keys("network", net_map, _NET_KEYS)
@@ -124,7 +115,7 @@ def parse_config(doc):
         theta=theta,
         mask=mask_vec.astype(int),
     )
-    return consts, net, mod
+    return net, mod
 
 
 def load_config(path):

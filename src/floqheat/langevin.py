@@ -130,16 +130,16 @@ def _bath_weights(net, mod, omega, n_max, observers):
     return weights
 
 
-def spectral_correlations(net, mod, omega, n_max, consts=SI):
+def spectral_correlations(net, mod, omega, n_max):
     """Per-bath spectral occupations at one frequency.
 
     Returns S[l, k] >= 0, the contribution of bath k to <a_l^+ a_l>_omega,
     scaled by 2 kappa_k n_k; summing over k gives the total spectrum.
     """
     _check_indices(net, n_max)
-    ensure_valid(net, mod, consts)
+    ensure_valid(net, mod)
     omega = _check_frequencies(omega, 0)
-    noise = 2.0 * net.kappa * net.occupations(consts)
+    noise = 2.0 * net.kappa * net.occupations()
     return _bath_weights(net, mod, omega[None], n_max, range(net.N))[0] * noise
 
 
@@ -154,17 +154,17 @@ class FloquetSpectrum:
     S: np.ndarray              # (G, N, N) [s]
 
 
-def occupation_spectrum(net, mod, grid, n_max, consts=SI):
+def occupation_spectrum(net, mod, grid, n_max):
     """spectral_correlations on a whole grid, returned sorted ascending."""
     _check_indices(net, n_max)
-    ensure_valid(net, mod, consts)
+    ensure_valid(net, mod)
     grid = np.sort(_check_frequencies(grid, 1))
-    noise = 2.0 * net.kappa * net.occupations(consts)
+    noise = 2.0 * net.kappa * net.occupations()
     return FloquetSpectrum(
         grid=grid, S=_bath_weights(net, mod, grid, n_max, range(net.N)) * noise)
 
 
-def heat_flux_spectrum(net, mod, source, observer, grid, n_max, consts=SI):
+def heat_flux_spectrum(net, mod, source, observer, grid, n_max):
     """Spectral power density P_{source->observer, omega}, in grid order.
 
     Constant prefactor hbar * omega_source (the hot resonator's unmodulated
@@ -175,10 +175,9 @@ def heat_flux_spectrum(net, mod, source, observer, grid, n_max, consts=SI):
     if source == observer:
         raise ValueError("source and observer must differ")
     _check_indices(net, n_max, source, observer)
-    ensure_valid(net, mod, consts)
-    noise = 2.0 * net.kappa[source] * occupation(
-        net.T[source], net.omega[source], consts)
-    pref = consts.hbar * net.omega[source] * 2.0 * net.kappa[observer]
+    ensure_valid(net, mod)
+    noise = 2.0 * net.kappa[source] * occupation(net.T[source], net.omega[source])
+    pref = SI.hbar * net.omega[source] * 2.0 * net.kappa[observer]
     weights = _bath_weights(net, mod, _check_frequencies(grid, 1), n_max,
                             [observer])
     return pref * (noise * weights[:, 0, source])
@@ -294,7 +293,7 @@ def _quad(fn, net, mod, n_max, quad_tol):
         err = np.concatenate((err[keep], new_err))
 
 
-def integrate_power(net, mod, source, observer, n_max, quad_tol=1e-6, consts=SI):
+def integrate_power(net, mod, source, observer, n_max, quad_tol=1e-6):
     """Cycle-averaged power P_{source->observer} [W] by adaptive quadrature.
 
     Integrates hbar omega_source 2 kappa_observer <a_obs^+ a_obs>_omega^(bath
@@ -307,11 +306,11 @@ def integrate_power(net, mod, source, observer, n_max, quad_tol=1e-6, consts=SI)
     if quad_tol <= 0.0:
         raise ValueError("quad_tol must be positive")
     _check_indices(net, n_max, source, observer)
-    ensure_valid(net, mod, consts)
-    n_src = occupation(net.T[source], net.omega[source], consts)
+    ensure_valid(net, mod)
+    n_src = occupation(net.T[source], net.omega[source])
     if n_src == 0.0:
         return 0.0
-    pref = (consts.hbar * net.omega[source] * 2.0 * net.kappa[observer]
+    pref = (SI.hbar * net.omega[source] * 2.0 * net.kappa[observer]
             * 2.0 * net.kappa[source] * n_src / (2.0 * np.pi))
 
     def integrand(w):
@@ -320,7 +319,7 @@ def integrate_power(net, mod, source, observer, n_max, quad_tol=1e-6, consts=SI)
     return _quad(integrand, net, mod, n_max, quad_tol)
 
 
-def emitted_power(net, mod, source, n_max, quad_tol=1e-6, consts=SI):
+def emitted_power(net, mod, source, n_max, quad_tol=1e-6):
     """Net power [W] emitted by the hot bath ``source``.
 
     The textbook form hbar omega_k 2 kappa_k (n_k - int <a_k^+ a_k>_omega)
@@ -333,11 +332,11 @@ def emitted_power(net, mod, source, n_max, quad_tol=1e-6, consts=SI):
     if quad_tol <= 0.0:
         raise ValueError("quad_tol must be positive")
     _check_indices(net, n_max, source)
-    ensure_valid(net, mod, consts)
-    n_src = occupation(net.T[source], net.omega[source], consts)
+    ensure_valid(net, mod)
+    n_src = occupation(net.T[source], net.omega[source])
     if n_src == 0.0:
         return 0.0
-    pref = (consts.hbar * net.omega[source] * 2.0 * net.kappa[source]
+    pref = (SI.hbar * net.omega[source] * 2.0 * net.kappa[source]
             * n_src / (2.0 * np.pi))
     others = [l for l in range(net.N) if l != source]
     weights = 2.0 * net.kappa[others]

@@ -186,17 +186,17 @@ def _solve_fourier_nvec(net, mod, n_max, nvecs):
     return coeffs if nvecs.ndim == 2 else coeffs[0]
 
 
-def solve_fourier(net, mod, n_max, source, consts=SI):
+def solve_fourier(net, mod, n_max, source):
     """Periodic steady state with only bath ``source`` thermally occupied."""
-    ensure_valid(net, mod, consts)
+    ensure_valid(net, mod)
     check_n_max(n_max)
     nvec = np.zeros(net.N)
-    nvec[source] = occupation(net.T[source], net.omega[source], consts)
+    nvec[source] = occupation(net.T[source], net.omega[source])
     coeffs = _solve_fourier_nvec(net, mod, n_max, nvec)
     return FourierSolution(n_max=n_max, Omega=mod.Omega, coeffs=coeffs)
 
 
-def power_matrix(net, mod, n_max, consts=SI):
+def power_matrix(net, mod, n_max):
     """Cycle-averaged pairwise and emitted powers, one elimination in all.
 
     P[k, l] = hbar omega_k 2 kappa_l Re<a_l^+ a_l>_0 with bath k alone hot;
@@ -204,19 +204,19 @@ def power_matrix(net, mod, n_max, consts=SI):
     elimination.  Baths at 0 K contribute zero rows by linearity and are
     skipped.
     """
-    ensure_valid(net, mod, consts)
+    ensure_valid(net, mod)
     check_n_max(n_max)
-    n_occ = net.occupations(consts)
+    n_occ = net.occupations()
     hot = np.flatnonzero(n_occ)
     zeroth = ()
     if hot.size:
         # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
         zeroth = _solve_fourier_nvec(net, mod, n_max,
                                      np.diag(n_occ)[hot])[:, n_max, :net.N].real
-    return _hot_bath_powers(net, n_occ, hot, zeroth, consts)
+    return _hot_bath_powers(net, n_occ, hot, zeroth)
 
 
-def _hot_bath_powers(net, n_occ, hot, zeroth, consts):
+def _hot_bath_powers(net, n_occ, hot, zeroth):
     """PowerMatrix from the cycle-averaged occupations of each hot bath.
 
     zeroth[i] holds <a_l^+ a_l>_0 for every l with bath hot[i] alone at
@@ -226,15 +226,14 @@ def _hot_bath_powers(net, n_occ, hot, zeroth, consts):
     P = np.zeros((N, N))
     P_em = np.zeros(N)
     for k, occ in zip(hot, zeroth):
-        pref = consts.hbar * net.omega[k]
+        pref = SI.hbar * net.omega[k]
         P[k] = pref * 2.0 * net.kappa * occ
         P[k, k] = 0.0
         P_em[k] = pref * 2.0 * net.kappa[k] * (n_occ[k] - occ[k])
     return PowerMatrix(P=P, P_em=P_em)
 
 
-def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4, n_max_limit=256,
-                           consts=SI):
+def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4, n_max_limit=256):
     """Double the truncation order until the power matrix stops moving.
 
     Returns (PowerMatrix, n_max_used); successive orders must agree to rtol
@@ -245,10 +244,10 @@ def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4, n_max_limit=256,
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
     n = max(1, n_max_start)
-    prev = power_matrix(net, mod, n, consts)
+    prev = power_matrix(net, mod, n)
     while 2 * n <= n_max_limit:
         n *= 2
-        cur = power_matrix(net, mod, n, consts)
+        cur = power_matrix(net, mod, n)
         scale = max(np.abs(prev.P).max(), np.abs(prev.P_em).max(), 1e-300)
         drift = max(np.abs(cur.P - prev.P).max(),
                     np.abs(cur.P_em - prev.P_em).max())

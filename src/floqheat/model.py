@@ -1,7 +1,9 @@
 """System description: resonator networks, modulation protocols, occupations.
 
 All quantities are SI: angular frequencies and rates in rad/s, temperatures
-in K, powers in W.  Resonator indices in the Python API are 0-based; the
+in K, powers in W.  hbar and kB are the CODATA SI values and live only in
+``SI`` below; every solver and driver reads them from there, and nothing
+overrides them.  Resonator indices in the Python API are 0-based; the
 text formats (config files, CSV output) label resonators 1-based.
 """
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PhysicalConstants",
     "SI",
     "ResonatorNetwork",
     "ModulationProtocol",
@@ -66,20 +67,16 @@ class ConvergenceError(FloqheatError):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """hbar and kB, defaulting to the CODATA SI values."""
+    """hbar and kB in SI units (CODATA); ``SI`` is the only instance."""
 
     hbar: float = 1.054571817e-34  # J s
     kB: float = 1.380649e-23       # J/K
-
-    def __post_init__(self):
-        if self.hbar <= 0 or self.kB <= 0:
-            raise ValueError("physical constants must be positive")
 
 
 SI = PhysicalConstants()
 
 
-def occupation(T, omega, consts=SI):
+def occupation(T, omega):
     """Bose-Einstein occupation 1/(exp(hbar*omega/kB*T) - 1) of a bath mode.
 
     Returns exactly 0.0 at T = 0.  Raises ValueError for omega <= 0 or
@@ -91,7 +88,7 @@ def occupation(T, omega, consts=SI):
         raise ValueError(f"occupation requires T >= 0, got {T}")
     if T == 0.0:
         return 0.0
-    x = consts.hbar * omega / (consts.kB * T)
+    x = SI.hbar * omega / (SI.kB * T)
     if x > 700.0:
         # exp would overflow; the occupation is below ~1e-304 anyway
         return 0.0
@@ -142,11 +139,9 @@ class ResonatorNetwork:
     def N(self):
         return self.omega.shape[0]
 
-    def occupations(self, consts=SI):
+    def occupations(self):
         """Per-bath occupation evaluated at the unmodulated resonance."""
-        return np.array(
-            [occupation(t, w, consts) for t, w in zip(self.T, self.omega)]
-        )
+        return np.array([occupation(t, w) for t, w in zip(self.T, self.omega)])
 
     def with_temperatures(self, T):
         """Copy of the network with the bath temperature vector replaced."""
@@ -213,7 +208,7 @@ class Violation:
     message: str
 
 
-def validate(net, mod, consts=SI):
+def validate(net, mod):
     """Check all structural invariants plus the white-noise applicability rules.
 
     Returns a list of Violation records; empty iff every invariant holds and
@@ -263,17 +258,17 @@ def validate(net, mod, consts=SI):
                 f"{mod.beta:.3e} >= 0.1 * min(omega)"
             )
         hot = net.T[net.T > 0.0]
-        if hot.size and mod.Omega > 0.0 and consts.hbar * mod.Omega >= 0.1 * consts.kB * hot.min():
+        if hot.size and mod.Omega > 0.0 and SI.hbar * mod.Omega >= 0.1 * SI.kB * hot.min():
             warn(
                 "white-noise regime questionable: hbar*Omega = "
-                f"{consts.hbar * mod.Omega:.3e} J >= 0.1 * kB * min nonzero T"
+                f"{SI.hbar * mod.Omega:.3e} J >= 0.1 * kB * min nonzero T"
             )
     return out
 
 
-def ensure_valid(net, mod, consts=SI):
+def ensure_valid(net, mod):
     """Raise ValidationError on any invariant violation; forward warnings."""
-    report = validate(net, mod, consts)
+    report = validate(net, mod)
     errors = [v.message for v in report if v.severity == "error"]
     if errors:
         raise ValidationError("; ".join(errors))

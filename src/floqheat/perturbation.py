@@ -50,7 +50,7 @@ def assemble_Npert(net, mod):
     return m0 + 0.25 * mod.beta**2 * (gt @ inv_p @ gts + gts @ inv_m @ gt)
 
 
-def power_second_order(net, mod, consts=SI):
+def power_second_order(net, mod):
     """Neumann-expanded second-order powers, as a PowerMatrix.
 
     Inverts N = M_0 + D from ``assemble_Npert`` to first order in D,
@@ -63,12 +63,12 @@ def power_second_order(net, mod, consts=SI):
     m0 = assemble_Mn(net)
     m0_inv = np.linalg.inv(m0)
     ninv = (np.eye(m0.shape[0]) - m0_inv @ (npert - m0)) @ m0_inv
-    n_occ = net.occupations(consts)
+    n_occ = net.occupations()
     hot = np.flatnonzero(n_occ)
     # diagonal moments occupy the first N flat slots; the source of bath k
     # is 2 kappa_k n_k on slot k
     zeroth = (ninv[:net.N, hot] * 2.0 * net.kappa[hot] * n_occ[hot]).real.T
-    return _hot_bath_powers(net, n_occ, hot, zeroth, consts)
+    return _hot_bath_powers(net, n_occ, hot, zeroth)
 
 
 def _an(kappa, Omega, n):
@@ -122,8 +122,7 @@ def delta_n14_closed_form(g, kappa, beta, Omega, theta):
     return float(beta**2 * g**6 / (4.0 * kappa**4) * np.sin(theta) * bracket)
 
 
-def delta_power_weak_coupling(omega0, n_occ, g, kappa, beta, Omega, theta,
-                              consts=SI):
+def delta_power_weak_coupling(omega0, n_occ, g, kappa, beta, Omega, theta):
     """Weak-coupling flux-difference closed form [W], printed normalization.
 
     beta^2 (g^5/kappa^5) [7/8 Im(A^2)/|A|^4 + kappa Im(A^3)/|A|^6
@@ -136,7 +135,7 @@ def delta_power_weak_coupling(omega0, n_occ, g, kappa, beta, Omega, theta,
     bracket = (0.875 * (a**2).imag / mag**4
                + kappa * (a**3).imag / mag**6
                - kappa**3 * (a**5).imag / mag**10)
-    return float(consts.hbar * omega0 * n_occ * g
+    return float(SI.hbar * omega0 * n_occ * g
                  * beta**2 * (g / kappa) ** 5 * bracket * np.sin(theta))
 
 
@@ -165,14 +164,14 @@ def _require_symmetric_chain(net, mod):
         raise ValidationError("closed forms require the inner resonators modulated")
 
 
-def closed_form_delta_power(net, mod, T_hot=300.0, consts=SI):
+def closed_form_delta_power(net, mod, T_hot=300.0):
     """Weak-coupling flux difference P14 - P41 of the symmetric four-chain [W]."""
     _require_symmetric_chain(net, mod)
     ensure_valid(net, mod)
-    n_occ = occupation(T_hot, net.omega[0], consts)
+    n_occ = occupation(T_hot, net.omega[0])
     return CLOSED_FORM_ORIENTATION * delta_power_weak_coupling(
         net.omega[0], n_occ, net.g[0, 1].real, net.kappa[0],
-        mod.beta, mod.Omega, mod.theta[2] - mod.theta[1], consts,
+        mod.beta, mod.Omega, mod.theta[2] - mod.theta[1],
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import langevin, master, perturbation, timedomain
-from .model import SI, FloqheatError, ValidationError, build_chain4
+from .model import FloqheatError, ValidationError, build_chain4
 
 __all__ = [
     "DEFAULT_OMEGA0",
@@ -86,7 +86,7 @@ def _ends_hot(net, T_hot):
 
 
 def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
-                         T_hot=DEFAULT_T_HOT, consts=SI):
+                         T_hot=DEFAULT_T_HOT):
     """(P14, P41) with the hot bath on the first then on the last resonator.
 
     The backward run reuses the identical modulation (phases untouched);
@@ -101,14 +101,14 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     if n_max is None:
         n_max = DEFAULT_N_MAX.get(method)
     if method == "qme":
-        P = master.power_matrix(both, mod, n_max, consts).P
+        P = master.power_matrix(both, mod, n_max).P
     elif method == "pert1":
-        P = master.power_matrix(both, mod, 1, consts).P
+        P = master.power_matrix(both, mod, 1).P
     elif method == "pert2":
-        P = perturbation.power_second_order(both, mod, consts).P
+        P = perturbation.power_second_order(both, mod).P
     elif method == "qle":
-        return tuple(langevin.integrate_power(both, mod, source, observer,
-                                              n_max, quad_tol, consts)
+        return tuple(langevin.integrate_power(both, mod, source, observer, n_max,
+                                              quad_tol)
                      for source, observer in ((first, last), (last, first)))
     elif method == "oracle":
         powers = []
@@ -117,8 +117,7 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
             # the samples are a temporary: one direction's period is freed
             # before the next is stepped
             row, _ = timedomain.cycle_average_power(
-                timedomain.evolve_to_cycle(hot, mod, consts=consts), hot, source,
-                consts)
+                timedomain.evolve_to_cycle(hot, mod), hot, source)
             powers.append(row[observer])
         return tuple(powers)
     else:
@@ -151,7 +150,6 @@ class SweepSpec:
     n_max: int | None = None          # None: each method's DEFAULT_N_MAX
     quad_tol: float = 1e-6
     T_hot: float = DEFAULT_T_HOT
-    consts: object = SI
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -197,7 +195,7 @@ def _dephasing(mod):
 
 
 def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
-                    T_hot=DEFAULT_T_HOT, consts=SI):
+                    T_hot=DEFAULT_T_HOT):
     """One SweepRow of the forward/backward protocol; raises on failure.
 
     A "closed" row holds only the weak-coupling flux difference dP, with
@@ -206,10 +204,9 @@ def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     nan = float("nan")
     if method == "closed":
         p14 = p41 = nan
-        dP = perturbation.closed_form_delta_power(net, mod, T_hot, consts)
+        dP = perturbation.closed_form_delta_power(net, mod, T_hot)
     else:
-        p14, p41 = run_forward_backward(net, mod, method, n_max, quad_tol,
-                                        T_hot, consts)
+        p14, p41 = run_forward_backward(net, mod, method, n_max, quad_tol, T_hot)
         dP = p14 - p41
     e = rectification(p14, p41) if p14 + p41 != 0.0 else nan
     return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
@@ -220,7 +217,7 @@ def _sweep_point(spec, value, method):
     mod = _apply_parameter(spec.modulation, spec.parameter, value)
     try:
         return operating_point(spec.network, mod, method, spec.n_max,
-                               spec.quad_tol, spec.T_hot, spec.consts)
+                               spec.quad_tol, spec.T_hot)
     except (FloqheatError, ValueError) as exc:
         # a failing point must not abort the sweep; flag the row instead
         nan = float("nan")
@@ -254,8 +251,7 @@ def default_spectrum_grid(net, mod, n_max):
     return grid[(grid >= lo) & (grid <= hi)]
 
 
-def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT,
-                 consts=SI):
+def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT):
     """Forward and backward heat-flux spectra on a shared grid.
 
     Returns (grid, forward, backward): forward is P_{1->N, omega} with the
@@ -268,8 +264,8 @@ def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT,
         n_max = DEFAULT_N_MAX["qle"]
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)
-    fwd = langevin.heat_flux_spectrum(both, mod, first, last, grid, n_max, consts)
-    bwd = langevin.heat_flux_spectrum(both, mod, last, first, grid, n_max, consts)
+    fwd = langevin.heat_flux_spectrum(both, mod, first, last, grid, n_max)
+    bwd = langevin.heat_flux_spectrum(both, mod, last, first, grid, n_max)
     return grid, fwd, bwd
 
 
@@ -294,14 +290,14 @@ class MethodComparison:
         return out
 
 
-def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT,
-                    consts=SI):
+def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
     """Run qme, qle and oracle on the same point and grade the agreement.
 
     n_max None gives qme and qle their DEFAULT_N_MAX orders; an integer sets
     both.  The point passes when every method succeeds and, in both
     directions, qle lies within TOL_QME_QLE = 5e-3 (criterion 2) and the
-    oracle within TOL_QME_ORACLE = 1e-4 (criterion 3) of qme, relative.
+    oracle within TOL_QME_ORACLE = 1e-4 (criterion 3) of qme, relative
+    (equal zeros deviate by 0, anything else against a zero qme by inf).
     A network without two distinct ends raises ValidationError; solver
     failures are reported per method.
     """
@@ -310,12 +306,14 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT,
     for method in ("qme", "qle", "oracle"):
         try:
             powers[method] = run_forward_backward(net, mod, method, n_max,
-                                                  quad_tol, T_hot, consts)
+                                                  quad_tol, T_hot)
         except (FloqheatError, ValueError) as exc:
             powers[method] = str(exc)
 
     def rel_dev(a, b):
-        return max(abs(x - y) / abs(x) for x, y in zip(a, b))
+        # against a zero qme power, an equal zero deviates by 0, anything else by inf
+        return max(abs(x - y) / abs(x) if x else (0.0 if y == 0.0 else math.inf)
+                   for x, y in zip(a, b))
 
     deviations = {}
     passed = not any(isinstance(v, str) for v in powers.values())

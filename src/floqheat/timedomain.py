@@ -40,14 +40,14 @@ class MomentSamples:
     floquet_multiplier: float   # largest |eigenvalue| of the monodromy matrix
 
 
-def _static_generator(net, consts=SI):
+def _static_generator(net):
     """Time-independent part of dy/dt = G(t) y + s, plus the source vector."""
     N = net.N
     imap = moment_index_map(N)
     g = net.g
     gen = np.zeros((imap.size, imap.size), dtype=complex)
     src = np.zeros(imap.size, dtype=complex)
-    nvec = net.occupations(consts)
+    nvec = net.occupations()
     for k in range(N):
         row = imap.index(k, k)
         gen[row, row] = -2.0 * net.kappa[k]
@@ -82,10 +82,10 @@ def _drive_diagonal(mod, imap, t):
     return 1j * mod.beta * (c[..., imap.bra] - c[..., imap.ket])
 
 
-def generator(net, mod, t, consts=SI):
+def generator(net, mod, t):
     """Full generator at time t: returns (G(t), s) with G periodic in 2 pi / Omega."""
     imap = moment_index_map(net.N)
-    gen, src = _static_generator(net, consts)
+    gen, src = _static_generator(net)
     gen[np.arange(imap.size), np.arange(imap.size)] += _drive_diagonal(mod, imap, t)
     return gen, src
 
@@ -116,7 +116,7 @@ def _rk4_period(gen0, src, drive, dt, y, store=None):
     return y
 
 
-def evolve_to_cycle(net, mod, steps_per_period=4096, consts=SI):
+def evolve_to_cycle(net, mod, steps_per_period=4096):
     """Periodic steady state by shooting over one drive period.
 
     One RK4 period of the augmented system [Y | y_p], with Y(0) = I and
@@ -128,12 +128,12 @@ def evolve_to_cycle(net, mod, steps_per_period=4096, consts=SI):
     multiplier max |eig Phi| is not below 1, so that no periodic state
     attracts; the multiplier is reported as ``floquet_multiplier``.
     """
-    ensure_valid(net, mod, consts)
+    ensure_valid(net, mod)
     if steps_per_period < 2000:
         raise ValueError("need at least 2000 steps per period")
     imap = moment_index_map(net.N)
     n = imap.size
-    gen0, src = _static_generator(net, consts)
+    gen0, src = _static_generator(net)
 
     period = 2.0 * np.pi / mod.Omega
     dt = period / steps_per_period
@@ -180,7 +180,7 @@ def cycle_averaged_moments(samples):
     return np.trapezoid(samples.y, dx=dt, axis=0) / span
 
 
-def cycle_average_power(samples, net, source, consts=SI):
+def cycle_average_power(samples, net, source):
     """Powers from converged samples: returns (row P_{source->l}, P_em).
 
     Same prefactors as the Fourier route, with the zeroth coefficient
@@ -189,8 +189,8 @@ def cycle_average_power(samples, net, source, consts=SI):
     N = net.N
     imap = moment_index_map(N)
     avg = cycle_averaged_moments(samples)
-    n_src = occupation(net.T[source], net.omega[source], consts)
-    pref = consts.hbar * net.omega[source]
+    n_src = occupation(net.T[source], net.omega[source])
+    pref = SI.hbar * net.omega[source]
     row = np.zeros(N)
     for l in range(N):
         if l != source:

@@ -92,17 +92,14 @@ def test_power_config_of_any_size_runs_the_protocol(capsys, tmp_path):
     assert code == 0
     assert out.count("P14 =") == 1 and "qle: P14 =" in out
     (row,) = csv_rows(out_csv)
-    _, net, mod = load_config(path)
+    net, mod = load_config(path)
     p14, p41 = run_forward_backward(net, mod, "qle", quad_tol=1e-3, T_hot=5.0)
     assert row["method"] == "qle"
     assert (row["P14_W"], row["P41_W"]) == (f"{p14:.12e}", f"{p41:.12e}")
 
 
-def test_sweep_config_uses_config_constants(capsys, tmp_path):
+def test_sweep_config_rows_equal_power_rows(capsys, tmp_path):
     cfg = chain_config(tmp_path)
-    doc = yaml.safe_load(cfg.read_text())
-    doc["constants"] = {"hbar": 2.0e-34}
-    cfg.write_text(yaml.safe_dump(doc))
     power_csv, sweep_csv = tmp_path / "power.csv", tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "power", "--config", str(cfg),
                      "--methods", "qme,closed", "--out", str(power_csv))
@@ -112,9 +109,17 @@ def test_sweep_config_uses_config_constants(capsys, tmp_path):
                      "--out", str(sweep_csv))
     assert code == 0
     assert csv_rows(sweep_csv) == csv_rows(power_csv)
-    # and not the SI value at the same point
-    si_p14 = run_forward_backward(*chain(0.05, 0.5), "qme")[0]
-    assert abs(float(csv_rows(power_csv)[0]["P14_W"]) / si_p14 - 1.0) > 0.5
+
+
+def test_constants_config_exits_3(capsys, tmp_path):
+    cfg = chain_config(tmp_path)
+    doc = yaml.safe_load(cfg.read_text())
+    doc["constants"] = {"hbar": 1.0e-35}
+    cfg.write_text(yaml.safe_dump(doc))
+    code, out, err = run(capsys, "power", "--config", str(cfg))
+    assert code == 3
+    assert "invalid input" in err and "constants" in err
+    assert "P14" not in out
 
 
 def test_closed_form_on_unequal_chain_exits_3(capsys, tmp_path):
@@ -385,6 +390,13 @@ def test_spectrum_nmax_zero_is_used(capsys, tmp_path):
 def test_compare_command(capsys):
     code, out, _ = run(capsys, "compare", "--beta", "0.02", "--theta", "0.5")
     assert code == 0
+    assert "cross-validation PASS" in out
+
+
+def test_compare_without_hot_bath_passes(capsys):
+    code, out, _ = run(capsys, "compare", "--t-hot", "0")
+    assert code == 0
+    assert "max rel deviation 0.000e+00" in out
     assert "cross-validation PASS" in out
 
 

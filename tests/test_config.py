@@ -35,7 +35,7 @@ def chain_doc(**overrides):
 def test_roundtrip_matches_builder(tmp_path):
     path = tmp_path / "chain.yaml"
     path.write_text(yaml.safe_dump(chain_doc()))
-    consts, net, mod = load_config(path)
+    net, mod = load_config(path)
     ref_net, ref_mod = chain(0.05, 0.5)
     assert np.allclose(net.omega, ref_net.omega)
     assert np.allclose(net.kappa, ref_net.kappa)
@@ -45,13 +45,12 @@ def test_roundtrip_matches_builder(tmp_path):
     assert mod.Omega == pytest.approx(ref_mod.Omega)
     assert np.allclose(mod.theta, ref_mod.theta)
     assert np.array_equal(mod.mask, ref_mod.mask)
-    assert consts.hbar == pytest.approx(1.054571817e-34)
 
 
 def test_hermitian_mirrors_missing_entries():
     doc = chain_doc()
     doc["network"]["couplings"] = [[1, 2, 1e9, 2e8]]
-    _, net, _ = parse_config(doc)
+    net, _ = parse_config(doc)
     assert net.g[0, 1] == 1e9 + 2e8j
     assert net.g[1, 0] == 1e9 - 2e8j
 
@@ -60,7 +59,7 @@ def test_explicit_mirror_wins_over_auto():
     doc = chain_doc()
     doc["network"]["hermitian"] = False
     doc["network"]["couplings"] = [[1, 2, 1e9, 0.0], [2, 1, 5e8, 0.0]]
-    _, net, _ = parse_config(doc)
+    net, _ = parse_config(doc)
     assert net.g[0, 1] == 1e9
     assert net.g[1, 0] == 5e8
 
@@ -77,10 +76,10 @@ def test_one_sided_coupling_needs_hermitian():
         parse_config(doc)
 
 
-def test_constants_override():
-    doc = chain_doc(constants={"hbar": 1.0, "kB": 2.0})
-    consts, _, _ = parse_config(doc)
-    assert consts.hbar == 1.0 and consts.kB == 2.0
+def test_constants_section_rejected():
+    # hbar and kB are the SI values; a section overriding them is an input error
+    with pytest.raises(ConfigError, match="constants"):
+        parse_config(chain_doc(constants={"hbar": 1.0}))
 
 
 def test_unknown_keys_rejected():
@@ -142,7 +141,7 @@ def test_unsigned_exponent_literals_accepted(tmp_path):
         "  kappa: [2.197e12]\n"
         "modulation: {beta: 8.45e12, Omega: 8.45e12, theta: [0.0], mask: [1]}\n"
     )
-    _, net, mod = load_config(path)
+    net, mod = load_config(path)
     assert net.omega[0] == pytest.approx(1.69e14)
     assert mod.beta == pytest.approx(8.45e12)
 

@@ -1,11 +1,17 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import floqheat
 from floqheat import (ModulationProtocol, ResonatorNetwork, SI, build_chain4,
                       occupation, validate)
 from floqheat.model import ensure_valid, ValidationError
+from floqheat.scenarios import SweepSpec
 
 from conftest import OMEGA0, OCC_300K, chain
 
@@ -178,3 +184,30 @@ class TestBuildChain4:
                 rng.uniform(-np.pi, np.pi),
             )
             assert validate(net, mod) == []
+
+
+def test_constants_are_not_a_parameter():
+    # hbar and kB live only in model.SI: no function, method or sweep spec
+    # of the package takes a set of constants
+    taking = []
+    for info in pkgutil.iter_modules(floqheat.__path__):
+        module = importlib.import_module(f"floqheat.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", member)
+                            for attr, member in vars(obj).items() if callable(member)]
+            for label, member in members:
+                if not callable(member):
+                    continue
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "consts" in params:
+                    taking.append(f"{module.__name__}.{label}")
+    assert taking == []
+    assert "consts" not in {f.name for f in dataclasses.fields(SweepSpec)}
+    assert "PhysicalConstants" not in floqheat.__dict__

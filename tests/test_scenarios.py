@@ -1,11 +1,12 @@
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from floqheat import (ModulationProtocol, ResonatorNetwork, ValidationError,
-                      build_chain4, langevin, master, perturbation)
+                      build_chain4, langevin, master, perturbation, scenarios)
 from floqheat.scenarios import (DEFAULT_N_MAX, MethodComparison, SweepSpec,
                                 compare_methods, default_chain, operating_point,
                                 rectification, run_forward_backward,
@@ -340,3 +341,21 @@ class TestCompareMethods:
         assert not report.passed
         assert report.deviations["qme-vs-qle"] > 5e-3
         assert "FAIL" in report.lines()[-1]
+
+    def test_zero_powers_agree(self, chain_modulated):
+        # with no hot bath every method returns exactly zero; two equal zeros
+        # deviate by 0
+        net, mod = chain_modulated
+        report = compare_methods(net, mod, T_hot=0.0)
+        assert report.powers["qme"] == (0.0, 0.0)
+        assert report.deviations == {"qme-vs-qle": 0.0, "qme-vs-oracle": 0.0}
+        assert report.passed
+        assert report.lines()[-1] == "cross-validation PASS"
+
+    def test_nonzero_against_zero_qme_fails(self, chain_modulated, monkeypatch):
+        fake = {"qme": (0.0, 0.0), "qle": (1e-20, 0.0), "oracle": (0.0, 0.0)}
+        monkeypatch.setattr(scenarios, "run_forward_backward",
+                            lambda net, mod, method, *args: fake[method])
+        report = compare_methods(*chain_modulated)
+        assert report.deviations == {"qme-vs-qle": math.inf, "qme-vs-oracle": 0.0}
+        assert not report.passed
