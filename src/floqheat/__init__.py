@@ -23,12 +23,10 @@ from .model import (
 )
 from .config import ConfigError, load_config
 from .langevin import (
-    FloquetSpectrum,
     assemble_A,
     emitted_power,
     heat_flux_spectrum,
     integrate_power,
-    occupation_spectrum,
     spectral_correlations,
 )
 from .master import (

@@ -93,9 +93,10 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     only the temperature assignment moves.  n_max None means the method's
     DEFAULT_N_MAX; pert1 is qme at n_max = 1 whatever n_max says.  qme,
     pert1 and pert2 read both directions from one power matrix of the
-    network with both ends hot, and qle integrates both on that network:
-    each reads only the source bath's occupation.  The oracle's samples
-    carry the sum of every hot bath, so it runs one direction at a time.
+    network with both ends hot, and qle integrates both on that network in
+    one vector quadrature: each reads only the source bath's occupation.
+    The oracle's samples carry the sum of every hot bath, so it runs one
+    direction at a time.
     """
     first, last, both = _ends_hot(net, T_hot)
     if n_max is None:
@@ -107,9 +108,8 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     elif method == "pert2":
         P = perturbation.power_second_order(both, mod).P
     elif method == "qle":
-        return tuple(langevin.integrate_power(both, mod, source, observer, n_max,
-                                              quad_tol)
-                     for source, observer in ((first, last), (last, first)))
+        return tuple(langevin.integrate_power(both, mod, (first, last),
+                                              (last, first), n_max, quad_tol))
     elif method == "oracle":
         powers = []
         for source, observer in ((first, last), (last, first)):
@@ -257,15 +257,15 @@ def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT):
     Returns (grid, forward, backward): forward is P_{1->N, omega} with the
     first resonator hot, backward P_{N->1, omega} with the last hot.  n_max
     None means the qle DEFAULT_N_MAX.  Both spectra come from one network
-    with both end baths hot.
+    with both end baths hot, through one elimination per frequency chunk.
     """
     first, last, both = _ends_hot(net, T_hot)
     if n_max is None:
         n_max = DEFAULT_N_MAX["qle"]
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)
-    fwd = langevin.heat_flux_spectrum(both, mod, first, last, grid, n_max)
-    bwd = langevin.heat_flux_spectrum(both, mod, last, first, grid, n_max)
+    fwd, bwd = langevin.heat_flux_spectrum(both, mod, (first, last),
+                                           (last, first), grid, n_max)
     return grid, fwd, bwd
 
 

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import floqheat
 from floqheat import (ModulationProtocol, QuadratureError, ResonatorNetwork,
-                      SI, occupation)
+                      SI, langevin, occupation)
 from floqheat.blocktri import assemble_dense
 from floqheat.langevin import (assemble_A, emitted_power, heat_flux_spectrum,
                                integrate_power, integration_window,
-                               occupation_spectrum, spectral_correlations,
-                               write_spectrum_csv, _response_rows,
+                               spectral_correlations, write_spectrum_csv,
+                               _bath_weights, _quad, _response_rows,
                                _sideband_blocks)
 from floqheat.master import power_matrix
 from floqheat.model import ValidationError
@@ -147,12 +147,28 @@ class TestSidebandSystem:
                 expected = inverse[[n_max * net.N + l for l in observers]]
                 assert max_rel(rows, expected) <= 1e-12
 
+    def test_elimination_bounded_in_rows(self, chain_modulated, monkeypatch):
+        # each elimination holds about _CHUNK response rows, however many
+        # observers share it
+        net, mod = chain_modulated
+        sizes = []
+        solve = langevin._response_rows
+        monkeypatch.setattr(langevin, "_response_rows", lambda net, mod, w, *a:
+                            sizes.append(w.size) or solve(net, mod, w, *a))
+        grid = OMEGA0 + KAPPA * np.linspace(-5, 5, 300)
+        for observers in ([3], [3, 0], [0, 1, 2, 3]):
+            sizes.clear()
+            weights = _bath_weights(net, mod, grid, 2, observers)
+            assert weights.shape == (grid.size, len(observers), net.N)
+            assert max(sizes) == langevin._CHUNK // len(observers)
+            assert sum(sizes) == grid.size
+
     def test_invalid_network_rejected(self, chain_modulated):
         net, mod = chain_modulated
         bad = ResonatorNetwork(omega=net.omega, g=net.g, kappa=np.zeros(4),
                                T=net.T)
         with pytest.raises(ValidationError):
-            occupation_spectrum(bad, mod, [OMEGA0], 2)
+            spectral_correlations(bad, mod, OMEGA0, 2)
         with pytest.raises(ValidationError):
             heat_flux_spectrum(bad, mod, 0, 3, [OMEGA0], 2)
 
@@ -163,8 +179,6 @@ class TestInputChecks:
         (lambda net, mod: emitted_power(net, mod, 0, -1), "nonnegative"),
         (lambda net, mod: spectral_correlations(net, mod, OMEGA0, -1),
          "nonnegative"),
-        (lambda net, mod: occupation_spectrum(net, mod, [OMEGA0], -1),
-         "nonnegative"),
         (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0], -1),
          "nonnegative"),
         (lambda net, mod: integration_window(net, mod, -1), "nonnegative"),
@@ -173,18 +187,15 @@ class TestInputChecks:
         (lambda net, mod: emitted_power(net, mod, 0, 2.5), "an integer"),
         (lambda net, mod: spectral_correlations(net, mod, OMEGA0, 2.5),
          "an integer"),
-        (lambda net, mod: occupation_spectrum(net, mod, [OMEGA0], 2.5),
-         "an integer"),
         (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0], 2.5),
          "an integer"),
         (lambda net, mod: integration_window(net, mod, 2.5), "an integer"),
         (lambda net, mod: power_matrix(net, mod, 2.0), "an integer"),
     ], ids=["integrate_power", "emitted_power", "spectral_correlations",
-            "occupation_spectrum", "heat_flux_spectrum", "integration_window",
-            "power_matrix", "integrate_power-float", "emitted_power-float",
-            "spectral_correlations-float", "occupation_spectrum-float",
-            "heat_flux_spectrum-float", "integration_window-float",
-            "power_matrix-float"])
+            "heat_flux_spectrum", "integration_window", "power_matrix",
+            "integrate_power-float", "emitted_power-float",
+            "spectral_correlations-float", "heat_flux_spectrum-float",
+            "integration_window-float", "power_matrix-float"])
     def test_negative_order_rejected(self, chain_modulated, call, message):
         net, mod = chain_modulated
         with pytest.raises(ValueError, match="n_max must be " + message):
@@ -204,6 +215,19 @@ class TestInputChecks:
             with pytest.raises(ValueError, match="bath index"):
                 emitted_power(hot, mod, source, 4)
 
+    @pytest.mark.parametrize("source, observer, message", [
+        (0, [3], "equal-length"), ([0, 3], [3], "equal-length"),
+        ([[0]], [[3]], "equal-length"), ([0, 3], [3, 3], "must differ"),
+        ([0, 4], [3, 0], "bath index")])
+    def test_pair_sequences_checked(self, chain_modulated, source, observer,
+                                    message):
+        net, mod = chain_modulated
+        hot = net.with_hot_bath(0, T_HOT)
+        with pytest.raises(ValueError, match=message):
+            integrate_power(hot, mod, source, observer, 4)
+        with pytest.raises(ValueError, match=message):
+            heat_flux_spectrum(hot, mod, source, observer, [OMEGA0], 4)
+
     def test_numpy_integer_indices_accepted(self, chain_modulated):
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
@@ -219,23 +243,18 @@ class TestInputChecks:
          "finite and nonnegative"),
         (lambda net, mod: spectral_correlations(net, mod, [OMEGA0], 4),
          "scalar"),
-        (lambda net, mod: occupation_spectrum(net, mod, [OMEGA0, np.inf], 4),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0, np.inf], 4),
          "finite and nonnegative"),
-        (lambda net, mod: occupation_spectrum(net, mod, [-OMEGA0], 4),
-         "finite and nonnegative"),
-        (lambda net, mod: occupation_spectrum(net, mod, OMEGA0, 4),
-         "one-dimensional"),
-        (lambda net, mod: occupation_spectrum(net, mod, [[OMEGA0]], 4),
-         "one-dimensional"),
         (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [-OMEGA0], 4),
          "finite and nonnegative"),
         (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [np.nan], 4),
          "finite and nonnegative"),
         (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, OMEGA0, 4),
          "one-dimensional"),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [[OMEGA0]], 4),
+         "one-dimensional"),
     ], ids=["correlations-nan", "correlations-negative", "correlations-array",
-            "occupation-inf", "occupation-negative", "occupation-0d",
-            "occupation-2d", "flux-negative", "flux-nan", "flux-0d"])
+            "flux-inf", "flux-negative", "flux-nan", "flux-0d", "flux-2d"])
     def test_bad_frequencies_rejected(self, chain_modulated, call, message):
         net, mod = chain_modulated
         with pytest.raises(ValueError, match=message):
@@ -248,7 +267,6 @@ class TestInputChecks:
         values = heat_flux_spectrum(hot, mod, 0, 3, [0.0, OMEGA0], 4)
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         assert np.all(spectral_correlations(hot, mod, 0.0, 4) >= 0.0)
-        assert occupation_spectrum(hot, mod, [0.0], 4).S.shape == (1, 4, 4)
 
 
 class TestSpectralCorrelations:
@@ -269,6 +287,12 @@ class TestSpectralCorrelations:
         s = spectral_correlations(hot, mod, OMEGA0, 4)
         assert np.all(s[:, 1:] == 0.0)
         assert np.all(s[:, 0] > 0.0)
+        # cold baths between two warm ones stay dark at every frequency
+        warm = net.with_temperatures([250.0, 0.0, 0.0, 150.0])
+        for w in OMEGA0 + KAPPA * np.linspace(-2, 2, 7):
+            s = spectral_correlations(warm, mod, w, 4)
+            assert np.all(s[:, 1:3] == 0.0)
+            assert np.all(s[:, [0, 3]] > 0.0)
 
     def test_static_reduction_to_response_formula(self):
         rng = np.random.default_rng(9)
@@ -415,7 +439,6 @@ class TestPowers:
     def test_nonconvergence_reported_with_estimate(self, chain_static):
         # an integrand oscillating far below the panel scale exhausts the
         # subdivision budget; the failure must carry the partial answer
-        from floqheat.langevin import _quad
         net, mod = chain_static
 
         def ragged(w):
@@ -427,9 +450,76 @@ class TestPowers:
         assert err.value.bound > 0.0
 
     def test_quad_tol_must_be_positive(self, chain_static):
+        # nan would refine to the panel limit and report a stalled
+        # quadrature, inf would accept the first estimate unrefined
         net, mod = chain_static
-        with pytest.raises(ValueError):
-            integrate_power(net.with_hot_bath(0, T_HOT), mod, 0, 3, 4, quad_tol=0.0)
+        hot = net.with_hot_bath(0, T_HOT)
+        for quad_tol in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                integrate_power(hot, mod, 0, 3, 4, quad_tol=quad_tol)
+            with pytest.raises(ValueError, match="positive and finite"):
+                emitted_power(hot, mod, 0, 4, quad_tol=quad_tol)
+
+    @pytest.mark.parametrize("theta_pi", [0.1, 0.5])
+    @pytest.mark.parametrize("beta_frac", [0.01, 0.05])
+    def test_pairs_match_one_quadrature_each(self, theta_pi, beta_frac):
+        # both directions share one panel tree; each still meets its own
+        # tolerance, so they agree with their separate quadratures within it
+        net, mod = chain(beta_frac, theta_pi)
+        both = net.with_temperatures([T_HOT, 0.0, 0.0, T_HOT])
+        quad_tol = 1e-6
+        pair = integrate_power(both, mod, (0, 3), (3, 0), 10, quad_tol)
+        assert pair.shape == (2,)
+        for value, (source, observer) in zip(pair, ((0, 3), (3, 0))):
+            alone = integrate_power(both, mod, source, observer, 10, quad_tol)
+            assert abs(value - alone) <= quad_tol * alone
+
+    def test_cold_pairs_transfer_nothing(self, chain_modulated):
+        net, mod = chain_modulated
+        hot = net.with_hot_bath(0, T_HOT)
+        pair = integrate_power(hot, mod, [0, 3], [3, 0], 4)
+        assert pair[1] == 0.0
+        assert pair[0] == pytest.approx(integrate_power(hot, mod, 0, 3, 4),
+                                        rel=1e-6)
+        assert np.array_equal(integrate_power(net, mod, [0, 3], [3, 0], 4),
+                              [0.0, 0.0])
+
+    def test_every_component_meets_its_tolerance(self, chain_static):
+        # a flat component is exact on the first panels; a narrow Lorentzian
+        # between two panel points needs refinement that the flat one's
+        # convergence must not cut short, in either order
+        net, mod = chain_static
+        lo, hi, _ = integration_window(net, mod, 4)
+        centre, width = OMEGA0 + 0.37 * mod.Omega, 0.1 * KAPPA
+        exact = (np.arctan((hi - centre) / width)
+                 - np.arctan((lo - centre) / width))
+
+        def lorentzian(w):
+            return width / ((w - centre) ** 2 + width ** 2)
+
+        quad_tol = 1e-8
+        for flip in (False, True):
+            parts = (np.ones_like, lorentzian)[::-1 if flip else 1]
+            value = _quad(lambda w: np.stack([p(w) for p in parts], axis=-1),
+                          net, mod, 4, quad_tol)
+            expected = np.array((hi - lo, exact))[::-1 if flip else 1]
+            assert np.all(np.abs(value - expected) <= quad_tol * expected)
+
+    def test_stalled_component_named(self, chain_static):
+        # of two components sharing the panels, the ragged second one cannot
+        # converge; the error names it and carries its estimate and bound
+        net, mod = chain_static
+        lo, hi, _ = integration_window(net, mod, 4)
+
+        def smooth_and_ragged(w):
+            return np.stack((np.ones_like(w), 2.0 + np.sin(50.0 * w / KAPPA)),
+                            axis=-1)
+
+        with pytest.raises(QuadratureError, match="stalled on component 1") as err:
+            _quad(smooth_and_ragged, net, mod, 4, 1e-10)
+        assert err.value.estimate == pytest.approx(2.0 * (hi - lo), rel=1e-2)
+        assert err.value.bound > 1e-10 * err.value.estimate
+        assert f"{err.value.estimate:.6e}" in str(err.value)
 
 
 class TestWindowAndExport:
@@ -460,15 +550,6 @@ class TestWindowAndExport:
         first = lines[1].split(",")
         assert first[1] == "1" and first[2] == "4"
         assert float(first[3]) == pytest.approx(fwd[0], rel=1e-10)
-
-    def test_occupation_spectrum_totals(self, chain_modulated):
-        net, mod = chain_modulated
-        warm = net.with_temperatures([250.0, 0.0, 0.0, 150.0])
-        grid = OMEGA0 + KAPPA * np.linspace(-2, 2, 7)
-        spec = occupation_spectrum(warm, mod, grid, 4)
-        direct = np.array([spectral_correlations(warm, mod, w, 4) for w in grid])
-        assert np.allclose(spec.S, direct)
-        assert np.all(spec.S[:, :, 1:3] == 0.0)
 
 
 def test_import_does_not_load_scipy():

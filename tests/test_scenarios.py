@@ -194,7 +194,8 @@ class TestSweep:
 
     def test_solves_per_row(self, monkeypatch):
         # pert1 is one first-sideband moment solve, pert2 one Neumann
-        # solve, and qle integrates both directions on one network
+        # solve, and qle integrates both directions in one quadrature of
+        # the network with both ends hot
         net, mod = chain(0.02, 0.5)
         calls = {}
 
@@ -208,15 +209,15 @@ class TestSweep:
         spy(langevin, "integrate_power")
         for method, name, count in (("pert1", "power_matrix", 1),
                                     ("pert2", "power_second_order", 1),
-                                    ("qle", "integrate_power", 2)):
+                                    ("qle", "integrate_power", 1)):
             calls.clear()
             operating_point(net, mod, method, n_max=4, quad_tol=1e-4)
             assert list(calls) == [name] and len(calls[name]) == count
             if method == "pert1":
                 assert calls[name][0][2] == 1   # n_max does not reach pert1
-        first, second = calls["integrate_power"]
-        assert first[0] is second[0]
-        assert (first[2], first[3], second[2], second[3]) == (0, 3, 3, 0)
+        (both, _, sources, observers, *_), = calls["integrate_power"]
+        assert np.array_equal(both.T, [T_HOT, 0.0, 0.0, T_HOT])
+        assert list(zip(sources, observers)) == [(0, 3), (3, 0)]
 
     def test_spec_validation(self, chain_static):
         net, mod = chain_static
@@ -304,6 +305,16 @@ class TestSpectrumRun:
             pointwise = [heat_flux_spectrum(hot, mod, src, obs, [w], 4)[0]
                          for w in grid]
             assert np.array_equal(values, pointwise)
+
+    def test_matches_one_spectrum_per_direction(self, chain_modulated):
+        # both directions come from one elimination with two observer rows
+        from floqheat.langevin import heat_flux_spectrum
+        net, mod = chain_modulated
+        both = net.with_temperatures([T_HOT, 0.0, 0.0, T_HOT])
+        grid, fwd, bwd = spectrum_run(net, mod, n_max=10)
+        for values, src, obs in ((fwd, 0, 3), (bwd, 3, 0)):
+            alone = heat_flux_spectrum(both, mod, src, obs, grid, 10)
+            assert np.max(np.abs(values - alone)) <= 1e-15 * alone.max()
 
     def test_integrals_consistent_with_powers(self, chain_modulated):
         from floqheat.scenarios import default_spectrum_grid
