@@ -287,12 +287,6 @@ class TestSpectralCorrelations:
         s = spectral_correlations(hot, mod, OMEGA0, 4)
         assert np.all(s[:, 1:] == 0.0)
         assert np.all(s[:, 0] > 0.0)
-        # cold baths between two warm ones stay dark at every frequency
-        warm = net.with_temperatures([250.0, 0.0, 0.0, 150.0])
-        for w in OMEGA0 + KAPPA * np.linspace(-2, 2, 7):
-            s = spectral_correlations(warm, mod, w, 4)
-            assert np.all(s[:, 1:3] == 0.0)
-            assert np.all(s[:, [0, 3]] > 0.0)
 
     def test_static_reduction_to_response_formula(self):
         rng = np.random.default_rng(9)
@@ -529,6 +523,23 @@ class TestWindowAndExport:
         assert lo < OMEGA0 - 10 * mod.Omega < OMEGA0 + 10 * mod.Omega < hi
         assert len(points) == 21
         assert np.all(np.diff(points) > 0)
+
+    def test_occupation_spectrum_totals(self, chain_modulated):
+        # the occupation spectrum on a grid, from one elimination per chunk,
+        # is spectral_correlations at each frequency; cold baths between two
+        # warm ones stay dark, and the flux spectrum is one of its slices
+        net, mod = chain_modulated
+        warm = net.with_temperatures([250.0, 0.0, 0.0, 150.0])
+        grid = OMEGA0 + KAPPA * np.linspace(-2, 2, 7)
+        noise = 2.0 * warm.kappa * warm.occupations()
+        spec = _bath_weights(warm, mod, grid, 4, range(warm.N)) * noise
+        direct = np.array([spectral_correlations(warm, mod, w, 4) for w in grid])
+        assert np.allclose(spec, direct)
+        assert np.all(spec[:, :, 1:3] == 0.0)
+        assert np.all(spec[:, :, [0, 3]] > 0.0)
+        flux = heat_flux_spectrum(warm, mod, 0, 3, grid, 4)
+        pref = SI.hbar * warm.omega[0] * 2.0 * warm.kappa[3]
+        assert np.allclose(flux, pref * direct[:, 3, 0], rtol=1e-12, atol=0.0)
 
     def test_window_clipped_at_zero_warns(self):
         net = ResonatorNetwork(omega=[10.0], g=[[0.0]], kappa=[1.0], T=[0.0])
