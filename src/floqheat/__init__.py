@@ -3,8 +3,10 @@
 Two independent Floquet solvers (frequency-domain Langevin and Fourier-space
 master-equation moments), a brute-force time-domain integrator, and
 second-order perturbation theory for the forward/backward flux asymmetry
-induced by synthetic electric and magnetic fields.
+induced by synthetic electric and magnetic fields.  Regime findings and
+notices go to the ``floqheat`` logger; the package attaches only a NullHandler.
 """
+import logging
 
 from .model import (
     FloqheatError,
@@ -63,7 +65,8 @@ from .timedomain import (
     cycle_average_power,
     cycle_averaged_moments,
     evolve_to_cycle,
-    generator,
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

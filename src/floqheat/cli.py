@@ -4,12 +4,14 @@ Convention for command-line values: beta and Omega are given as fractions
 of the chain resonance omega_0, angles as multiples of pi.  Each subcommand
 takes only the flags it reads, and flag values are checked as they are
 parsed.  Exit codes: 0 success, 2 solver failure, 3 invalid configuration,
-inputs or usage.
+inputs or usage.  Each distinct message of the ``floqheat`` logger (regime
+findings, clipped windows) is printed once per run as ``warning: ...``.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import math
 import sys
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import langevin, perturbation, scenarios
 from .config import ConfigError, load_config
-from .model import FloqheatError, ValidationError, validate
+from .model import FloqheatError, ValidationError
 from .scenarios import (DEFAULT_OMEGA0, DEFAULT_T_HOT, SweepSpec,
                         default_chain, sweep)
 
@@ -129,17 +131,8 @@ def _chain(beta_frac, theta_pi, drive_frac=0.05):
 def _system_from(args):
     """(net, mod): from --config if given, else the chain flags."""
     if args.config:
-        net, mod = load_config(args.config)
-    else:
-        net, mod = _chain(args.beta, args.theta, args.drive)
-    report = validate(net, mod)
-    errors = [v.message for v in report if v.severity == "error"]
-    if errors:
-        raise ValidationError("; ".join(errors))
-    for v in report:
-        if v.severity == "warning":
-            print(f"warning: {v.message}", file=sys.stderr)
-    return net, mod
+        return load_config(args.config)
+    return _chain(args.beta, args.theta, args.drive)
 
 
 def cmd_power(args):
@@ -289,6 +282,13 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    seen = set()       # the package's log messages, each printed once per run
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    handler.addFilter(lambda r: r.getMessage() not in seen
+                      and not seen.add(r.getMessage()))
+    logger = logging.getLogger("floqheat")
+    logger.addHandler(handler)
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -298,6 +298,8 @@ def main(argv=None):
     except (FloqheatError, ValueError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

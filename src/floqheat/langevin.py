@@ -21,8 +21,8 @@ one quadrature per pair to 5e-13 relative at quad_tol = 1e-6.
 from __future__ import annotations
 
 import csv
+import logging
 import operator
-import warnings
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
     "emitted_power",
     "write_spectrum_csv",
 ]
+
+_log = logging.getLogger(__name__)
 
 # frequencies per batched elimination; bounds the memory of its factors
 _CHUNK = 256
@@ -197,14 +199,15 @@ def integration_window(net, mod, n_max):
 
     The window spans all resonances plus (n_max + 1) sidebands plus 30
     linewidths; panels split at each omega_k + m Omega so no Lorentzian is
-    straddled unresolved.  Windows are clipped at omega = 0 with a warning.
+    straddled unresolved.  Windows are clipped at omega = 0, with a notice
+    on the ``floqheat.langevin`` logger.
     """
     _check_indices(net, n_max)
     margin = (n_max + 1) * mod.Omega + 30.0 * net.kappa.max()
     lo = net.omega.min() - margin
     hi = net.omega.max() + margin
     if lo <= 0.0:
-        warnings.warn("integration window clipped at omega = 0", stacklevel=2)
+        _log.warning("integration window clipped at omega = 0")
         lo = 0.0
     points = np.unique(np.concatenate(
         [net.omega + m * mod.Omega for m in range(-n_max, n_max + 1)]

@@ -61,10 +61,6 @@ class MomentIndexMap:
         """Flat position of <a_k^dagger a_l>."""
         return self._index[(k, l)]
 
-    def pair(self, idx):
-        """(k, l) of flat position idx."""
-        return int(self.bra[idx]), int(self.ket[idx])
-
 
 @functools.lru_cache(maxsize=None)
 def moment_index_map(N):

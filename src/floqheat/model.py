@@ -5,13 +5,16 @@ in K, powers in W.  hbar and kB are the CODATA SI values and live only in
 ``SI`` below; every solver and driver reads them from there, and nothing
 overrides them.  Resonator indices in the Python API are 0-based; the
 text formats (config files, CSV output) label resonators 1-based.
+
+Networks and protocols check their invariants when built and are immutable,
+so solvers only compare their lengths (``ensure_valid``); ``validate``
+reports the white-noise regime findings of a pair.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +104,17 @@ def _frozen_array(value, dtype):
     return arr
 
 
+def _require(finite, checks):
+    """Raise one ValidationError naming each non-finite field of ``finite``
+    and each failed (failed, message) check."""
+    errors = [f"{name} must be finite" for name, v in finite.items()
+              if not (np.isfinite(v).all() if isinstance(v, np.ndarray)
+                      else math.isfinite(v))]
+    errors += [message for failed, message in checks if failed]
+    if errors:
+        raise ValidationError("; ".join(errors))
+
+
 @dataclass(frozen=True)
 class ResonatorNetwork:
     """A static network of damped resonators, each with its own heat bath.
@@ -108,8 +122,10 @@ class ResonatorNetwork:
     omega : (N,) resonance frequencies [rad/s]
     g     : (N, N) complex coupling matrix [rad/s], zero diagonal
     kappa : (N,) damping rates [rad/s], strictly positive
-    T     : (N,) bath temperatures [K]
-    hermitian : when True, ``validate`` additionally enforces g = g^dagger
+    T     : (N,) bath temperatures [K], nonnegative
+    hermitian : when True, the constructor additionally enforces g = g^dagger
+
+    Entries must be finite; the constructor raises ValidationError otherwise.
     """
 
     omega: np.ndarray
@@ -134,6 +150,15 @@ class ResonatorNetwork:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "T", temp)
+        _require(dict(omega=omega, g=g, kappa=kappa, T=temp), [
+            ((omega <= 0.0).any(), "omega must be strictly positive"),
+            (g.diagonal().any(), "coupling matrix must have zero diagonal (g_ii = 0)"),
+            ((kappa <= 0.0).any(), "kappa must be strictly positive"),
+            ((temp < 0.0).any(), "temperatures must be nonnegative"),
+            # to 1e-15 of the largest coupling; a non-finite g is reported as such
+            (self.hermitian and np.isfinite(g).all() and abs(g - g.conj().T).max()
+             > 1e-15 * max(1.0, abs(g).max()), "hermitian flag set but g != conj(g).T"),
+        ])
 
     @property
     def N(self):
@@ -162,6 +187,8 @@ class ModulationProtocol:
     Omega : drive frequency [rad/s], > 0
     theta : (N,) per-resonator phases [rad]
     mask  : (N,) 0/1 switches selecting which resonators are modulated
+
+    beta, Omega and theta must be finite (ValidationError when built).
     """
 
     beta: float
@@ -170,10 +197,18 @@ class ModulationProtocol:
     mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _frozen_array(self.theta, float))
-        object.__setattr__(self, "mask", _frozen_array(self.mask, int))
-        if self.theta.ndim != 1 or self.mask.shape != self.theta.shape:
+        theta = _frozen_array(self.theta, float)
+        mask = np.asarray(self.mask)
+        if theta.ndim != 1 or mask.shape != theta.shape:
             raise ValueError("theta and mask must be 1-d arrays of equal length")
+        # checked before the integer cast, which would truncate 0.5 to 0
+        _require(dict(theta=theta, beta=self.beta, Omega=self.Omega), [
+            (not set(mask.tolist()) <= {0, 1}, "mask entries must be exactly 0 or 1"),
+            (self.beta < 0.0, "beta must be nonnegative"),
+            (self.Omega <= 0.0, "Omega must be strictly positive"),
+        ])
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "mask", _frozen_array(mask, int))
 
     @property
     def period(self):
@@ -204,77 +239,38 @@ class PowerMatrix:
 
 @dataclass(frozen=True)
 class Violation:
-    severity: str  # "error" or "warning"
+    severity: str  # "warning": invalid inputs raise ValidationError instead
     message: str
 
 
-def validate(net, mod):
-    """Check all structural invariants plus the white-noise applicability rules.
-
-    Returns a list of Violation records; empty iff every invariant holds and
-    no white-noise warning fires.  Warnings are non-fatal: solvers only
-    refuse to run on severity "error".
-    """
-    out = []
-    err = lambda m: out.append(Violation("error", m))
-    warn = lambda m: out.append(Violation("warning", m))
-
-    n = net.N
-    for name, value in (("omega", net.omega), ("g", net.g),
-                        ("kappa", net.kappa), ("T", net.T),
-                        ("theta", mod.theta), ("beta", mod.beta),
-                        ("Omega", mod.Omega)):
-        if not np.all(np.isfinite(value)):
-            err(f"{name} must be finite")
-    if np.any(net.omega <= 0.0):
-        err("omega must be strictly positive")
-    if np.any(np.abs(np.diag(net.g)) != 0.0):
-        err("coupling matrix must have zero diagonal (g_ii = 0)")
-    if np.any(net.kappa <= 0.0):
-        err("kappa must be strictly positive")
-    if np.any(net.T < 0.0):
-        err("temperatures must be nonnegative")
-    if net.hermitian and not np.allclose(net.g, net.g.conj().T, rtol=0.0,
-                                         atol=1e-15 * max(1.0, np.abs(net.g).max())):
-        err("hermitian flag set but g != conj(g).T")
-
-    if len(mod.theta) != n:
-        err(f"theta has length {len(mod.theta)}, network has {n} resonators")
-    if len(mod.mask) != n:
-        err(f"mask has length {len(mod.mask)}, network has {n} resonators")
-    if not np.all(np.isin(mod.mask, (0, 1))):
-        err("mask entries must be exactly 0 or 1")
-    if mod.beta < 0.0:
-        err("beta must be nonnegative")
-    if mod.Omega <= 0.0:
-        err("Omega must be strictly positive")
-
-    # white-noise applicability: constant bath occupations need
-    # beta << omega_k and hbar*Omega << kB*T for every thermally occupied bath
-    if n and not np.any(net.omega <= 0.0):
-        if mod.beta >= 0.1 * net.omega.min():
-            warn(
-                "white-noise regime questionable: beta = "
-                f"{mod.beta:.3e} >= 0.1 * min(omega)"
-            )
-        hot = net.T[net.T > 0.0]
-        if hot.size and mod.Omega > 0.0 and SI.hbar * mod.Omega >= 0.1 * SI.kB * hot.min():
-            warn(
-                "white-noise regime questionable: hbar*Omega = "
-                f"{SI.hbar * mod.Omega:.3e} J >= 0.1 * kB * min nonzero T"
-            )
-    return out
-
-
 def ensure_valid(net, mod):
-    """Raise ValidationError on any invariant violation; forward warnings."""
-    report = validate(net, mod)
-    errors = [v.message for v in report if v.severity == "error"]
-    if errors:
-        raise ValidationError("; ".join(errors))
-    for v in report:
-        if v.severity == "warning":
-            warnings.warn(v.message, stacklevel=3)
+    """Raise ValidationError unless mod has one phase and mask entry per
+    resonator of net; each object checked the rest when it was built."""
+    if len(mod.theta) != net.N:
+        raise ValidationError(f"theta and mask have length {len(mod.theta)}, "
+                              f"network has {net.N} resonators")
+
+
+def validate(net, mod):
+    """White-noise regime findings for a network/protocol pair.
+
+    Runs the pair check (``ensure_valid``), then returns one
+    Violation("warning", ...) per white-noise assumption the pair strains:
+    constant bath occupations need beta << omega_k and hbar*Omega << kB*T
+    for every thermally occupied bath.  Empty inside the regime.  No solver
+    calls it; the drivers log its findings.
+    """
+    ensure_valid(net, mod)
+    out = []
+    if net.N and mod.beta >= 0.1 * net.omega.min():
+        out.append(Violation("warning", "white-noise regime questionable: "
+                             f"beta = {mod.beta:.3e} >= 0.1 * min(omega)"))
+    hot = net.T[net.T > 0.0]
+    if hot.size and SI.hbar * mod.Omega >= 0.1 * SI.kB * hot.min():
+        out.append(Violation("warning", "white-noise regime questionable: "
+                             f"hbar*Omega = {SI.hbar * mod.Omega:.3e} J >= "
+                             "0.1 * kB * min nonzero T"))
+    return out
 
 
 def check_n_max(n_max):

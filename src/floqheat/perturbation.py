@@ -148,13 +148,6 @@ def delta_power_weak_coupling(omega0, n_occ, g, kappa, beta, Omega, theta):
 CLOSED_FORM_ORIENTATION = -1.0
 
 
-def chain_contrasts(mod):
-    """Drive contrasts eta_kl of a four-resonator protocol, 1-based pairs."""
-    phase = mod.phasor
-    return {(k + 1, l + 1): complex(phase[k] - phase[l])
-            for k in range(4) for l in range(k + 1, 4)}
-
-
 def _require_symmetric_chain(net, mod):
     if net.N != 4:
         raise ValidationError("closed forms require the four-resonator chain")

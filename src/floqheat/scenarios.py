@@ -9,12 +9,14 @@ power.  Every solver but the RK4 oracle reads one direction per hot bath,
 so qme, pert1, pert2, qle and the spectra take both directions from one
 network with both end baths hot; pert1 is qme truncated at one sideband
 and pert2 its Neumann expansion.  Theta sweeps and the closed forms assume
-the four-resonator chain.
+the four-resonator chain.  Both drivers log the regime findings of the
+network they solve (``model.validate``) to this module's logger.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import langevin, master, perturbation, timedomain
-from .model import FloqheatError, ValidationError, build_chain4
+from .model import FloqheatError, ValidationError, build_chain4, validate
 
 __all__ = [
     "DEFAULT_OMEGA0",
@@ -40,6 +42,8 @@ __all__ = [
     "compare_methods",
     "write_sweep_csv",
 ]
+
+_log = logging.getLogger(__name__)
 
 # defaults of the bundled chain scenario (rates fitted to a pair of graphene
 # flakes 100 nm apart; any four-resonator realization works the same way)
@@ -77,12 +81,16 @@ def _ends(net):
     return 0, net.N - 1
 
 
-def _ends_hot(net, T_hot):
-    """(first, last, copy of net with both end baths at T_hot, others at 0 K)."""
+def _ends_hot(net, mod, T_hot):
+    """(first, last, copy of net with both end baths at T_hot, others at 0 K);
+    logs the regime findings of that copy with mod."""
     first, last = _ends(net)
     temp = np.zeros(net.N)
     temp[[first, last]] = T_hot
-    return first, last, net.with_temperatures(temp)
+    both = net.with_temperatures(temp)
+    for finding in validate(both, mod):
+        _log.warning(finding.message)
+    return first, last, both
 
 
 def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
@@ -98,7 +106,7 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     The oracle's samples carry the sum of every hot bath, so it runs one
     direction at a time.
     """
-    first, last, both = _ends_hot(net, T_hot)
+    first, last, both = _ends_hot(net, mod, T_hot)
     if n_max is None:
         n_max = DEFAULT_N_MAX.get(method)
     if method == "qme":
@@ -214,15 +222,20 @@ def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
 
 
 def _sweep_point(spec, value, method):
-    mod = _apply_parameter(spec.modulation, spec.parameter, value)
+    mod = spec.modulation
     try:
+        mod = _apply_parameter(mod, spec.parameter, value)
         return operating_point(spec.network, mod, method, spec.n_max,
                                spec.quad_tol, spec.T_hot)
     except (FloqheatError, ValueError) as exc:
-        # a failing point must not abort the sweep; flag the row instead
+        # a failing point must not abort the sweep; flag the row instead,
+        # with a rejected beta or Omega (mod left unswept) in its column
         nan = float("nan")
-        return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
-                        nan, nan, nan, nan, status=f"error: {exc}")
+        row = SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
+                       nan, nan, nan, nan, status=f"error: {exc}")
+        if spec.parameter != "theta":
+            row = dataclasses.replace(row, **{spec.parameter: float(value)})
+        return row
 
 
 def sweep(spec, workers=1):
@@ -259,7 +272,7 @@ def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT):
     None means the qle DEFAULT_N_MAX.  Both spectra come from one network
     with both end baths hot, through one elimination per frequency chunk.
     """
-    first, last, both = _ends_hot(net, T_hot)
+    first, last, both = _ends_hot(net, mod, T_hot)
     if n_max is None:
         n_max = DEFAULT_N_MAX["qle"]
     if grid is None:

@@ -23,7 +23,6 @@ from .master import moment_index_map
 
 __all__ = [
     "MomentSamples",
-    "generator",
     "evolve_to_cycle",
     "cycle_averaged_moments",
     "cycle_average_power",
@@ -80,14 +79,6 @@ def _drive_diagonal(mod, imap, t):
     """
     c = mod.mask * np.cos(mod.Omega * np.asarray(t)[..., None] + mod.theta)
     return 1j * mod.beta * (c[..., imap.bra] - c[..., imap.ket])
-
-
-def generator(net, mod, t):
-    """Full generator at time t: returns (G(t), s) with G periodic in 2 pi / Omega."""
-    imap = moment_index_map(net.N)
-    gen, src = _static_generator(net)
-    gen[np.arange(imap.size), np.arange(imap.size)] += _drive_diagonal(mod, imap, t)
-    return gen, src
 
 
 def _rk4_period(gen0, src, drive, dt, y, store=None):

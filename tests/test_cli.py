@@ -1,6 +1,9 @@
 import argparse
 import csv
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +194,25 @@ def test_power_perturbation_methods(capsys):
                        "--methods", "qme,pert1,pert2")
     assert code == 0
     assert out.count("P14 =") == 3
+
+
+def test_regime_finding_printed_once_per_run(capsys):
+    # at the defaults hbar*Omega is above 0.1 kB T_hot; the three methods
+    # each solve that network, and the finding is printed once, by the CLI
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["power", "--methods", "qme,pert1,pert2"]
+    proc = subprocess.run([sys.executable, "-m", "floqheat.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr.count("white-noise regime questionable") == 1
+    assert proc.stderr.startswith("warning: white-noise regime questionable: "
+                                  "hbar*Omega")
+    assert "UserWarning" not in proc.stderr
+    for _ in range(2):    # and once again in the next run of the same process
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err.count("warning: white-noise regime") == 1
 
 
 def test_unknown_config_key_exits_3(capsys, tmp_path):

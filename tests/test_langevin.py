@@ -165,12 +165,16 @@ class TestSidebandSystem:
 
     def test_invalid_network_rejected(self, chain_modulated):
         net, mod = chain_modulated
-        bad = ResonatorNetwork(omega=net.omega, g=net.g, kappa=np.zeros(4),
-                               T=net.T)
+        with pytest.raises(ValidationError, match="kappa"):
+            ResonatorNetwork(omega=net.omega, g=net.g, kappa=np.zeros(4),
+                             T=net.T)
+        # a valid protocol of the wrong length is left to the solvers
+        short = ModulationProtocol(beta=mod.beta, Omega=mod.Omega,
+                                   theta=[0.0, 0.0], mask=[1, 1])
         with pytest.raises(ValidationError):
-            spectral_correlations(bad, mod, OMEGA0, 2)
+            spectral_correlations(net, short, OMEGA0, 2)
         with pytest.raises(ValidationError):
-            heat_flux_spectrum(bad, mod, 0, 3, [OMEGA0], 2)
+            heat_flux_spectrum(net, short, 0, 3, [OMEGA0], 2)
 
 
 class TestInputChecks:
@@ -541,11 +545,14 @@ class TestWindowAndExport:
         pref = SI.hbar * warm.omega[0] * 2.0 * warm.kappa[3]
         assert np.allclose(flux, pref * direct[:, 3, 0], rtol=1e-12, atol=0.0)
 
-    def test_window_clipped_at_zero_warns(self):
+    def test_window_clipped_at_zero_warns(self, caplog):
         net = ResonatorNetwork(omega=[10.0], g=[[0.0]], kappa=[1.0], T=[0.0])
         mod = ModulationProtocol(beta=0.5, Omega=5.0, theta=[0.0], mask=[1])
-        with pytest.warns(UserWarning, match="clipped"):
+        with caplog.at_level("WARNING", logger="floqheat"):
             lo, hi, points = integration_window(net, mod, 3)
+        (record,) = caplog.records
+        assert record.name == "floqheat.langevin"
+        assert "clipped" in record.getMessage()
         assert lo == 0.0
         assert np.all(points > 0.0)
 

@@ -40,7 +40,7 @@ class TestMomentIndexMap:
     def test_pair_inverse(self):
         imap = moment_index_map(4)
         for idx in range(16):
-            k, l = imap.pair(idx)
+            k, l = imap.bra[idx], imap.ket[idx]
             assert imap.index(k, l) == idx
 
 
@@ -179,10 +179,13 @@ class TestSolveFourier:
 
     def test_invalid_inputs_rejected(self, chain_modulated):
         net, mod = chain_modulated
-        bad = ResonatorNetwork(omega=net.omega, g=net.g,
-                               kappa=np.zeros(4), T=net.T)
+        with pytest.raises(ValidationError, match="kappa"):
+            ResonatorNetwork(omega=net.omega, g=net.g,
+                             kappa=np.zeros(4), T=net.T)
+        short = ModulationProtocol(beta=mod.beta, Omega=mod.Omega,
+                                   theta=[0.0, 0.0], mask=[1, 1])
         with pytest.raises(ValidationError):
-            solve_fourier(bad, mod, 4, 0)
+            solve_fourier(net, short, 4, 0)
         for n_max in (-1, 2.0, 2.5):
             with pytest.raises(ValueError):
                 solve_fourier(net, mod, n_max, 0)

@@ -88,11 +88,9 @@ class TestValidate:
         net, mod = chain(0.0)
         kappa = np.array(net.kappa)
         kappa[1] = 0.0
-        bad = ResonatorNetwork(omega=net.omega, g=net.g, kappa=kappa, T=net.T)
-        msgs = [v.message for v in validate(bad, mod) if v.severity == "error"]
-        assert any("kappa must be strictly positive" in m for m in msgs)
-        with pytest.raises(ValidationError):
-            ensure_valid(bad, mod)
+        with pytest.raises(ValidationError,
+                           match="^kappa must be strictly positive$"):
+            ResonatorNetwork(omega=net.omega, g=net.g, kappa=kappa, T=net.T)
 
     def test_strong_drive_warns(self):
         net, mod = chain(0.5)
@@ -109,28 +107,34 @@ class TestValidate:
 
     def test_bad_mask_and_lengths(self):
         net, mod = chain(0.0)
-        bad_mask = ModulationProtocol(beta=mod.beta, Omega=mod.Omega,
-                                      theta=mod.theta, mask=[0, 2, 1, 0])
-        assert any("mask" in v.message for v in validate(net, bad_mask))
+        for mask in ([0, 2, 1, 0], [0, 0.5, 1, 0], [0, -1, 1, 0]):
+            # 0.5 must not be truncated to 0 on the way to an integer mask
+            with pytest.raises(ValidationError,
+                               match="^mask entries must be exactly 0 or 1$"):
+                ModulationProtocol(beta=mod.beta, Omega=mod.Omega,
+                                   theta=mod.theta, mask=mask)
         short = ModulationProtocol(beta=mod.beta, Omega=mod.Omega,
                                    theta=[0.0, 0.0], mask=[1, 1])
-        msgs = [v.message for v in validate(net, short)]
-        assert any("theta" in m for m in msgs) and any("mask" in m for m in msgs)
+        for check in (ensure_valid, validate):
+            with pytest.raises(ValidationError,
+                               match="theta and mask have length 2, network has 4"):
+                check(net, short)
 
     def test_hermitian_flag_enforced(self):
         net, mod = chain(0.0)
         g = np.array(net.g)
         g[0, 1] = 1e9 * (1 + 1j)  # mirror entry left at the real value
-        bad = ResonatorNetwork(omega=net.omega, g=g, kappa=net.kappa,
-                               T=net.T, hermitian=True)
-        assert any("hermitian" in v.message for v in validate(bad, mod))
+        with pytest.raises(ValidationError, match="hermitian"):
+            ResonatorNetwork(omega=net.omega, g=g, kappa=net.kappa,
+                             T=net.T, hermitian=True)
+        ResonatorNetwork(omega=net.omega, g=g, kappa=net.kappa, T=net.T)
 
     def test_diagonal_coupling_rejected(self):
         net, mod = chain(0.0)
         g = np.array(net.g)
         g[2, 2] = 1e9
-        bad = ResonatorNetwork(omega=net.omega, g=g, kappa=net.kappa, T=net.T)
-        assert any("zero diagonal" in v.message for v in validate(bad, mod))
+        with pytest.raises(ValidationError, match="zero diagonal"):
+            ResonatorNetwork(omega=net.omega, g=g, kappa=net.kappa, T=net.T)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["omega", "g", "kappa", "T", "theta",
@@ -141,18 +145,38 @@ class TestValidate:
                       "T": net.T}
         mod_fields = {"beta": mod.beta, "Omega": mod.Omega,
                       "theta": mod.theta, "mask": mod.mask}
-        if field in net_fields:
-            value = np.array(net_fields[field])
-            value.flat[1] = bad
-            net = ResonatorNetwork(**{**net_fields, field: value})
-        elif field == "theta":
-            mod = ModulationProtocol(**{**mod_fields, "theta": [0.0, bad, 0.0, 0.0]})
-        else:
-            mod = ModulationProtocol(**{**mod_fields, field: bad})
-        msgs = [v.message for v in validate(net, mod) if v.severity == "error"]
-        assert f"{field} must be finite" in msgs
-        with pytest.raises(ValidationError, match=f"{field} must be finite"):
-            ensure_valid(net, mod)
+        with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+            if field in net_fields:
+                value = np.array(net_fields[field])
+                value.flat[1] = bad
+                ResonatorNetwork(**{**net_fields, field: value})
+            elif field == "theta":
+                ModulationProtocol(**{**mod_fields, "theta": [0.0, bad, 0.0, 0.0]})
+            else:
+                ModulationProtocol(**{**mod_fields, field: bad})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"T": [300.0, -1.0, 0.0, 0.0]}, "temperatures must be nonnegative"),
+        ({"omega": [1.0, 0.0, 1.0, 1.0]}, "omega must be strictly positive"),
+        ({"beta": -1.0}, "beta must be nonnegative"),
+        ({"Omega": 0.0}, "Omega must be strictly positive"),
+    ])
+    def test_every_copy_is_checked(self, changes, message):
+        # replace and with_temperatures build new objects, and check them
+        net, mod = chain(0.05)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            if "T" in changes:
+                net.with_temperatures(changes["T"])
+            elif "omega" in changes:
+                dataclasses.replace(net, **changes)
+            else:
+                dataclasses.replace(mod, **changes)
+
+    def test_errors_joined_in_one_message(self):
+        with pytest.raises(ValidationError, match="^omega must be strictly "
+                           "positive; kappa must be strictly positive$"):
+            ResonatorNetwork(omega=[-1.0, 1.0], g=np.zeros((2, 2)),
+                             kappa=[0.0, 1.0], T=[0.0, 0.0])
 
 
 class TestBuildChain4:

@@ -5,7 +5,7 @@ from floqheat import (SI, ModulationProtocol, ResonatorNetwork, ValidationError,
                       occupation)
 from floqheat.master import assemble_Mn, moment_index_map, power_matrix, solve_fourier
 from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
-                                   chain_contrasts, closed_form_delta_power,
+                                   closed_form_delta_power,
                                    delta_n14_closed_form, delta_n14_general,
                                    delta_power_weak_coupling, power_second_order,
                                    write_perturbation_csv)
@@ -13,6 +13,13 @@ from floqheat.scenarios import operating_point
 
 from conftest import (COUPLING, DRIVE, KAPPA, OMEGA0, T_HOT, chain,
                       random_network)
+
+
+def chain_contrasts(mod):
+    """Drive contrasts eta_kl of a four-resonator protocol, 1-based pairs."""
+    phase = mod.phasor
+    return {(k + 1, l + 1): complex(phase[k] - phase[l])
+            for k in range(4) for l in range(k + 1, 4)}
 
 
 def exact_delta(beta_frac, theta_pi, n_max=15):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ class TestSweep:
         assert row.status.startswith("error:")
         assert np.isnan(row.P14)
 
+    @pytest.mark.parametrize("parameter, value, message", [
+        ("Omega", -1.0, "Omega must be strictly positive"),
+        ("Omega", 0.0, "Omega must be strictly positive"),
+        ("beta", -1.0, "beta must be nonnegative"),
+    ])
+    def test_rejected_value_flagged_in_its_column(self, parameter, value, message):
+        net, mod = chain(0.02, 0.5)
+        good = getattr(mod, parameter)
+        rows = sweep(SweepSpec(network=net, modulation=mod, parameter=parameter,
+                               values=[value, good], methods=("qme", "closed")))
+        for row in rows[:2]:
+            assert row.status == f"error: {message}"
+            assert getattr(row, parameter) == value
+            assert np.isnan([row.P14, row.P41, row.E, row.dP]).all()
+        assert [r.status for r in rows[2:]] == ["ok", "ok"]
+
     def test_closed_rows_do_no_second_order_solve(self, monkeypatch):
         net, mod = chain(0.02, 0.5)
         calls = []
@@ -248,6 +265,30 @@ class TestSweep:
         assert set(got[0]) == {"method", "beta_rad_s", "Omega_rad_s",
                                "theta_rad", "P14_W", "P41_W", "E", "dP_W",
                                "status"}
+
+
+class TestRegimeFindings:
+    def test_logged_once_per_solve_never_warned(self, caplog):
+        # the reference chain at 300 K: hbar*Omega >= 0.1 kB T_hot
+        net, mod = chain(0.0, 0.5)
+        spec = SweepSpec(network=net, modulation=mod, parameter="beta",
+                         values=np.array([0.01, 0.02, 0.03]) * OMEGA0,
+                         methods=("qme", "pert1", "pert2", "closed"))
+        with warnings.catch_warnings(), caplog.at_level("WARNING", "floqheat"):
+            warnings.simplefilter("error")
+            rows = sweep(spec)
+            spectrum_run(net, mod, grid=[OMEGA0], n_max=1)
+        assert all(r.status == "ok" for r in rows)
+        # qme, pert1 and pert2 go through run_forward_backward; closed does not
+        assert len(caplog.records) == 3 * 3 + 1
+        assert {(r.name, r.getMessage().split(" = ")[0]) for r in caplog.records} \
+            == {("floqheat.scenarios", "white-noise regime questionable: hbar*Omega")}
+
+    def test_inside_the_regime_logs_nothing(self, caplog):
+        net, mod = chain(0.02, 0.5)
+        with caplog.at_level("WARNING", "floqheat"):
+            run_forward_backward(net, mod, "pert1", T_hot=3000.0)
+        assert caplog.records == []
 
 
 class TestRectificationCurve:

@@ -6,10 +6,19 @@ from floqheat import (ConvergenceError, ModulationProtocol, ResonatorNetwork,
                       SI, occupation)
 from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
                              solve_fourier)
-from floqheat.timedomain import (cycle_average_power, cycle_averaged_moments,
-                                 evolve_to_cycle, generator)
+from floqheat.timedomain import (_drive_diagonal, _static_generator,
+                                 cycle_average_power, cycle_averaged_moments,
+                                 evolve_to_cycle)
 
 from conftest import KAPPA, OMEGA0, T_HOT, chain, random_network
+
+
+def generator(net, mod, t):
+    """Full generator at time t: returns (G(t), s) with G periodic in 2 pi / Omega."""
+    imap = moment_index_map(net.N)
+    gen, src = _static_generator(net)
+    gen[np.arange(imap.size), np.arange(imap.size)] += _drive_diagonal(mod, imap, t)
+    return gen, src
 
 
 class TestGenerator:
