@@ -5,12 +5,12 @@ bath: forward puts the first resonator at T_hot, backward the last one
 (resonators 1 and 4 of the bundled four-resonator chain, 1 and N of any
 network of at least two).  Rectification is the normalized asymmetry
 E = (P14 - P41)/(P14 + P41), where P14 is the forward and P41 the backward
-power.  Every solver but the RK4 oracle reads one direction per hot bath,
-so qme, pert1, pert2, qle and the spectra take both directions from one
+power.  Every solver reads each direction from its own hot bath's share,
+so all of them, the spectra included, take both directions from one
 network with both end baths hot; pert1 is qme truncated at one sideband
 and pert2 its Neumann expansion.  Theta sweeps and the closed forms assume
-the four-resonator chain.  Both drivers log the regime findings of the
-network they solve (``model.validate``) to this module's logger.
+the four-resonator chain.  Every row and spectrum logs the regime findings
+of that network (``model.validate``) to this module's logger.
 """
 from __future__ import annotations
 
@@ -99,12 +99,11 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
 
     The backward run reuses the identical modulation (phases untouched);
     only the temperature assignment moves.  n_max None means the method's
-    DEFAULT_N_MAX; pert1 is qme at n_max = 1 whatever n_max says.  qme,
-    pert1 and pert2 read both directions from one power matrix of the
-    network with both ends hot, and qle integrates both on that network in
-    one vector quadrature: each reads only the source bath's occupation.
-    The oracle's samples carry the sum of every hot bath, so it runs one
-    direction at a time.
+    DEFAULT_N_MAX; pert1 is qme at n_max = 1 whatever n_max says.  Every
+    method solves the network with both ends hot once and reads each
+    direction from the source bath's share: qme, pert1 and pert2 from one
+    power matrix, qle from one vector quadrature, and the oracle from the
+    per-bath cycle averages of one shooting period.
     """
     first, last, both = _ends_hot(net, mod, T_hot)
     if n_max is None:
@@ -119,15 +118,9 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
         return tuple(langevin.integrate_power(both, mod, (first, last),
                                               (last, first), n_max, quad_tol))
     elif method == "oracle":
-        powers = []
-        for source, observer in ((first, last), (last, first)):
-            hot = net.with_hot_bath(source, T_hot)
-            # the samples are a temporary: one direction's period is freed
-            # before the next is stepped
-            row, _ = timedomain.cycle_average_power(
-                timedomain.evolve_to_cycle(hot, mod), hot, source)
-            powers.append(row[observer])
-        return tuple(powers)
+        samples = timedomain.evolve_to_cycle(both, mod)
+        return (timedomain.cycle_average_power(samples, both, first)[0][last],
+                timedomain.cycle_average_power(samples, both, last)[0][first])
     else:
         raise ValueError(f"unknown method {method!r}")
     return P[first, last], P[last, first]
@@ -207,12 +200,14 @@ def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     """One SweepRow of the forward/backward protocol; raises on failure.
 
     A "closed" row holds only the weak-coupling flux difference dP, with
-    P14, P41 and E NaN; E is NaN as well where both powers vanish.
+    P14, P41 and E NaN, and logs the findings of the network with both ends
+    hot like every other row; E is NaN as well where both powers vanish.
     """
     nan = float("nan")
     if method == "closed":
         p14 = p41 = nan
         dP = perturbation.closed_form_delta_power(net, mod, T_hot)
+        _ends_hot(net, mod, T_hot)
     else:
         p14, p41 = run_forward_backward(net, mod, method, n_max, quad_tol, T_hot)
         dP = p14 - p41

@@ -3,14 +3,15 @@
 Structurally independent of the Fourier solver: the generator is assembled
 directly from the coupled moment ODEs and stepped with fixed-step RK4.  The
 periodic state is found by shooting (Aprille & Trick, IEEE Trans. Circuit
-Theory 19, 1972): one period of the augmented system [Y | y_p] gives the
-monodromy matrix Phi = Y(T) and the forced response b = y_p(T), and the
-state that repeats after one period solves (I - Phi) y0 = b.  The
-eigenvalues of Phi are the Floquet multipliers; the largest must lie inside
-the unit circle for a periodic steady state to exist and attract.  Cycle
-averages are taken by trapezoid over one more period stepped from y0.
-Exists to catch transcription errors that a shared matrix assembly would
-repeat.
+Theory 19, 1972): one period of [Y | one forced column y_k per occupied
+bath] gives the monodromy matrix Phi = Y(T) and b_k = y_k(T).  The
+equations are affine in the source, so bath k's share of the periodic
+state is y0_k = (I - Phi)^-1 b_k, with cycle average Ybar y0_k + ybar_k
+from the same period's trapezoid means.  The eigenvalues of Phi are the
+Floquet multipliers; the largest must lie inside the unit circle for a
+periodic steady state to exist and attract.  One more period, stepped from
+sum_k y0_k, is stored as samples.  Exists to catch transcription errors
+that a shared matrix assembly would repeat.
 """
 from __future__ import annotations
 
@@ -31,12 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentSamples:
-    """Moment-vector samples over one period, endpoints included."""
+    """Moment-vector samples over one period, endpoints included, of all
+    baths together, and each bath's share of their cycle average."""
 
     t: np.ndarray          # (S + 1,) [s]
     y: np.ndarray          # (S + 1, N^2) complex, MomentIndexMap order
     periods_used: int
     floquet_multiplier: float   # largest |eigenvalue| of the monodromy matrix
+    bath_averages: np.ndarray   # (N^2, N): column k from bath k, 0 at 0 K
 
 
 def _static_generator(net):
@@ -87,12 +90,15 @@ def _rk4_period(gen0, src, drive, dt, y, store=None):
     y has one column per trajectory; drive[j] is the drive diagonal at time
     j dt / 2, as a column, so step s reads rows 2s, 2s + 1 and 2s + 2.  With
     ``store`` given, store[s] receives the first column after s steps.
+    Returns y after the period and the trapezoid mean of y over it.
     """
     half = 0.5 * dt
     sixth = dt / 6.0
+    steps = (len(drive) - 1) // 2
+    total = 0.5 * y
     if store is not None:
         store[0] = y[:, 0]
-    for s in range((len(drive) - 1) // 2):
+    for s in range(steps):
         d0, dh, d1 = drive[2 * s], drive[2 * s + 1], drive[2 * s + 2]
         k1 = gen0 @ y + d0 * y + src
         y2 = y + half * k1
@@ -102,22 +108,25 @@ def _rk4_period(gen0, src, drive, dt, y, store=None):
         y4 = y + dt * k3
         k4 = gen0 @ y4 + d1 * y4 + src
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        total += y
         if store is not None:
             store[s + 1] = y[:, 0]
-    return y
+    return y, (total - 0.5 * y) / steps
 
 
 def evolve_to_cycle(net, mod, steps_per_period=4096):
     """Periodic steady state by shooting over one drive period.
 
-    One RK4 period of the augmented system [Y | y_p], with Y(0) = I and
-    y_p(0) = 0 and the source entering only y_p, gives the monodromy matrix
-    Phi = Y(T) and b = y_p(T).  The periodic initial state is
-    y0 = (I - Phi)^-1 b, and a second period stepped from y0 is stored as the
-    samples (``periods_used`` is 2).  Raises ConvergenceError when the step
-    is unstable, when Phi is not finite, or when the largest Floquet
-    multiplier max |eig Phi| is not below 1, so that no periodic state
-    attracts; the multiplier is reported as ``floquet_multiplier``.
+    One RK4 period of [Y | y_k for each occupied bath k], with Y(0) = I,
+    y_k(0) = 0 and bath k's source entering only y_k, gives the monodromy
+    matrix Phi = Y(T), b_k = y_k(T) and the trapezoid means Ybar, ybar_k.
+    Bath k's periodic share y0_k = (I - Phi)^-1 b_k has the cycle average
+    Ybar y0_k + ybar_k, column k of ``bath_averages``.  A second period
+    stepped from sum_k y0_k is stored as the samples (``periods_used`` is
+    2).  Raises ConvergenceError when the step is unstable, when Phi is not
+    finite, or when the largest Floquet multiplier max |eig Phi| is not
+    below 1, so that no periodic state attracts; the multiplier is reported
+    as ``floquet_multiplier``.
     """
     ensure_valid(net, mod)
     if steps_per_period < 2000:
@@ -141,12 +150,14 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
     # the generator is T-periodic, so the second period reads the same table
     half_steps = np.arange(2 * steps_per_period + 1) * (0.5 * dt)
     drive = _drive_diagonal(mod, imap, half_steps)[:, :, None]
-    src_aug = np.zeros((n, n + 1), dtype=complex)
-    src_aug[:, n] = src
-    y_aug = np.zeros((n, n + 1), dtype=complex)
+    # bath k feeds only the occupation of resonator k
+    hot = [k for k in range(net.N) if src[imap.index(k, k)] != 0.0]
+    y_aug = np.zeros((n, n + len(hot)), dtype=complex)
     y_aug[:, :n] = np.eye(n)
-    y_aug = _rk4_period(gen0, src_aug, drive, dt, y_aug)
-    phi, b = y_aug[:, :n], y_aug[:, n]
+    src_aug = np.zeros_like(y_aug)
+    src_aug[:, n:] = np.diag(src)[:, [imap.index(k, k) for k in hot]]
+    y_aug, mean = _rk4_period(gen0, src_aug, drive, dt, y_aug)
+    phi, b = y_aug[:, :n], y_aug[:, n:]
     if not np.all(np.isfinite(y_aug)):
         raise ConvergenceError("monodromy matrix is not finite after one period")
     multiplier = float(np.abs(np.linalg.eigvals(phi)).max())
@@ -156,30 +167,33 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
             f"{multiplier:.6g} is not below 1"
         )
     y0 = np.linalg.solve(np.eye(n) - phi, b)
+    shares = np.zeros((n, net.N), dtype=complex)
+    shares[:, hot] = mean[:, :n] @ y0 + mean[:, n:]
 
     traj = np.empty((steps_per_period + 1, n), dtype=complex)
-    _rk4_period(gen0, src[:, None], drive, dt, y0[:, None], traj)
+    _rk4_period(gen0, src[:, None], drive, dt, y0.sum(1, keepdims=True), traj)
     times = period + np.arange(steps_per_period + 1) * dt
     return MomentSamples(t=times, y=traj, periods_used=2,
-                         floquet_multiplier=multiplier)
+                         floquet_multiplier=multiplier, bath_averages=shares)
 
 
 def cycle_averaged_moments(samples):
     """Trapezoid average of every moment over the stored period."""
-    dt = samples.t[1] - samples.t[0]
-    span = samples.t[-1] - samples.t[0]
-    return np.trapezoid(samples.y, dx=dt, axis=0) / span
+    # equal steps: the mean needs no dt, which t = T + s dt resolves only
+    # to ~1e-13 relative
+    return np.trapezoid(samples.y, axis=0) / (len(samples.t) - 1)
 
 
 def cycle_average_power(samples, net, source):
-    """Powers from converged samples: returns (row P_{source->l}, P_em).
+    """Powers of the source bath alone: returns (row P_{source->l}, P_em).
 
-    Same prefactors as the Fourier route, with the zeroth coefficient
-    replaced by the explicit period average.
+    Reads only the source bath's share of the cycle average (the
+    PowerMatrix contract).  Same prefactors as the Fourier route, with the
+    zeroth coefficient replaced by the explicit period average.
     """
     N = net.N
     imap = moment_index_map(N)
-    avg = cycle_averaged_moments(samples)
+    avg = samples.bath_averages[:, source]
     n_src = occupation(net.T[source], net.omega[source])
     pref = SI.hbar * net.omega[source]
     row = np.zeros(N)

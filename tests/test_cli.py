@@ -338,6 +338,15 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert sum(map(len, options.values())) == 58
 
 
+def test_closed_form_logs_the_regime_finding(capsys):
+    # at the defaults hbar*Omega is above 0.1 kB T_hot: a closed row says so
+    # like every other row
+    code, out, err = run(capsys, "power", "--methods", "closed")
+    assert code == 0 and "dP =" in out
+    assert err.count("white-noise regime questionable") == 1
+    assert err.startswith("warning: white-noise regime questionable: hbar*Omega")
+
+
 def test_power_closed_form(capsys, tmp_path):
     out_csv = tmp_path / "closed.csv"
     code, out, _ = run(capsys, "power", "--methods", "closed,qme",

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from floqheat import (ModulationProtocol, ResonatorNetwork, ValidationError,
-                      build_chain4, langevin, master, perturbation, scenarios)
+from floqheat import (SI, ModulationProtocol, ResonatorNetwork,
+                      ValidationError, build_chain4, langevin, master,
+                      perturbation, scenarios, timedomain)
 from floqheat.scenarios import (DEFAULT_N_MAX, MethodComparison, SweepSpec,
                                 compare_methods, default_chain, operating_point,
                                 rectification, run_forward_backward,
@@ -224,14 +225,20 @@ class TestSweep:
         spy(master, "power_matrix")
         spy(perturbation, "power_second_order")
         spy(langevin, "integrate_power")
+        spy(timedomain, "evolve_to_cycle")
         for method, name, count in (("pert1", "power_matrix", 1),
                                     ("pert2", "power_second_order", 1),
+                                    ("oracle", "evolve_to_cycle", 1),
                                     ("qle", "integrate_power", 1)):
             calls.clear()
             operating_point(net, mod, method, n_max=4, quad_tol=1e-4)
             assert list(calls) == [name] and len(calls[name]) == count
             if method == "pert1":
                 assert calls[name][0][2] == 1   # n_max does not reach pert1
+            if method == "oracle":
+                # one shooting period for both directions
+                assert np.array_equal(calls[name][0][0].T,
+                                      [T_HOT, 0.0, 0.0, T_HOT])
         (both, _, sources, observers, *_), = calls["integrate_power"]
         assert np.array_equal(both.T, [T_HOT, 0.0, 0.0, T_HOT])
         assert list(zip(sources, observers)) == [(0, 3), (3, 0)]
@@ -267,6 +274,30 @@ class TestSweep:
                                "status"}
 
 
+def _oracle_one_direction_at_a_time(net, mod, source, observer):
+    """The oracle power of one direction as it was computed before the
+    per-bath shares: one evolve per hot bath, read from the trapezoid of
+    the sampled trajectory."""
+    hot = net.with_hot_bath(source, T_HOT)
+    avg = timedomain.cycle_averaged_moments(timedomain.evolve_to_cycle(hot, mod))
+    occ = avg[master.moment_index_map(net.N).index(observer, observer)].real
+    return SI.hbar * net.omega[source] * 2.0 * net.kappa[observer] * occ
+
+
+@pytest.mark.parametrize("beta_frac", [0.01, 0.05])
+@pytest.mark.parametrize("theta_pi", [0.1, 0.5, 1.0])
+def test_oracle_matches_one_direction_at_a_time(beta_frac, theta_pi):
+    # both directions from one shooting period agree with one evolve per
+    # direction to rounding
+    net, mod = default_chain(beta_frac * scenarios.DEFAULT_OMEGA0,
+                             theta_pi * math.pi)
+    p14, p41 = run_forward_backward(net, mod, "oracle")
+    assert p14 == pytest.approx(
+        _oracle_one_direction_at_a_time(net, mod, 0, 3), rel=1e-12, abs=0.0)
+    assert p41 == pytest.approx(
+        _oracle_one_direction_at_a_time(net, mod, 3, 0), rel=1e-12, abs=0.0)
+
+
 class TestRegimeFindings:
     def test_logged_once_per_solve_never_warned(self, caplog):
         # the reference chain at 300 K: hbar*Omega >= 0.1 kB T_hot
@@ -279,8 +310,8 @@ class TestRegimeFindings:
             rows = sweep(spec)
             spectrum_run(net, mod, grid=[OMEGA0], n_max=1)
         assert all(r.status == "ok" for r in rows)
-        # qme, pert1 and pert2 go through run_forward_backward; closed does not
-        assert len(caplog.records) == 3 * 3 + 1
+        # every row, closed included, logs its network's finding once
+        assert len(caplog.records) == 4 * 3 + 1
         assert {(r.name, r.getMessage().split(" = ")[0]) for r in caplog.records} \
             == {("floqheat.scenarios", "white-noise regime questionable: hbar*Omega")}
 

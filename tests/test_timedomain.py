@@ -176,6 +176,35 @@ class TestEvolveToCycle:
             evolve_to_cycle(net, mod, steps_per_period=2048)
 
 
+class TestBathShares:
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_each_share_is_its_own_hot_bath(self, seed):
+        # two hot baths and one at 0 K: each hot bath's powers equal those
+        # of a network where it alone is hot, the shares add up to the
+        # sampled trajectory's average, and the cold bath's share is 0
+        rng = np.random.default_rng(seed)
+        net, mod = random_network(rng, 3)
+        temps = rng.uniform(50.0, 400.0, 3)
+        cold = int(rng.integers(0, 3))
+        temps[cold] = 0.0
+        net = net.with_temperatures(temps)
+        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
+        for k in range(3):
+            row, p_em = cycle_average_power(samples, net, k)
+            if k == cold:
+                assert np.all(samples.bath_averages[:, k] == 0.0)
+                assert np.all(row == 0.0) and p_em == 0.0
+                continue
+            alone = net.with_hot_bath(k, temps[k])
+            row1, p_em1 = cycle_average_power(
+                evolve_to_cycle(alone, mod, steps_per_period=2048), alone, k)
+            assert np.max(np.abs(row - row1)) <= 1e-12 * np.abs(row1).max()
+            assert abs(p_em - p_em1) <= 1e-12 * abs(p_em1)
+        total = cycle_averaged_moments(samples)
+        assert np.max(np.abs(samples.bath_averages.sum(axis=1) - total)) \
+            <= 1e-11 * np.abs(total).max()
+
+
 class TestCycleAveragePower:
     def test_static_limit_matches_fourier_power(self, chain_static):
         net, mod = chain_static
