@@ -38,7 +38,6 @@ from .master import (
     assemble_Mn,
     moment_index_map,
     converged_power_matrix,
-    periodic_expectations,
     power_matrix,
     solve_fourier,
 )

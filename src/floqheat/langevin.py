@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import csv
 import logging
-import operator
 
 import numpy as np
 
 from . import blocktri
 from .master import shift_Mn
-from .model import (SI, QuadratureError, check_n_max, ensure_valid,
-                    occupation)
+from .model import (SI, QuadratureError, check_bath_index, check_n_max,
+                    ensure_valid, occupation)
 
 __all__ = [
     "assemble_A",
@@ -66,12 +65,7 @@ def _check_indices(net, n_max, *baths):
     indices that are not integers in 0..N-1 (numpy integers pass)."""
     check_n_max(n_max)
     for k in baths:
-        try:
-            operator.index(k)
-        except TypeError:
-            raise ValueError(f"bath index {k!r} is not an integer") from None
-        if not 0 <= k < net.N:
-            raise ValueError(f"bath index {k} outside 0..{net.N - 1}")
+        check_bath_index(net, k)
 
 
 def _check_frequencies(omega, ndim):

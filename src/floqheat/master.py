@@ -35,7 +35,6 @@ __all__ = [
     "solve_fourier",
     "power_matrix",
     "converged_power_matrix",
-    "periodic_expectations",
 ]
 
 
@@ -254,13 +253,3 @@ def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4, n_max_limit=256):
         f"powers still moving at n_max = {n} (limit {n_max_limit})"
     )
 
-
-def periodic_expectations(sol, t):
-    """Reconstruct the moment vector at time t from the Fourier coefficients.
-
-    Off-diagonal moments are genuinely complex; diagonal entries come out
-    real to solver precision.
-    """
-    n = np.arange(sol.n_max, -sol.n_max - 1, -1)
-    phases = np.exp(-1j * n * sol.Omega * t)
-    return phases @ sol.coeffs

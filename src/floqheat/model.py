@@ -12,7 +12,6 @@ reports the white-noise regime findings of a pair.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ __all__ = [
     "validate",
     "ensure_valid",
     "check_n_max",
+    "check_bath_index",
     "build_chain4",
     "FloqheatError",
     "ValidationError",
@@ -115,6 +115,10 @@ def _require(finite, checks):
         raise ValidationError("; ".join(errors))
 
 
+def _temperature_check(temp):
+    return (temp < 0.0).any(), "temperatures must be nonnegative"
+
+
 @dataclass(frozen=True)
 class ResonatorNetwork:
     """A static network of damped resonators, each with its own heat bath.
@@ -154,7 +158,7 @@ class ResonatorNetwork:
             ((omega <= 0.0).any(), "omega must be strictly positive"),
             (g.diagonal().any(), "coupling matrix must have zero diagonal (g_ii = 0)"),
             ((kappa <= 0.0).any(), "kappa must be strictly positive"),
-            ((temp < 0.0).any(), "temperatures must be nonnegative"),
+            _temperature_check(temp),
             # to 1e-15 of the largest coupling; a non-finite g is reported as such
             (self.hermitian and np.isfinite(g).all() and abs(g - g.conj().T).max()
              > 1e-15 * max(1.0, abs(g).max()), "hermitian flag set but g != conj(g).T"),
@@ -169,11 +173,23 @@ class ResonatorNetwork:
         return np.array([occupation(t, w) for t, w in zip(self.T, self.omega)])
 
     def with_temperatures(self, T):
-        """Copy of the network with the bath temperature vector replaced."""
-        return dataclasses.replace(self, T=np.asarray(T, dtype=float))
+        """Copy of the network with the bath temperature vector replaced.
+
+        Only the new temperatures are checked (shape, finiteness, T >= 0);
+        the rest of the network was checked when it was built.
+        """
+        temp = _frozen_array(T, float)
+        if temp.shape != self.omega.shape:
+            raise ValueError("kappa and T must have the same length as omega")
+        _require(dict(T=temp), [_temperature_check(temp)])
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, T=temp)
+        return copy
 
     def with_hot_bath(self, k, T_hot):
-        """Copy with bath k at T_hot and every other bath at 0 K."""
+        """Copy with bath k at T_hot and every other bath at 0 K; raises
+        ValueError unless k is a bath index (``check_bath_index``)."""
+        check_bath_index(self, k)
         temp = np.zeros(self.N)
         temp[k] = T_hot
         return self.with_temperatures(temp)
@@ -282,6 +298,17 @@ def check_n_max(n_max):
         raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+
+
+def check_bath_index(net, k):
+    """Raise ValueError unless k is an integer bath index of net in 0..N-1
+    (numpy integers pass)."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"bath index {k!r} is not an integer") from None
+    if not 0 <= k < net.N:
+        raise ValueError(f"bath index {k} outside 0..{net.N - 1}")
 
 
 def build_chain4(omega0, g, kappa, beta, Omega, theta):

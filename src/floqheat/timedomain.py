@@ -12,6 +12,15 @@ Floquet multipliers; the largest must lie inside the unit circle for a
 periodic steady state to exist and attract.  One more period, stepped from
 sum_k y0_k, is stored as samples.  Exists to catch transcription errors
 that a shared matrix assembly would repeat.
+
+Each RK4 step is an affine map y -> P_s y + q_s.  The drive is a first
+harmonic in Omega t and a step multiplies the generator at most four
+times, so P_s and q_s are trigonometric polynomials of degree at most 4
+in the step's start phase.  Their harmonics -4..4 differ by less than 9,
+so nine equispaced samples alias none onto another: nine exact stage
+evaluations, of the steps starting at the phases 2 pi j / 9, give every
+step's map by discrete Fourier interpolation, and a step is then one
+matrix product.
 """
 from __future__ import annotations
 
@@ -19,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SI, ConvergenceError, ensure_valid, occupation
+from .model import (SI, ConvergenceError, check_bath_index, ensure_valid,
+                    occupation)
 from .master import moment_index_map
 
 __all__ = [
@@ -84,34 +94,86 @@ def _drive_diagonal(mod, imap, t):
     return 1j * mod.beta * (c[..., imap.bra] - c[..., imap.ket])
 
 
-def _rk4_period(gen0, src, drive, dt, y, store=None):
-    """Step dy/dt = (gen0 + diag(drive)) y + src over one period by RK4.
+# harmonics of the step maps
+_HARMONICS = np.arange(-4, 5)
+# steps per block of step maps; the blocks are formed one product each,
+# and larger ones only raise the peak memory
+_CHUNK = 64
 
-    y has one column per trajectory; drive[j] is the drive diagonal at time
-    j dt / 2, as a column, so step s reads rows 2s, 2s + 1 and 2s + 2.  With
-    ``store`` given, store[s] receives the first column after s steps.
-    Returns y after the period and the trapezoid mean of y over it.
+
+def _phases(a, b, period):
+    """exp(2 pi i a_r b_c / period) for integer vectors a and b; the
+    product is reduced modulo ``period`` in integers, so the phase is exact."""
+    return np.exp(2j * np.pi * (np.outer(a, b) % period) / period)
+
+
+def _step_map_coefficients(gen0, src, mod, imap, dt):
+    """Fourier coefficients of the RK4 step map in the step's start phase.
+
+    src (n, m) holds one source column per forced trajectory.  A step takes
+    the unforced columns Y to P Y and the forced columns y to P y + q, so
+    A = [[P, q], [0, I]] acts on [[Y, y], [0, I]].  A - I has degree <= 4
+    in the start phase (see the module docstring); its nine harmonics come
+    from the steps starting at the phases 2 pi j / 9, which run the RK4
+    stage formulas on [I | 0] with src entering only the last m columns.
+    Returns the coefficients of A - I, (9, n + m, n + m), of the harmonics
+    ``_HARMONICS``.
     """
+    n, m = src.shape
+    starts = np.arange(9) * (mod.period / 9.0)
+    d0, dh, d1 = (_drive_diagonal(mod, imap, starts + f * dt)[:, :, None]
+                  for f in (0.0, 0.5, 1.0))
+    y = np.eye(n, n + m)
+    src = np.hstack([np.zeros((n, n)), src])
     half = 0.5 * dt
-    sixth = dt / 6.0
-    steps = (len(drive) - 1) // 2
-    total = 0.5 * y
+    k1 = gen0 @ y + d0 * y + src
+    y2 = y + half * k1
+    k2 = gen0 @ y2 + dh * y2 + src
+    y3 = y + half * k2
+    k3 = gen0 @ y3 + dh * y3 + src
+    y4 = y + dt * k3
+    k4 = gen0 @ y4 + d1 * y4 + src
+    increment = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # the rows [0, I] of A do not change
+    increment = np.concatenate([increment, np.zeros((9, m, n + m))], 1)
+    dft = _phases(_HARMONICS, -np.arange(9), 9) / 9.0
+    return (dft @ increment.reshape(9, -1)).reshape(increment.shape)
+
+
+def _step_maps(coef, steps, s, out=None):
+    """Increments A_s - I of the RK4 steps s of a period of ``steps``.
+
+    Step s starts at phase 2 pi s / steps, and one product of the phase
+    matrix exp(i m phi_s) with the coefficients ``coef`` forms all of them.
+    ``out`` (len(s), width**2) may take them; returns (len(s), width, width).
+    """
+    width = coef.shape[-1]
+    phase = _phases(s, _HARMONICS, steps)
+    return np.matmul(phase, coef.reshape(9, -1), out=out).reshape(-1, width, width)
+
+
+def _rk4_period(coef, steps, z, store=None):
+    """Step z = [[Y, y], [0, I]] over one period of RK4 steps, z -> A_s z.
+
+    ``coef`` are the step maps' coefficients (``_step_map_coefficients``).
+    The maps are formed ``_CHUNK`` steps at a time, and each step is one
+    product.  It adds (A_s - I) z to z, as the RK4 stages add their
+    increment, which keeps the rounding of z to one addition per step.
+    With ``store`` given, z is one column [y; 1] and store[s] receives y
+    after s steps.  Returns z after the period and its trapezoid mean.
+    """
+    buf = np.empty((_CHUNK, coef[0].size), dtype=complex)
+    total = 0.5 * z
     if store is not None:
-        store[0] = y[:, 0]
-    for s in range(steps):
-        d0, dh, d1 = drive[2 * s], drive[2 * s + 1], drive[2 * s + 2]
-        k1 = gen0 @ y + d0 * y + src
-        y2 = y + half * k1
-        k2 = gen0 @ y2 + dh * y2 + src
-        y3 = y + half * k2
-        k3 = gen0 @ y3 + dh * y3 + src
-        y4 = y + dt * k3
-        k4 = gen0 @ y4 + d1 * y4 + src
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        total += y
-        if store is not None:
-            store[s + 1] = y[:, 0]
-    return y, (total - 0.5 * y) / steps
+        store[0] = z[:-1]
+    for start in range(0, steps, _CHUNK):
+        s = np.arange(start, min(start + _CHUNK, steps))
+        for k, d in zip(s + 1, _step_maps(coef, steps, s, buf[:len(s)])):
+            z = z + d @ z
+            total += z
+            if store is not None:
+                store[k] = z[:-1]
+    return z, (total - 0.5 * z) / steps
 
 
 def evolve_to_cycle(net, mod, steps_per_period=4096):
@@ -123,7 +185,9 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
     Bath k's periodic share y0_k = (I - Phi)^-1 b_k has the cycle average
     Ybar y0_k + ybar_k, column k of ``bath_averages``.  A second period
     stepped from sum_k y0_k is stored as the samples (``periods_used`` is
-    2).  Raises ConvergenceError when the step is unstable, when Phi is not
+    2).  Each period takes its RK4 step maps from nine exact stage
+    evaluations (``_step_map_coefficients``), so a step costs one product.
+    Raises ConvergenceError when the step is unstable, when Phi is not
     finite, or when the largest Floquet multiplier max |eig Phi| is not
     below 1, so that no periodic state attracts; the multiplier is reported
     as ``floquet_multiplier``.
@@ -146,19 +210,15 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
             "raise steps_per_period"
         )
 
-    # the drive diagonal on the half-step grid of one period, as columns;
-    # the generator is T-periodic, so the second period reads the same table
-    half_steps = np.arange(2 * steps_per_period + 1) * (0.5 * dt)
-    drive = _drive_diagonal(mod, imap, half_steps)[:, :, None]
     # bath k feeds only the occupation of resonator k
     hot = [k for k in range(net.N) if src[imap.index(k, k)] != 0.0]
-    y_aug = np.zeros((n, n + len(hot)), dtype=complex)
-    y_aug[:, :n] = np.eye(n)
-    src_aug = np.zeros_like(y_aug)
-    src_aug[:, n:] = np.diag(src)[:, [imap.index(k, k) for k in hot]]
-    y_aug, mean = _rk4_period(gen0, src_aug, drive, dt, y_aug)
-    phi, b = y_aug[:, :n], y_aug[:, n:]
-    if not np.all(np.isfinite(y_aug)):
+    coef = _step_map_coefficients(
+        gen0, np.diag(src)[:, [imap.index(k, k) for k in hot]], mod, imap, dt)
+    # the augmented period starts from [[Y, y_k], [0, I]] = I
+    z, mean = _rk4_period(coef, steps_per_period,
+                          np.eye(n + len(hot), dtype=complex))
+    phi, b = z[:n, :n], z[:n, n:]
+    if not np.all(np.isfinite(z)):
         raise ConvergenceError("monodromy matrix is not finite after one period")
     multiplier = float(np.abs(np.linalg.eigvals(phi)).max())
     if not multiplier < 1.0:
@@ -168,10 +228,12 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
         )
     y0 = np.linalg.solve(np.eye(n) - phi, b)
     shares = np.zeros((n, net.N), dtype=complex)
-    shares[:, hot] = mean[:, :n] @ y0 + mean[:, n:]
+    shares[:, hot] = mean[:n, :n] @ y0 + mean[:n, n:]
 
+    # all baths together drive the stored period
     traj = np.empty((steps_per_period + 1, n), dtype=complex)
-    _rk4_period(gen0, src[:, None], drive, dt, y0.sum(1, keepdims=True), traj)
+    coef = _step_map_coefficients(gen0, src[:, None], mod, imap, dt)
+    _rk4_period(coef, steps_per_period, np.append(y0.sum(1), 1.0), traj)
     times = period + np.arange(steps_per_period + 1) * dt
     return MomentSamples(t=times, y=traj, periods_used=2,
                          floquet_multiplier=multiplier, bath_averages=shares)
@@ -189,8 +251,10 @@ def cycle_average_power(samples, net, source):
 
     Reads only the source bath's share of the cycle average (the
     PowerMatrix contract).  Same prefactors as the Fourier route, with the
-    zeroth coefficient replaced by the explicit period average.
+    zeroth coefficient replaced by the explicit period average.  Raises
+    ValueError unless source is a bath index of net.
     """
+    check_bath_index(net, source)
     N = net.N
     imap = moment_index_map(N)
     avg = samples.bath_averages[:, source]

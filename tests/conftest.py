@@ -58,3 +58,14 @@ def random_network(rng, n):
         mask=rng.integers(0, 2, n),
     )
     return net, mod
+
+
+def periodic_expectations(sol, t):
+    """Moment vector at time t from the Fourier coefficients of ``sol``.
+
+    Off-diagonal moments are genuinely complex; diagonal entries come out
+    real to solver precision.
+    """
+    n = np.arange(sol.n_max, -sol.n_max - 1, -1)
+    phases = np.exp(-1j * n * sol.Omega * t)
+    return phases @ sol.coeffs

@@ -78,6 +78,37 @@ class TestNetworkTypes:
         assert hot.T[0] == 300.0 and np.all(hot.T[1:] == 0.0)
         assert np.all(net.T == 0.0)  # original untouched
 
+    def test_with_temperatures_replaces_only_T(self, chain_modulated):
+        # the copy shares every checked array of the original and carries
+        # a new frozen T
+        net, _ = chain_modulated
+        warm = net.with_temperatures([300.0, 0.0, 0.0, 120.0])
+        assert type(warm) is ResonatorNetwork and warm.hermitian
+        for field in ("omega", "g", "kappa"):
+            assert getattr(warm, field) is getattr(net, field)
+        assert np.array_equal(warm.T, [300.0, 0.0, 0.0, 120.0])
+        assert np.all(net.T == 0.0)
+        with pytest.raises(ValueError):
+            warm.T[0] = 1.0
+
+    @pytest.mark.parametrize("T, error, message", [
+        ([300.0, 0.0, 0.0], ValueError,
+         "^kappa and T must have the same length as omega$"),
+        ([[300.0, 0.0, 0.0, 0.0]], ValueError,
+         "^kappa and T must have the same length as omega$"),
+        ([300.0, np.nan, 0.0, 0.0], ValidationError, "^T must be finite$"),
+        ([np.inf, -1.0, 0.0, 0.0], ValidationError,
+         "^T must be finite; temperatures must be nonnegative$"),
+    ])
+    def test_with_temperatures_checks_T(self, chain_static, T, error, message):
+        # the same errors as the constructor raises for the same T
+        net, _ = chain_static
+        fields = dict(omega=net.omega, g=net.g, kappa=net.kappa, T=T)
+        for build in (lambda: net.with_temperatures(T),
+                      lambda: ResonatorNetwork(**fields)):
+            with pytest.raises(error, match=message):
+                build()
+
 
 class TestValidate:
     def test_reference_chain_is_clean(self, chain_static):

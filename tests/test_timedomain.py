@@ -4,13 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from floqheat import (ConvergenceError, ModulationProtocol, ResonatorNetwork,
                       SI, occupation)
+from floqheat.langevin import emitted_power
 from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
                              solve_fourier)
 from floqheat.timedomain import (_drive_diagonal, _static_generator,
+                                 _step_map_coefficients, _step_maps,
                                  cycle_average_power, cycle_averaged_moments,
                                  evolve_to_cycle)
 
-from conftest import KAPPA, OMEGA0, T_HOT, chain, random_network
+from conftest import (KAPPA, OMEGA0, T_HOT, chain, periodic_expectations,
+                      random_network)
 
 
 def generator(net, mod, t):
@@ -19,6 +22,75 @@ def generator(net, mod, t):
     gen, src = _static_generator(net)
     gen[np.arange(imap.size), np.arange(imap.size)] += _drive_diagonal(mod, imap, t)
     return gen, src
+
+
+def reference_step(gen0, src, d0, dh, d1, dt, y):
+    """One RK4 step of dy/dt = (gen0 + diag(d)) y + src, stage by stage;
+    d0, dh, d1 are the drive diagonal at the step's start, midpoint and end
+    as columns, and leading axes broadcast."""
+    half = 0.5 * dt
+    k1 = gen0 @ y + d0 * y + src
+    y2 = y + half * k1
+    k2 = gen0 @ y2 + dh * y2 + src
+    y3 = y + half * k2
+    k3 = gen0 @ y3 + dh * y3 + src
+    y4 = y + dt * k3
+    k4 = gen0 @ y4 + d1 * y4 + src
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_drive(mod, imap, steps):
+    """Drive diagonal on the half-step grid of one period, as columns."""
+    dt = 2.0 * np.pi / mod.Omega / steps
+    return _drive_diagonal(mod, imap, np.arange(2 * steps + 1) * (0.5 * dt))[:, :, None]
+
+
+def reference_rk4_period(gen0, src, drive, dt, y, store=None):
+    """The stage-by-stage RK4 period that the step maps replaced: step s
+    reads drive rows 2s, 2s + 1 and 2s + 2.  Returns y after the period and
+    its trapezoid mean; store[s] receives the first column after s steps."""
+    steps = (len(drive) - 1) // 2
+    total = 0.5 * y
+    if store is not None:
+        store[0] = y[:, 0]
+    for s in range(steps):
+        y = reference_step(gen0, src, *drive[2 * s:2 * s + 3], dt, y)
+        total += y
+        if store is not None:
+            store[s + 1] = y[:, 0]
+    return y, (total - 0.5 * y) / steps
+
+
+def reference_evolve(net, mod, steps):
+    """(bath_averages, samples, multiplier) of ``evolve_to_cycle`` from the
+    stage-by-stage period."""
+    imap = moment_index_map(net.N)
+    n = imap.size
+    gen0, src = _static_generator(net)
+    dt = 2.0 * np.pi / mod.Omega / steps
+    drive = reference_drive(mod, imap, steps)
+    hot = [k for k in range(net.N) if src[imap.index(k, k)] != 0.0]
+    y_aug = np.eye(n, n + len(hot), dtype=complex)
+    src_aug = np.zeros_like(y_aug)
+    src_aug[:, n:] = np.diag(src)[:, [imap.index(k, k) for k in hot]]
+    y_aug, mean = reference_rk4_period(gen0, src_aug, drive, dt, y_aug)
+    phi = y_aug[:, :n]
+    y0 = np.linalg.solve(np.eye(n) - phi, y_aug[:, n:])
+    shares = np.zeros((n, net.N), dtype=complex)
+    shares[:, hot] = mean[:, :n] @ y0 + mean[:, n:]
+    traj = np.empty((steps + 1, n), dtype=complex)
+    reference_rk4_period(gen0, src[:, None], drive, dt, y0.sum(1, keepdims=True),
+                         traj)
+    return shares, traj, float(np.abs(np.linalg.eigvals(phi)).max())
+
+
+def both_ends_hot(theta_pi, beta_frac):
+    net, mod = chain(beta_frac, theta_pi)
+    return net.with_temperatures([T_HOT, 0.0, 0.0, T_HOT]), mod
+
+
+def random_three(seed=5):
+    return random_network(np.random.default_rng(seed), 3)
 
 
 class TestGenerator:
@@ -121,7 +193,6 @@ class TestEvolveToCycle:
         # the sharpest convention check in the suite: the Fourier series
         # must reproduce the integrated trajectory at arbitrary instants,
         # which pins the sideband storage order and the coupling signs
-        from floqheat.master import periodic_expectations
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
         samples = evolve_to_cycle(hot, mod)
@@ -176,6 +247,51 @@ class TestEvolveToCycle:
             evolve_to_cycle(net, mod, steps_per_period=2048)
 
 
+class TestStepMaps:
+    # the nine-phase interpolation is exact: every step's map equals the
+    # one its own RK4 stages give, for a step count that is no multiple of 9
+    # theta None stands for a random three-resonator network
+    @pytest.mark.parametrize("theta, beta", [
+        *[(theta, beta) for theta in (0.1, 0.5, 1.0) for beta in (0.0, 0.05)],
+        (None, None)])
+    def test_interpolated_maps_equal_direct_stages(self, theta, beta):
+        net, mod = random_three() if theta is None else both_ends_hot(theta, beta)
+        steps = 2001
+        imap = moment_index_map(net.N)
+        n = imap.size
+        gen0, src = _static_generator(net)
+        cols = np.diag(src)[:, np.flatnonzero(src)]
+        m = cols.shape[1]
+        assert m >= 1
+        dt = 2.0 * np.pi / mod.Omega / steps
+        inc = _step_maps(_step_map_coefficients(gen0, cols, mod, imap, dt),
+                         steps, np.arange(steps))
+        drive = reference_drive(mod, imap, steps)
+        direct = reference_step(gen0, np.hstack([np.zeros((n, n)), cols]),
+                                drive[:-1:2], drive[1::2], drive[2::2], dt,
+                                np.eye(n, n + m))
+        P, q = np.eye(n) + inc[:, :n, :n], inc[:, :n, n:]
+        for got, want in ((P, direct[:, :, :n]), (q, direct[:, :, n:])):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+        # the increments, not only the maps near I, agree
+        want = direct[:, :, :n] - np.eye(n)
+        assert np.max(np.abs(inc[:, :n, :n] - want)) <= 1e-12 * np.abs(want).max()
+        # the rows [0, I] of the homogeneous maps stay fixed
+        assert np.all(inc[:, n:] == 0.0)
+
+    @pytest.mark.parametrize("theta, beta, steps", [
+        (0.5, 0.05, 4096), (1.0, 0.01, 2001), (None, None, 2001)])
+    def test_evolve_matches_stage_loop(self, theta, beta, steps):
+        net, mod = random_three() if theta is None else both_ends_hot(theta, beta)
+        samples = evolve_to_cycle(net, mod, steps_per_period=steps)
+        shares, traj, multiplier = reference_evolve(net, mod, steps)
+        assert np.max(np.abs(samples.bath_averages - shares)) <= \
+            1e-12 * np.abs(shares).max()
+        assert np.max(np.abs(samples.y - traj)) <= 1e-12 * np.abs(traj).max()
+        assert samples.floquet_multiplier == pytest.approx(multiplier, rel=1e-12)
+        assert samples.periods_used == 2 and len(samples.t) == steps + 1
+
+
 class TestBathShares:
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_each_share_is_its_own_hot_bath(self, seed):
@@ -226,6 +342,29 @@ class TestCycleAveragePower:
         n_src = occupation(T_HOT, OMEGA0)
         scale = SI.hbar * OMEGA0 * 2 * KAPPA * n_src
         assert abs(p_em - row.sum()) <= 5e-7 * scale
+
+
+class TestBathIndex:
+    @pytest.mark.parametrize("k, message", [
+        (7, "bath index 7 outside 0..3"), (9, "bath index 9 outside 0..3"),
+        (4, "bath index 4 outside 0..3"), (-1, "bath index -1 outside 0..3"),
+        (1.5, "bath index 1.5 is not an integer")])
+    def test_bad_source_rejected_like_every_solver(self, k, message):
+        # the oracle, qle and with_hot_bath share one bath-index check
+        net, mod = both_ends_hot(0.5, 0.05)
+        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
+        for call in (lambda: cycle_average_power(samples, net, k),
+                     lambda: emitted_power(net, mod, k, 4),
+                     lambda: net.with_hot_bath(k, T_HOT)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+    def test_numpy_integer_source_accepted(self):
+        net, mod = both_ends_hot(0.5, 0.05)
+        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
+        row, p_em = cycle_average_power(samples, net, np.int64(3))
+        row3, p_em3 = cycle_average_power(samples, net, 3)
+        assert np.array_equal(row, row3) and p_em == p_em3
 
 
 class TestOracleEquivalence:
