@@ -5,18 +5,20 @@ a_k(omega +- Omega); truncating at |m| <= n_max turns the steady state into
 one linear system per frequency, block-tridiagonal over the sidebands.  Its
 diagonal blocks A(omega + m Omega) = A(omega) - i m Omega I are shifted from
 one drift matrix; its coupling stripes are the same at every frequency and
-sideband.  Spectra and powers come from rows of the inverse operator, by
-block elimination (``blocktri.solve_thomas``) over a whole chunk of
-frequencies at once, every observer row of a call in the same elimination:
-on the chain at n_max = 10 (2-vCPU Xeon VM, one OpenBLAS thread) about
-75 us per frequency for one observer row and 100 us for two, against
-330-380 us for one dense LU each.  Powers come from an adaptive
-Gauss-Kronrod 7/15 rule (``_quad``) that evaluates all panels of a round
-in one batch.  Both directions of the forward/backward protocol, as
-(source, observer) pairs, share one elimination per frequency chunk and,
-for powers, one panel tree: the forward and backward spectra equal their
-one-pair computations to 1e-15 of their maximum, and the powers agree with
-one quadrature per pair to 5e-13 relative at quad_tol = 1e-6.
+sideband.  Spectra and powers come from rows of the inverse operator.  An
+observer row's source sits in sideband 0, so block elimination from both
+ends toward that block (``blocktri.solve_thomas``) gives every observer
+row of a call for a whole chunk of frequencies at once: on the chain at
+n_max = 10 (2-vCPU Xeon VM, one OpenBLAS thread) about 26 us per frequency
+for one observer row and 28 us for two, each response weight within 1e-14
+of pivoted dense LU relative to itself, down to weights 1e-21 below the
+largest.  Powers come from an adaptive Gauss-Kronrod 7/15 rule (``_quad``)
+that evaluates all panels of a round in one batch.  Both directions of the
+forward/backward protocol, as (source, observer) pairs, share one
+elimination per frequency chunk and, for powers, one panel tree: the
+forward and backward spectra equal their one-pair computations to 1e-15 of
+their maximum, and the powers agree with one quadrature per pair to 5e-13
+relative at quad_tol = 1e-6.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 # frequencies per batched elimination; bounds the memory of its factors
-_CHUNK = 256
+_CHUNK = 128
 
 
 def assemble_A(net, omega):
@@ -90,27 +92,29 @@ def _sideband_blocks(net, mod, omega, n_max):
     Diagonal (F, 2 n_max + 1, N, N): A(omega + m Omega), m = n_max in the
     top block row down to -n_max.  Sideband m couples to m + 1, one block
     row up, through the lower stripe (i beta / 2) diag(c), and to m - 1
-    through its conjugate, the upper stripe: one (N, N) block each.
+    through the upper stripe (i beta / 2) diag(c*): each given by its
+    diagonal.
     """
     # A(omega + m Omega) = A(omega) - i m Omega I: the shift of master's M_n
     diag = shift_Mn(assemble_A(net, omega)[:, None],
                     np.arange(n_max, -n_max - 1, -1), mod.Omega)
     c = mod.phasor
-    return diag, np.diag(0.5j * mod.beta * c.conj()), np.diag(0.5j * mod.beta * c)
+    return diag, 0.5j * mod.beta * c.conj(), 0.5j * mod.beta * c
 
 
 def _response_rows(net, mod, omega, n_max, observers):
     """Selected rows of the inverse sideband operator at the frequencies
-    ``omega`` (F,), shaped (F, len(observers), (2 n_max + 1) N).
+    ``omega`` (F,), shaped (F, len(observers), 2 n_max + 1, N): sideband
+    block, then resonator.
 
-    Row l of op^-1 solves op^T x = e_l, and the stripes are diagonal, so
-    every row at every frequency comes from one batched elimination.
+    Row l of op^-1 solves op^T x = e_l, whose source sits in sideband 0,
+    and the stripes are diagonal, so every row at every frequency comes
+    from one batched elimination.
     """
     diag, upper, lower = _sideband_blocks(net, mod, omega, n_max)
-    rhs = np.zeros(((2 * n_max + 1) * net.N, len(observers)), dtype=complex)
-    rhs[n_max * net.N + np.asarray(observers), np.arange(len(observers))] = 1.0
-    cols = blocktri.solve_thomas(diag.swapaxes(-1, -2), lower, upper, rhs)
-    return cols.swapaxes(-1, -2)
+    rhs = np.eye(net.N)[:, observers]
+    x = blocktri.solve_thomas(diag.swapaxes(-1, -2), lower, upper, rhs)
+    return np.moveaxis(x, -1, 1)
 
 
 def _bath_weights(net, mod, omega, n_max, observers):
@@ -120,15 +124,13 @@ def _bath_weights(net, mod, omega, n_max, observers):
     W[f, i, k] = sum_m |row observers[i] of the inverse operator at
     omega[f], sideband m, resonator k|^2: how strongly bath k's noise
     reaches the observer.  Every spectrum and power is built from this.
-    Each elimination takes _CHUNK // len(observers) frequencies, so its
-    factors hold about _CHUNK response rows however many observers share it.
+    Each elimination takes _CHUNK frequencies; its factors do not depend
+    on the number of observers.
     """
-    step = max(1, _CHUNK // len(observers))
     weights = np.empty((omega.size, len(observers), net.N))
-    for lo in range(0, omega.size, step):
-        rows = _response_rows(net, mod, omega[lo:lo + step], n_max, observers)
-        rows = rows.reshape(rows.shape[:2] + (2 * n_max + 1, net.N))
-        weights[lo:lo + step] = np.einsum("flmk->flk", np.abs(rows) ** 2)
+    for lo in range(0, omega.size, _CHUNK):
+        rows = _response_rows(net, mod, omega[lo:lo + _CHUNK], n_max, observers)
+        weights[lo:lo + _CHUNK] = np.einsum("flmk->flk", np.abs(rows) ** 2)
     return weights
 
 

@@ -154,30 +154,26 @@ def _sideband_blocks(net, mod, n_max):
     # global sign only remaps <.>_n -> (-1)^n <.>_n and leaves every
     # cycle-averaged quantity unchanged.  Blocks are stored from +n_max down
     # to -n_max, so <.>_{n+1} sits one block row up (the "lower" stripe
-    # holds its coefficient) and <.>_{n-1} one down.  Both stripes are the
-    # same in every block row and are passed as one block each.
-    return diag, -gm, -gp
+    # holds its coefficient) and <.>_{n-1} one down.  Both stripes are
+    # diagonal and the same in every block row.
+    return diag, -np.diagonal(gm), -np.diagonal(gp)
 
 
 def _solve_fourier_nvec(net, mod, n_max, nvecs):
     """Solve the sideband system for explicit bath-occupation vectors.
 
     ``nvecs`` is one occupation vector (N,) or C of them as rows (C, N);
-    all C right-hand sides share one block elimination.  Returns the
-    coefficients shaped (2 n_max + 1, N^2), or (C, 2 n_max + 1, N^2).
+    the sources enter sideband 0 only, and all C of them share one block
+    elimination.  Returns the coefficients shaped (2 n_max + 1, N^2), or
+    (C, 2 n_max + 1, N^2).
     """
     N = net.N
-    imap = moment_index_map(N)
-    nblocks = 2 * n_max + 1
     nvecs = np.asarray(nvecs, dtype=float)
     cols = nvecs.reshape(-1, N)
-    rhs = np.zeros((nblocks, imap.size, cols.shape[0]), dtype=complex)
-    rhs[n_max, :N] = (2.0 * net.kappa[:, None]) * cols.T
-
-    diag, upper, lower = _sideband_blocks(net, mod, n_max)
-    sol = blocktri.solve_thomas(diag, upper, lower,
-                                rhs.reshape(nblocks * imap.size, -1))
-    coeffs = np.moveaxis(sol.reshape(nblocks, imap.size, -1), -1, 0)
+    rhs = np.zeros((N * N, cols.shape[0]), dtype=complex)
+    rhs[:N] = (2.0 * net.kappa[:, None]) * cols.T
+    coeffs = np.moveaxis(
+        blocktri.solve_thomas(*_sideband_blocks(net, mod, n_max), rhs), -1, 0)
     return coeffs if nvecs.ndim == 2 else coeffs[0]
 
 

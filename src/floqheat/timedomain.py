@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SI, ConvergenceError, check_bath_index, ensure_valid,
-                    occupation)
+from .model import (SI, ConvergenceError, ValidationError, check_bath_index,
+                    ensure_valid, occupation)
 from .master import moment_index_map
 
 __all__ = [
@@ -159,21 +159,27 @@ def _rk4_period(coef, steps, z, store=None):
     The maps are formed ``_CHUNK`` steps at a time, and each step is one
     product.  It adds (A_s - I) z to z, as the RK4 stages add their
     increment, which keeps the rounding of z to one addition per step.
-    With ``store`` given, z is one column [y; 1] and store[s] receives y
-    after s steps.  Returns z after the period and its trapezoid mean.
+    Returns z after the period and its trapezoid mean.  With ``store``
+    given, z is one column [y; 1], store[s] receives y after s steps, and
+    no mean is kept (None is returned in its place).
     """
     buf = np.empty((_CHUNK, coef[0].size), dtype=complex)
-    total = 0.5 * z
-    if store is not None:
+    if store is None:
+        total = 0.5 * z
+    else:
         store[0] = z[:-1]
     for start in range(0, steps, _CHUNK):
         s = np.arange(start, min(start + _CHUNK, steps))
-        for k, d in zip(s + 1, _step_maps(coef, steps, s, buf[:len(s)])):
-            z = z + d @ z
-            total += z
-            if store is not None:
+        maps = _step_maps(coef, steps, s, buf[:len(s)])
+        if store is None:
+            for d in maps:
+                z = z + d @ z
+                total += z
+        else:
+            for k, d in zip(s + 1, maps):
+                z = z + d @ z
                 store[k] = z[:-1]
-    return z, (total - 0.5 * z) / steps
+    return z, None if store is not None else (total - 0.5 * z) / steps
 
 
 def evolve_to_cycle(net, mod, steps_per_period=4096):
@@ -252,10 +258,15 @@ def cycle_average_power(samples, net, source):
     Reads only the source bath's share of the cycle average (the
     PowerMatrix contract).  Same prefactors as the Fourier route, with the
     zeroth coefficient replaced by the explicit period average.  Raises
+    ValidationError unless the samples hold one share per bath of net, and
     ValueError unless source is a bath index of net.
     """
-    check_bath_index(net, source)
     N = net.N
+    if samples.bath_averages.shape != (N * N, N):
+        raise ValidationError(
+            f"samples hold bath shares of shape {samples.bath_averages.shape}, "
+            f"not ({N * N}, {N}) for a network of {N} resonators")
+    check_bath_index(net, source)
     imap = moment_index_map(N)
     avg = samples.bath_averages[:, source]
     n_src = occupation(net.T[source], net.omega[source])

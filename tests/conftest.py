@@ -60,6 +60,20 @@ def random_network(rng, n):
     return net, mod
 
 
+def assemble_dense(diag, upper, lower):
+    """Dense matrix of one block-tridiagonal system: diagonal blocks
+    ``diag`` (R, B, B), and the coupling blocks one block row above and
+    below the diagonal, ``upper`` and ``lower`` (R - 1, B, B) each."""
+    nblocks, b = len(diag), diag[0].shape[0]
+    full = np.zeros((nblocks * b, nblocks * b), dtype=complex)
+    for r in range(nblocks):
+        full[r * b:(r + 1) * b, r * b:(r + 1) * b] = diag[r]
+        if r + 1 < nblocks:
+            full[r * b:(r + 1) * b, (r + 1) * b:(r + 2) * b] = upper[r]
+            full[(r + 1) * b:(r + 2) * b, r * b:(r + 1) * b] = lower[r]
+    return full
+
+
 def periodic_expectations(sol, t):
     """Moment vector at time t from the Fourier coefficients of ``sol``.
 

@@ -2,28 +2,52 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floqheat.blocktri import assemble_dense, solve_thomas
-from floqheat.langevin import _sideband_blocks
+from floqheat.blocktri import solve_thomas
+from floqheat.langevin import _bath_weights, _sideband_blocks as qle_blocks
+from floqheat.master import _sideband_blocks as qme_blocks
 from floqheat.model import SingularBlockError
 
-from conftest import OMEGA0, random_network
+from conftest import KAPPA, OMEGA0, assemble_dense, chain, random_network
 
 
-def random_system(rng, nblocks, b):
-    # diagonally dominant blocks keep the elimination well conditioned
-    diag = [rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
-            + 4.0 * b * np.eye(b) for _ in range(nblocks)]
-    upper = [rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
-             for _ in range(nblocks - 1)]
-    lower = [rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
-             for _ in range(nblocks - 1)]
-    rhs = rng.standard_normal(nblocks * b) + 1j * rng.standard_normal(nblocks * b)
-    return diag, upper, lower, rhs
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def accretive_system(rng, n_max, b, batch=(), ncols=1):
+    """Random sideband system of the kind both solvers build: diagonal
+    blocks with a positive-definite Hermitian part, and constant diagonal
+    stripes that pair to a skew-Hermitian coupling (lower = -conj(upper)),
+    strong enough that the blocks are far from diagonally dominant."""
+    nblocks = 2 * n_max + 1
+    root = cplx(rng, *batch, nblocks, b, b)
+    skew = cplx(rng, *batch, nblocks, b, b)
+    diag = (0.1 * np.eye(b) + root @ root.conj().swapaxes(-1, -2) / b
+            + 2.0 * (skew - skew.conj().swapaxes(-1, -2)))
+    upper = 3.0 * cplx(rng, b)
+    return diag, upper, -upper.conj(), cplx(rng, b, ncols)
+
+
+def dense_solution(diag, upper, lower, rhs):
+    """Pivoted dense LU of one system, the rhs padded with zero blocks
+    around the centre block row; returns (R, B, C) like solve_thomas."""
+    nblocks, b = diag.shape[0], diag.shape[-1]
+    stripes = [np.diag(upper)] * (nblocks - 1), [np.diag(lower)] * (nblocks - 1)
+    full_rhs = np.zeros((nblocks, b, rhs.shape[-1]), dtype=complex)
+    full_rhs[nblocks // 2] = rhs
+    x = np.linalg.solve(assemble_dense(diag, *stripes),
+                        full_rhs.reshape(nblocks * b, -1))
+    return x.reshape(full_rhs.shape)
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 def test_assembly_layout():
+    # the dense reference that every kernel test compares against
     rng = np.random.default_rng(0)
-    diag, upper, lower, _ = random_system(rng, 4, 2)
+    diag, upper, lower = cplx(rng, 4, 2, 2), cplx(rng, 3, 2, 2), cplx(rng, 3, 2, 2)
     full = assemble_dense(diag, upper, lower)
     assert full.shape == (8, 8)
     assert np.array_equal(full[2:4, 2:4], diag[1])
@@ -36,106 +60,91 @@ def test_assembly_layout():
 @pytest.mark.parametrize("nblocks,b", [(3, 2), (5, 3), (9, 4), (1, 5)])
 def test_thomas_matches_dense_lu(nblocks, b):
     rng = np.random.default_rng(nblocks * 10 + b)
-    diag, upper, lower, rhs = random_system(rng, nblocks, b)
-    full = assemble_dense(diag, upper, lower)
-    x_dense = np.linalg.solve(full, rhs)
-    x_thomas = solve_thomas(diag, upper, lower, rhs)
-    assert np.max(np.abs(x_dense - x_thomas)) <= 1e-12 * np.max(np.abs(x_dense))
+    diag, upper, lower, rhs = accretive_system(rng, nblocks // 2, b)
+    x = solve_thomas(diag, upper, lower, rhs)
+    assert x.shape == (nblocks, b, 1)
+    assert max_rel(x, dense_solution(diag, upper, lower, rhs)) <= 1e-13
 
 
 def test_singular_block_raises():
     rng = np.random.default_rng(1)
-    diag, upper, lower, rhs = random_system(rng, 3, 2)
-    diag[0] = np.zeros((2, 2), dtype=complex)
+    diag, upper, lower, rhs = accretive_system(rng, 1, 2)
+    diag[0] = 0.0
     with pytest.raises(SingularBlockError):
         solve_thomas(diag, upper, lower, rhs)
+    # a singular centre block, met only by the centre solve
+    diag, upper, lower, rhs = accretive_system(rng, 0, 2, ncols=3)
+    diag[0] = 0.0
     with pytest.raises(SingularBlockError):
-        solve_thomas(np.stack(diag), upper, lower, np.stack([rhs] * 3, axis=1))
+        solve_thomas(diag, upper, lower, rhs)
+    # a batch member that is singular fails the whole batch
+    diag, upper, lower, rhs = accretive_system(rng, 2, 2, batch=(3,), ncols=2)
+    diag[1, 4] = 0.0
+    with pytest.raises(SingularBlockError):
+        solve_thomas(diag, upper, lower, rhs)
 
 
 def test_rhs_length_checked():
     rng = np.random.default_rng(2)
-    diag, upper, lower, rhs = random_system(rng, 3, 2)
-    with pytest.raises(ValueError):
+    diag, upper, lower, rhs = accretive_system(rng, 1, 2, ncols=2)
+    with pytest.raises(ValueError, match="centre block"):
         solve_thomas(diag, upper, lower, rhs[:-1])
-    cols = np.stack([rhs, rhs], axis=1)
-    with pytest.raises(ValueError):
-        solve_thomas(diag, upper, lower, cols[:-1])
-    with pytest.raises(ValueError):
-        solve_thomas(diag, upper, lower, cols.reshape(6, 2, 1))
+    with pytest.raises(ValueError, match="centre block"):
+        solve_thomas(diag, upper, lower, rhs[:, 0])
+    with pytest.raises(ValueError, match="centre block"):
+        solve_thomas(diag, upper, lower, np.zeros((3 * 2, 2)))
+    with pytest.raises(ValueError, match="odd number"):
+        solve_thomas(diag[:2], upper, lower, rhs)
+    with pytest.raises(ValueError, match="stripes"):
+        solve_thomas(diag, np.diag(upper), np.diag(lower), rhs)
+    with pytest.raises(ValueError, match="stripes"):
+        solve_thomas(diag, upper[:1], lower, rhs)
 
 
-@pytest.mark.parametrize("nblocks,b,ncols", [(1, 3, 2), (4, 2, 3), (7, 5, 4)])
-def test_multi_column_rhs_matches_dense_lu(nblocks, b, ncols):
-    rng = np.random.default_rng(100 + nblocks * 10 + b)
-    diag, upper, lower, _ = random_system(rng, nblocks, b)
-    rhs = (rng.standard_normal((nblocks * b, ncols))
-           + 1j * rng.standard_normal((nblocks * b, ncols)))
-    x_thomas = solve_thomas(diag, upper, lower, rhs)
-    assert x_thomas.shape == rhs.shape
-    full = assemble_dense(diag, upper, lower)
+@pytest.mark.parametrize("n_max,b,ncols", [(1, 3, 2), (4, 2, 3), (7, 5, 4)])
+def test_multi_column_rhs_matches_dense_lu(n_max, b, ncols):
+    rng = np.random.default_rng(100 + n_max * 10 + b)
+    diag, upper, lower, rhs = accretive_system(rng, n_max, b, ncols=ncols)
+    x = solve_thomas(diag, upper, lower, rhs)
+    assert x.shape == (2 * n_max + 1, b, ncols)
+    dense = dense_solution(diag, upper, lower, rhs)
     for c in range(ncols):
-        x_dense = np.linalg.solve(full, rhs[:, c])
-        assert np.max(np.abs(x_dense - x_thomas[:, c])) <= \
-            1e-12 * np.max(np.abs(x_dense))
+        assert max_rel(x[..., c], dense[..., c]) <= 1e-13
+        # every column is solved on its own terms
+        alone = solve_thomas(diag, upper, lower, rhs[:, c:c + 1])
+        assert max_rel(x[..., c:c + 1], alone) <= 1e-15
 
 
 def test_stacked_blocks_equal_lists():
     rng = np.random.default_rng(3)
-    diag, upper, lower, rhs = random_system(rng, 6, 3)
-    cols = np.stack([rhs, 2j * rhs[::-1]], axis=1)
-    for b_rhs in (rhs, cols):
-        from_lists = solve_thomas(diag, upper, lower, b_rhs)
-        from_arrays = solve_thomas(np.stack(diag), np.stack(upper),
-                                   np.stack(lower), b_rhs)
-        assert np.array_equal(from_lists, from_arrays)
-
-
-
-def check_members(diag, upper, lower, rhs):
-    """Solve a batch of systems at once, then check every member against
-    pivoted dense LU of that member (to 1e-12 relative) and against the
-    unbatched call on the same member (bit for bit).  Stripes and rhs that
-    lack the leading batch axis are shared by every member."""
-    x = solve_thomas(diag, upper, lower, rhs)
-    nblocks = diag.shape[-3]
-
-    def member(a, f, core):
-        return a[f] if a.ndim > core else a
-
-    for f in range(diag.shape[0]):
-        up, lo = member(upper, f, 3), member(lower, f, 3)
-        b_f = member(rhs, f, 2) if rhs.ndim > 1 else rhs
-        stripe = (nblocks - 1,) + diag.shape[-2:]
-        full = assemble_dense(diag[f], np.broadcast_to(up, stripe),
-                              np.broadcast_to(lo, stripe))
-        dense = np.linalg.solve(full, b_f)
-        assert np.max(np.abs(x[f] - dense)) <= 1e-12 * np.max(np.abs(dense))
-        assert np.array_equal(x[f], solve_thomas(diag[f], up, lo, b_f))
+    diag, upper, lower, rhs = accretive_system(rng, 3, 3, ncols=2)
+    from_arrays = solve_thomas(diag, upper, lower, rhs)
+    from_lists = solve_thomas(list(diag), list(upper), list(lower),
+                              rhs.tolist())
+    assert np.array_equal(from_lists, from_arrays)
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 5),
-       nblocks=st.integers(2, 6), b=st.integers(1, 4), ncols=st.integers(0, 3),
-       stripes=st.sampled_from(["per-member", "shared", "one-block"]),
-       shared_rhs=st.booleans())
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 8),
+       n_max=st.integers(0, 8),
+       batch=st.lists(st.integers(1, 3), min_size=0, max_size=2),
+       ncols=st.integers(1, 4), shared_rhs=st.booleans())
 def test_batched_members_match_dense_lu_and_unbatched(
-        seed, batch, nblocks, b, ncols, stripes, shared_rhs):
+        seed, b, n_max, batch, ncols, shared_rhs):
+    # random accretive systems with 0-2 batch axes; the rhs either has the
+    # batch axes too or is one centre block shared by every member
     rng = np.random.default_rng(seed)
-    systems = [random_system(rng, nblocks, b) for _ in range(batch)]
-    diag = np.stack([np.stack(s[0]) for s in systems])
-    upper = np.stack([np.stack(s[1]) for s in systems])
-    lower = np.stack([np.stack(s[2]) for s in systems])
-    if stripes == "shared":
-        upper, lower = upper[0], lower[0]
-    elif stripes == "one-block":
-        upper, lower = upper[0, 0], lower[0, 0]
-    # ncols = 0 draws a 1-d rhs vector, the other values that many columns
-    shape = (nblocks * b,) if ncols == 0 else (nblocks * b, ncols)
-    if not shared_rhs and ncols:
-        shape = (batch,) + shape
-    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    check_members(diag, upper, lower, rhs)
+    batch = tuple(batch)
+    diag, upper, lower, rhs = accretive_system(rng, n_max, b, batch, ncols)
+    if not shared_rhs:
+        rhs = cplx(rng, *batch, b, ncols)
+    x = solve_thomas(diag, upper, lower, rhs)
+    assert x.shape == batch + (2 * n_max + 1, b, ncols)
+    for idx in np.ndindex(batch):
+        b_idx = rhs if shared_rhs else rhs[idx]
+        dense = dense_solution(diag[idx], upper, lower, b_idx)
+        assert max_rel(x[idx], dense) <= 1e-12
+        assert np.array_equal(x[idx], solve_thomas(diag[idx], upper, lower, b_idx))
 
 
 @settings(max_examples=30, deadline=None)
@@ -144,11 +153,57 @@ def test_batched_members_match_dense_lu_and_unbatched(
        offsets=st.lists(st.floats(-0.1, 0.1), min_size=1, max_size=6))
 def test_batched_sideband_operators_match_dense_lu(seed, n, n_max, offsets):
     # the Langevin sideband operator: blocks stacked over a frequency vector,
-    # the two coupling stripes one block each
+    # the two coupling stripes given by their diagonals
     rng = np.random.default_rng(seed)
     net, mod = random_network(rng, n)
     omega = OMEGA0 * (1.0 + np.array(offsets))
-    diag, upper, lower = _sideband_blocks(net, mod, omega, n_max)
-    size = (2 * n_max + 1) * n
-    rhs = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
-    check_members(diag, upper, lower, rhs)
+    diag, upper, lower = qle_blocks(net, mod, omega, n_max)
+    rhs = cplx(rng, n, 2)
+    x = solve_thomas(diag, upper, lower, rhs)
+    for f in range(omega.size):
+        dense = dense_solution(diag[f], upper, lower, rhs)
+        assert max_rel(x[f], dense) <= 1e-12
+        assert np.array_equal(x[f], solve_thomas(diag[f], upper, lower, rhs))
+
+
+def operator_cases():
+    rng = np.random.default_rng(11)
+    return [("chain", *chain(0.05, 0.5), 10),
+            ("random N=6", *random_network(rng, 6), 8),
+            ("random N=8", *random_network(rng, 8), 8),
+            ("strong drive", *chain(0.3, 0.5, drive_frac=0.02), 64)]
+
+
+def test_solver_operators_match_dense_lu():
+    # the operators both solvers build, with the right-hand sides they
+    # pass: qme's thermal sources on the diagonal moments, and qle's unit
+    # observer columns on its transposed operator
+    rng = np.random.default_rng(12)
+    for name, net, mod, n_max in operator_cases():
+        rhs = np.zeros((net.N ** 2, 2), dtype=complex)
+        rhs[:net.N] = rng.uniform(0.0, 1.0, (net.N, 2))
+        diag, upper, lower = qme_blocks(net, mod, n_max)
+        x = solve_thomas(diag, upper, lower, rhs)
+        assert max_rel(x, dense_solution(diag, upper, lower, rhs)) <= 1e-13, name
+
+        omega = OMEGA0 + KAPPA * np.array([-20.0, -0.4, 0.0, 1.3])
+        diag, upper, lower = qle_blocks(net, mod, omega, n_max)
+        diag_t, rhs = diag.swapaxes(-1, -2), np.eye(net.N)
+        x = solve_thomas(diag_t, lower, upper, rhs)
+        for f in range(omega.size):
+            dense = dense_solution(diag_t[f], lower, upper, rhs)
+            assert max_rel(x[f], dense) <= 1e-13, name
+
+
+def test_every_bath_weight_matches_dense_lu():
+    # each weight against its dense value relative to itself, including
+    # the cross weights that sit up to 1e-21 below the largest one
+    for name, net, mod, n_max in operator_cases():
+        omega = net.omega.mean() + KAPPA * np.array([-30.0, -3.0, 0.0, 0.7, 40.0])
+        weights = _bath_weights(net, mod, omega, n_max, range(net.N))
+        diag, upper, lower = qle_blocks(net, mod, omega, n_max)
+        for f in range(omega.size):
+            rows = dense_solution(diag[f].swapaxes(-1, -2), lower, upper,
+                                  np.eye(net.N))
+            dense = np.einsum("mki->ik", np.abs(rows) ** 2)
+            assert np.max(np.abs(weights[f] - dense) / dense) <= 1e-12, name

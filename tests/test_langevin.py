@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import floqheat
 from floqheat import (ModulationProtocol, QuadratureError, ResonatorNetwork,
                       SI, langevin, occupation)
-from floqheat.blocktri import assemble_dense
 from floqheat.langevin import (assemble_A, emitted_power, heat_flux_spectrum,
                                integrate_power, integration_window,
                                spectral_correlations, write_spectrum_csv,
@@ -20,7 +19,8 @@ from floqheat.langevin import (assemble_A, emitted_power, heat_flux_spectrum,
 from floqheat.master import power_matrix
 from floqheat.model import ValidationError
 
-from conftest import KAPPA, OMEGA0, T_HOT, chain, random_network
+from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, chain,
+                      random_network)
 
 
 def solo_resonator(T=T_HOT):
@@ -74,11 +74,12 @@ def reference_operator(net, mod, omega, n_max):
 
 def batched_operators(net, mod, omega, n_max):
     """Dense sideband operators at the frequencies omega, written out from
-    the frequency-stacked blocks and the two broadcast stripes that the
+    the frequency-stacked blocks and the two diagonal stripes that the
     batched elimination works on."""
     diag, upper, lower = _sideband_blocks(net, mod, np.asarray(omega, float),
                                           n_max)
-    return [assemble_dense(d, [upper] * (2 * n_max), [lower] * (2 * n_max))
+    return [assemble_dense(d, [np.diag(upper)] * (2 * n_max),
+                           [np.diag(lower)] * (2 * n_max))
             for d in diag]
 
 
@@ -142,14 +143,15 @@ class TestSidebandSystem:
         for net, mod in (chain_modulated, random_network(rng, 3)):
             observers = list(range(net.N))
             batch = _response_rows(net, mod, grid, n_max, observers)
-            for w, rows in zip(grid, batch):
+            for w, rows in zip(grid, batch.reshape(grid.size, net.N, -1)):
                 inverse = np.linalg.inv(reference_operator(net, mod, w, n_max))
                 expected = inverse[[n_max * net.N + l for l in observers]]
                 assert max_rel(rows, expected) <= 1e-12
 
-    def test_elimination_bounded_in_rows(self, chain_modulated, monkeypatch):
-        # each elimination holds about _CHUNK response rows, however many
-        # observers share it
+    def test_elimination_bounded_in_frequencies(self, chain_modulated,
+                                                monkeypatch):
+        # each elimination takes _CHUNK frequencies: its factors do not
+        # depend on how many observers share it
         net, mod = chain_modulated
         sizes = []
         solve = langevin._response_rows
@@ -160,7 +162,7 @@ class TestSidebandSystem:
             sizes.clear()
             weights = _bath_weights(net, mod, grid, 2, observers)
             assert weights.shape == (grid.size, len(observers), net.N)
-            assert max(sizes) == langevin._CHUNK // len(observers)
+            assert max(sizes) == langevin._CHUNK
             assert sum(sizes) == grid.size
 
     def test_invalid_network_rejected(self, chain_modulated):

@@ -5,14 +5,13 @@ import pytest
 from scipy.linalg import solve_sylvester
 
 from floqheat import (ModulationProtocol, ResonatorNetwork, SI, occupation)
-from floqheat.blocktri import assemble_dense
 from floqheat.master import (FourierSolution, assemble_Gpm, assemble_Mn,
                              contrast_vector, moment_index_map, power_matrix,
                              shift_Mn, solve_fourier, _solve_fourier_nvec)
 from floqheat.model import ValidationError
 
-from conftest import (KAPPA, OMEGA0, T_HOT, chain, periodic_expectations,
-                      random_network)
+from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, chain,
+                      periodic_expectations, random_network)
 
 
 def sylvester_static_occupations(net, nvec):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floqheat import (ConvergenceError, ModulationProtocol, ResonatorNetwork,
-                      SI, occupation)
+                      SI, ValidationError, occupation)
 from floqheat.langevin import emitted_power
 from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
                              solve_fourier)
@@ -342,6 +342,17 @@ class TestCycleAveragePower:
         n_src = occupation(T_HOT, OMEGA0)
         scale = SI.hbar * OMEGA0 * 2 * KAPPA * n_src
         assert abs(p_em - row.sum()) <= 5e-7 * scale
+
+    @pytest.mark.parametrize("source", [3, 1])
+    def test_samples_of_another_network_rejected(self, source):
+        # three-resonator samples read with the four-resonator chain: source
+        # 3 has no share, and source 1 would read the wrong moment slots
+        net, mod = random_three()
+        samples = evolve_to_cycle(net.with_temperatures([T_HOT] * 3), mod,
+                                  steps_per_period=2048)
+        hot, _ = both_ends_hot(0.5, 0.05)
+        with pytest.raises(ValidationError, match=r"\(9, 3\).*\(16, 4\)"):
+            cycle_average_power(samples, hot, source)
 
 
 class TestBathIndex:
