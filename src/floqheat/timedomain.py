@@ -9,7 +9,7 @@ equations are affine in the source, so bath k's share of the periodic
 state is y0_k = (I - Phi)^-1 b_k, with cycle average Ybar y0_k + ybar_k
 from the same period's trapezoid means.  The eigenvalues of Phi are the
 Floquet multipliers; the largest must lie inside the unit circle for a
-periodic steady state to exist and attract.  One more period, stepped from
+periodic steady state to exist and attract.  One more period, from
 sum_k y0_k, is stored as samples.  Exists to catch transcription errors
 that a shared matrix assembly would repeat.
 
@@ -19,11 +19,23 @@ times, so P_s and q_s are trigonometric polynomials of degree at most 4
 in the step's start phase.  Their harmonics -4..4 differ by less than 9,
 so nine equispaced samples alias none onto another: nine exact stage
 evaluations, of the steps starting at the phases 2 pi j / 9, give every
-step's map by discrete Fourier interpolation, and a step is then one
-matrix product.
+step's map by discrete Fourier interpolation.
+
+A period is cut into chunks of 64 steps that step side by side: round j
+forms and applies the j-th step's map of every chunk as one batch.  The
+shooting period steps each chunk's own map from I, and the chunk maps
+then carry Y from chunk to chunk; the stored period starts every chunk
+from the shooting period's state there.
+
+For Hermitian g, C = <a_k^+ a_l> stays Hermitian, so in the basis x that
+writes each adjacent pair y_kl, y_lk as Re y_kl, Im y_kl the step maps
+and the state are real, and both periods step in float64; results go
+back to the moment basis before anything reads them.  Non-Hermitian g
+runs the same loop in complex.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,28 +108,46 @@ def _drive_diagonal(mod, imap, t):
 
 # harmonics of the step maps
 _HARMONICS = np.arange(-4, 5)
-# steps per block of step maps; the blocks are formed one product each,
-# and larger ones only raise the peak memory
+# steps per chunk: a period of S steps takes _CHUNK batched rounds and
+# S / _CHUNK chunk products, which balance near S = 4096
 _CHUNK = 64
+# imaginary parts of the real-basis coefficients up to this fraction of
+# their largest entry are round-off
+_PAIRING_TOL = 1e-14
 
 
-def _phases(a, b, period):
-    """exp(2 pi i a_r b_c / period) for integer vectors a and b; the
-    product is reduced modulo ``period`` in integers, so the phase is exact."""
-    return np.exp(2j * np.pi * (np.outer(a, b) % period) / period)
+def _hermitian_basis(imap, m):
+    """(T, T^-1) with y = T x for the moments and m trailing slots: x
+    writes each adjacent pair y_kl, y_lk as Re y_kl, Im y_kl."""
+    n, N = imap.size, imap.N
+    t = np.eye(n + m, dtype=complex)
+    p = np.arange(N, n, 2)
+    t[p + 1, p] = 1.0
+    t[p, p + 1], t[p + 1, p + 1] = 1j, -1j
+    # each pair block [[1, i], [1, -i]] has the inverse half its adjoint
+    t_inv = t.conj().T
+    t_inv[N:n] *= 0.5
+    return t, t_inv
 
 
-def _step_map_coefficients(gen0, src, mod, imap, dt):
+def _angles(a, b, period):
+    """2 pi a_r b_c / period for integer vectors a and b; the product is
+    reduced modulo ``period`` in integers, so the angle is exact."""
+    return 2.0 * np.pi * (np.outer(a, b) % period) / period
+
+
+def _step_map_coefficients(gen0, src, mod, imap, dt, basis):
     """Fourier coefficients of the RK4 step map in the step's start phase.
 
     src (n, m) holds one source column per forced trajectory.  A step takes
     the unforced columns Y to P Y and the forced columns y to P y + q, so
     A = [[P, q], [0, I]] acts on [[Y, y], [0, I]].  A - I has degree <= 4
-    in the start phase (see the module docstring); its nine harmonics come
-    from the steps starting at the phases 2 pi j / 9, which run the RK4
-    stage formulas on [I | 0] with src entering only the last m columns.
-    Returns the coefficients of A - I, (9, n + m, n + m), of the harmonics
-    ``_HARMONICS``.
+    in the start phase (see the module docstring); its nine harmonics c_j
+    come from the steps starting at the phases 2 pi j / 9, which run the
+    RK4 stage formulas on [I | 0] with src entering only the last m
+    columns.  Returns them in the basis x of ``basis`` as the coefficients
+    [c_0, c_j + c_-j, i (c_j - c_-j)] of 1, cos j phi and sin j phi,
+    j = 1..4, (9, n + m, n + m): real where c_-j = conj(c_j) to round-off.
     """
     n, m = src.shape
     starts = np.arange(9) * (mod.period / 9.0)
@@ -136,50 +166,78 @@ def _step_map_coefficients(gen0, src, mod, imap, dt):
     increment = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # the rows [0, I] of A do not change
     increment = np.concatenate([increment, np.zeros((9, m, n + m))], 1)
-    dft = _phases(_HARMONICS, -np.arange(9), 9) / 9.0
-    return (dft @ increment.reshape(9, -1)).reshape(increment.shape)
+    dft = np.exp(1j * _angles(_HARMONICS, -np.arange(9), 9)) / 9.0
+    c = (dft @ increment.reshape(9, -1)).reshape(increment.shape)
+    t, t_inv = basis
+    c = t_inv @ c @ t
+    up, down = c[5:], c[3::-1]
+    coef = np.concatenate([c[4:5], up + down, 1j * (up - down)])
+    if np.abs(coef.imag).max() <= _PAIRING_TOL * np.abs(coef).max():
+        return coef.real
+    return coef
 
 
 def _step_maps(coef, steps, s, out=None):
-    """Increments A_s - I of the RK4 steps s of a period of ``steps``.
-
-    Step s starts at phase 2 pi s / steps, and one product of the phase
-    matrix exp(i m phi_s) with the coefficients ``coef`` forms all of them.
-    ``out`` (len(s), width**2) may take them; returns (len(s), width, width).
+    """Increments A_s - I, in x, of the RK4 steps s of a period of
+    ``steps``: one product of the rows [1, cos j phi_s, sin j phi_s],
+    phi_s = 2 pi s / steps, with ``coef``.  ``out`` (len(s), width**2)
+    may take them; returns (len(s), width, width).
     """
     width = coef.shape[-1]
-    phase = _phases(s, _HARMONICS, steps)
+    angle = _angles(s, np.arange(1, 5), steps)
+    phase = np.hstack([np.ones((len(s), 1)), np.cos(angle), np.sin(angle)])
     return np.matmul(phase, coef.reshape(9, -1), out=out).reshape(-1, width, width)
 
 
-def _rk4_period(coef, steps, z, store=None):
-    """Step z = [[Y, y], [0, I]] over one period of RK4 steps, z -> A_s z.
+def _chunk_steps(coef, steps, z):
+    """Step all chunks of one RK4 period side by side, in place.
 
-    ``coef`` are the step maps' coefficients (``_step_map_coefficients``).
-    The maps are formed ``_CHUNK`` steps at a time, and each step is one
-    product.  It adds (A_s - I) z to z, as the RK4 stages add their
-    increment, which keeps the rounding of z to one addition per step.
-    Returns z after the period and its trapezoid mean.  With ``store``
-    given, z is one column [y; 1], store[s] receives y after s steps, and
-    no mean is kept (None is returned in its place).
+    z (chunks, width, k) holds one state per chunk in x, in the dtype of
+    ``coef``.  Round j adds (A_s - I) z for the j-th step s of every chunk,
+    as the RK4 stages add their increment, which keeps the rounding of z to
+    one addition per step.  Yields j and the chunks that stepped.
     """
-    buf = np.empty((_CHUNK, coef[0].size), dtype=complex)
-    if store is None:
-        total = 0.5 * z
-    else:
-        store[0] = z[:-1]
-    for start in range(0, steps, _CHUNK):
-        s = np.arange(start, min(start + _CHUNK, steps))
-        maps = _step_maps(coef, steps, s, buf[:len(s)])
-        if store is None:
-            for d in maps:
-                z = z + d @ z
-                total += z
-        else:
-            for k, d in zip(s + 1, maps):
-                z = z + d @ z
-                store[k] = z[:-1]
-    return z, None if store is not None else (total - 0.5 * z) / steps
+    buf = np.empty((len(z), coef[0].size), dtype=coef.dtype)
+    for j in range(_CHUNK):
+        s = np.arange(j, steps, _CHUNK)
+        live = z[:len(s)]
+        live += _step_maps(coef, steps, s, buf[:len(s)]) @ live
+        yield j, live
+
+
+def _rk4_period(coef, steps, width):
+    """Map z = [[Y, y], [0, I]] of one RK4 period from z = I, in x.
+
+    Each chunk steps its own map from I and sums it; the chunk maps and
+    sums, combined in order, give z after the period and its trapezoid
+    mean.  Returns those and z at every chunk's start (chunks, width,
+    width).
+    """
+    chunks = -(-steps // _CHUNK)
+    maps = np.tile(np.eye(width, dtype=coef.dtype), (chunks, 1, 1))
+    sums = np.zeros_like(maps)
+    for _, live in _chunk_steps(coef, steps, maps):
+        sums[:len(live)] += live
+    starts = np.empty_like(maps)
+    z = np.eye(width, dtype=coef.dtype)
+    total = 0.5 * z
+    for c in range(chunks):
+        starts[c] = z
+        total += sums[c] @ z
+        z = maps[c] @ z
+    return z, (total - 0.5 * z) / steps, starts
+
+
+def _sample_period(coef, steps, x, to_moments, store):
+    """store[s] = ``to_moments`` @ x after s steps of one RK4 period.
+
+    x (chunks, width) holds [x; 1, ..., 1] at every chunk's start; under
+    the augmented maps ``coef`` all baths drive it together.
+    """
+    n = len(to_moments)
+    store[0] = to_moments @ x[0, :n]
+    for j, live in _chunk_steps(coef, steps, x[..., None]):
+        np.matmul(live[:, :n, 0], to_moments.T, out=store[j + 1::_CHUNK])
 
 
 def evolve_to_cycle(net, mod, steps_per_period=4096):
@@ -190,15 +248,20 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
     matrix Phi = Y(T), b_k = y_k(T) and the trapezoid means Ybar, ybar_k.
     Bath k's periodic share y0_k = (I - Phi)^-1 b_k has the cycle average
     Ybar y0_k + ybar_k, column k of ``bath_averages``.  A second period
-    stepped from sum_k y0_k is stored as the samples (``periods_used`` is
-    2).  Each period takes its RK4 step maps from nine exact stage
-    evaluations (``_step_map_coefficients``), so a step costs one product.
-    Raises ConvergenceError when the step is unstable, when Phi is not
-    finite, or when the largest Floquet multiplier max |eig Phi| is not
-    below 1, so that no periodic state attracts; the multiplier is reported
-    as ``floquet_multiplier``.
+    from sum_k y0_k is stored as the samples (``periods_used`` is 2).  Both
+    periods step in the basis x of the module docstring, in float64 for
+    Hermitian g.  Raises ValueError unless steps_per_period is an integer
+    (numpy integers pass) of at least 2000, and ConvergenceError when the
+    step is unstable, when Phi is not finite, or when the largest Floquet
+    multiplier max |eig Phi| is not below 1, so that no periodic state
+    attracts; the multiplier is reported as ``floquet_multiplier``.
     """
     ensure_valid(net, mod)
+    try:
+        steps_per_period = operator.index(steps_per_period)
+    except TypeError:
+        raise ValueError(f"steps_per_period must be an integer, got "
+                         f"{steps_per_period!r}") from None
     if steps_per_period < 2000:
         raise ValueError("need at least 2000 steps per period")
     imap = moment_index_map(net.N)
@@ -218,14 +281,18 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
 
     # bath k feeds only the occupation of resonator k
     hot = [k for k in range(net.N) if src[imap.index(k, k)] != 0.0]
+    basis = _hermitian_basis(imap, len(hot))
     coef = _step_map_coefficients(
-        gen0, np.diag(src)[:, [imap.index(k, k) for k in hot]], mod, imap, dt)
-    # the augmented period starts from [[Y, y_k], [0, I]] = I
-    z, mean = _rk4_period(coef, steps_per_period,
-                          np.eye(n + len(hot), dtype=complex))
-    phi, b = z[:n, :n], z[:n, n:]
+        gen0, np.diag(src)[:, [imap.index(k, k) for k in hot]], mod, imap, dt,
+        basis)
+    # the augmented period starts from [[Y, y_k], [0, I]] = I, in x as in y
+    z, mean, starts = _rk4_period(coef, steps_per_period, n + len(hot))
     if not np.all(np.isfinite(z)):
         raise ConvergenceError("monodromy matrix is not finite after one period")
+    # the period's map and its mean, back in the moment basis
+    t, t_inv = basis
+    z, mean = t @ z @ t_inv, t @ mean @ t_inv
+    phi, b = z[:n, :n], z[:n, n:]
     multiplier = float(np.abs(np.linalg.eigvals(phi)).max())
     if not multiplier < 1.0:
         raise ConvergenceError(
@@ -237,9 +304,11 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
     shares[:, hot] = mean[:n, :n] @ y0 + mean[:n, n:]
 
     # all baths together drive the stored period
+    x0 = t_inv @ np.append(y0.sum(1), np.ones(len(hot)))
+    if not np.iscomplexobj(coef):
+        x0 = x0.real    # y0 is Hermitian up to round-off
     traj = np.empty((steps_per_period + 1, n), dtype=complex)
-    coef = _step_map_coefficients(gen0, src[:, None], mod, imap, dt)
-    _rk4_period(coef, steps_per_period, np.append(y0.sum(1), 1.0), traj)
+    _sample_period(coef, steps_per_period, starts @ x0, t[:n, :n], traj)
     times = period + np.arange(steps_per_period + 1) * dt
     return MomentSamples(t=times, y=traj, periods_used=2,
                          floquet_multiplier=multiplier, bath_averages=shares)

@@ -7,10 +7,11 @@ from floqheat import (ConvergenceError, ModulationProtocol, ResonatorNetwork,
 from floqheat.langevin import emitted_power
 from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
                              solve_fourier)
-from floqheat.timedomain import (_drive_diagonal, _static_generator,
-                                 _step_map_coefficients, _step_maps,
-                                 cycle_average_power, cycle_averaged_moments,
-                                 evolve_to_cycle)
+from floqheat import timedomain
+from floqheat.timedomain import (_drive_diagonal, _hermitian_basis,
+                                 _static_generator, _step_map_coefficients,
+                                 _step_maps, cycle_average_power,
+                                 cycle_averaged_moments, evolve_to_cycle)
 
 from conftest import (KAPPA, OMEGA0, T_HOT, chain, periodic_expectations,
                       random_network)
@@ -91,6 +92,29 @@ def both_ends_hot(theta_pi, beta_frac):
 
 def random_three(seed=5):
     return random_network(np.random.default_rng(seed), 3)
+
+
+def non_hermitian_three(seed=5):
+    """``random_three`` with a small anti-Hermitian part added to g: the
+    moment equations no longer keep C Hermitian, but the state attracts."""
+    net, mod = random_three(seed)
+    rng = np.random.default_rng(seed + 1)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = 0.05 * KAPPA * (a - a.conj().T)
+    np.fill_diagonal(a, 0.0)
+    return ResonatorNetwork(omega=net.omega, g=net.g + a, kappa=net.kappa,
+                            T=net.T, hermitian=False), mod
+
+
+def case(theta, beta):
+    """The chain with both ends hot, or for theta None a random
+    three-resonator network, or for "non-Hermitian" its non-Hermitian
+    variant."""
+    if theta is None:
+        return random_three()
+    if theta == "non-Hermitian":
+        return non_hermitian_three()
+    return both_ends_hot(theta, beta)
 
 
 class TestGenerator:
@@ -237,6 +261,14 @@ class TestEvolveToCycle:
         with pytest.raises(ValueError):
             evolve_to_cycle(net, mod, steps_per_period=1999)
 
+    @pytest.mark.parametrize("steps", [4096.5, "4096"])
+    def test_non_integer_step_count_rejected(self, chain_modulated, steps):
+        net, mod = chain_modulated
+        with pytest.raises(ValueError,
+                           match="^steps_per_period must be an integer"):
+            evolve_to_cycle(net.with_hot_bath(0, T_HOT), mod,
+                            steps_per_period=steps)
+
     def test_unstable_step_detected(self):
         # huge detuning between the resonators makes the default step unstable
         net = ResonatorNetwork(omega=[1e12, 6e16], g=np.zeros((2, 2)),
@@ -255,7 +287,7 @@ class TestStepMaps:
         *[(theta, beta) for theta in (0.1, 0.5, 1.0) for beta in (0.0, 0.05)],
         (None, None)])
     def test_interpolated_maps_equal_direct_stages(self, theta, beta):
-        net, mod = random_three() if theta is None else both_ends_hot(theta, beta)
+        net, mod = case(theta, beta)
         steps = 2001
         imap = moment_index_map(net.N)
         n = imap.size
@@ -264,8 +296,12 @@ class TestStepMaps:
         m = cols.shape[1]
         assert m >= 1
         dt = 2.0 * np.pi / mod.Omega / steps
-        inc = _step_maps(_step_map_coefficients(gen0, cols, mod, imap, dt),
+        basis = _hermitian_basis(imap, m)
+        inc = _step_maps(_step_map_coefficients(gen0, cols, mod, imap, dt, basis),
                          steps, np.arange(steps))
+        # the maps in the real basis x, back in the moment basis
+        t, t_inv = basis
+        inc = t @ inc @ t_inv
         drive = reference_drive(mod, imap, steps)
         direct = reference_step(gen0, np.hstack([np.zeros((n, n)), cols]),
                                 drive[:-1:2], drive[1::2], drive[2::2], dt,
@@ -280,10 +316,22 @@ class TestStepMaps:
         assert np.all(inc[:, n:] == 0.0)
 
     @pytest.mark.parametrize("theta, beta, steps", [
-        (0.5, 0.05, 4096), (1.0, 0.01, 2001), (None, None, 2001)])
-    def test_evolve_matches_stage_loop(self, theta, beta, steps):
-        net, mod = random_three() if theta is None else both_ends_hot(theta, beta)
+        (0.5, 0.05, 4096), (1.0, 0.01, 2001), (None, None, 2001),
+        ("non-Hermitian", None, 2001)])
+    def test_evolve_matches_stage_loop(self, theta, beta, steps, monkeypatch):
+        net, mod = case(theta, beta)
+        dtypes = []
+        steps_of = timedomain._chunk_steps
+
+        def spy(coef, steps, z):
+            dtypes.append((coef.dtype, z.dtype))
+            return steps_of(coef, steps, z)
+
+        monkeypatch.setattr(timedomain, "_chunk_steps", spy)
         samples = evolve_to_cycle(net, mod, steps_per_period=steps)
+        # both periods run in float64 where C stays Hermitian
+        want = complex if theta == "non-Hermitian" else np.float64
+        assert dtypes == [(want, want)] * 2
         shares, traj, multiplier = reference_evolve(net, mod, steps)
         assert np.max(np.abs(samples.bath_averages - shares)) <= \
             1e-12 * np.abs(shares).max()
