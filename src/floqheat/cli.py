@@ -5,7 +5,8 @@ of the chain resonance omega_0, angles as multiples of pi.  Each subcommand
 takes only the flags it reads, and flag values are checked as they are
 parsed.  Exit codes: 0 success, 2 solver failure, 3 invalid configuration,
 inputs or usage.  Each distinct message of the ``floqheat`` logger (regime
-findings, clipped windows) is printed once per run as ``warning: ...``.
+findings, clipped windows, an --nmax below the drive's sideband order) is
+printed once per run as ``warning: ...``.
 """
 from __future__ import annotations
 
@@ -60,7 +61,8 @@ _FLAGS = {
                                   "methods must be a nonempty list of known methods"),
                     help="comma list from: " + ",".join(scenarios.METHODS)),
     "nmax": dict(type=_checked(int, lambda n: n >= 0, "n_max must be nonnegative"),
-                 help="truncation order override"),
+                 help="truncation order of qme and qle; overrides the "
+                      "drive's order"),
     "quad-tol": dict(type=_checked(float, lambda t: 0.0 < t < math.inf,
                                    "quad_tol must be positive and finite"),
                      default=1e-6, help="relative quadrature tolerance (qle)"),

@@ -30,10 +30,11 @@ import numpy as np
 from . import blocktri
 from .master import shift_Mn
 from .model import (SI, QuadratureError, check_bath_index, check_n_max,
-                    ensure_valid, occupation)
+                    ensure_valid, occupation, sideband_order)
 
 __all__ = [
     "assemble_A",
+    "drive_order",
     "spectral_correlations",
     "heat_flux_spectrum",
     "integration_window",
@@ -100,6 +101,13 @@ def _sideband_blocks(net, mod, omega, n_max):
                     np.arange(n_max, -n_max - 1, -1), mod.Omega)
     c = mod.phasor
     return diag, 0.5j * mod.beta * c.conj(), 0.5j * mod.beta * c
+
+
+def drive_order(mod):
+    """Sideband order of the Langevin equations at this drive: the rule of
+    ``model.sideband_order`` at r = beta max|c| / Omega, with c the phasors
+    that the stripes of ``_sideband_blocks`` carry."""
+    return sideband_order(mod.beta * np.abs(mod.phasor).max() / mod.Omega)
 
 
 def _response_rows(net, mod, omega, n_max, observers):

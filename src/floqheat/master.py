@@ -22,7 +22,7 @@ import numpy as np
 
 from . import blocktri
 from .model import (SI, ConvergenceError, PowerMatrix, check_n_max,
-                    ensure_valid, occupation)
+                    ensure_valid, occupation, sideband_order)
 
 __all__ = [
     "MomentIndexMap",
@@ -30,6 +30,7 @@ __all__ = [
     "FourierSolution",
     "assemble_Mn",
     "contrast_vector",
+    "drive_order",
     "assemble_Gpm",
     "shift_Mn",
     "solve_fourier",
@@ -100,6 +101,13 @@ def contrast_vector(mod):
     c = mod.phasor
     imap = moment_index_map(len(c))
     return c[imap.bra] - c[imap.ket]
+
+
+def drive_order(mod):
+    """Sideband order of the moment equations at this drive: the rule of
+    ``model.sideband_order`` at r = beta max|eta| / Omega, with eta the
+    contrasts that the stripes G+- carry."""
+    return sideband_order(mod.beta * np.abs(contrast_vector(mod)).max() / mod.Omega)
 
 
 def assemble_Gpm(mod):

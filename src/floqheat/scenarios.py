@@ -11,6 +11,12 @@ network with both end baths hot; pert1 is qme truncated at one sideband
 and pert2 its Neumann expansion.  Theta sweeps and the closed forms assume
 the four-resonator chain.  Every row and spectrum logs the regime findings
 of that network (``model.validate``) to this module's logger.
+
+qme and qle truncate at the drive's own sideband order unless given one:
+``master.drive_order`` reads it from the contrasts of the moment stripes,
+``langevin.drive_order`` from the phasors of the amplitude stripes, at each
+operating point.  An explicit order below that of a driven protocol is
+logged to the same logger.
 """
 from __future__ import annotations
 
@@ -24,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import langevin, master, perturbation, timedomain
-from .model import FloqheatError, ValidationError, build_chain4, validate
+from .model import (FloqheatError, ValidationError, build_chain4, check_n_max,
+                    validate)
 
 __all__ = [
     "DEFAULT_OMEGA0",
@@ -54,7 +61,6 @@ DEFAULT_DRIVE_FRAC = 0.05         # Omega / omega0
 DEFAULT_T_HOT = 300.0             # K
 
 METHODS = ("qme", "qle", "oracle", "pert1", "pert2", "closed")
-DEFAULT_N_MAX = {"qme": 15, "qle": 10}
 # compare_methods: largest relative deviation from qme that still passes
 TOL_QME_QLE = 5e-3                # criterion 2
 TOL_QME_ORACLE = 1e-4             # criterion 3
@@ -93,30 +99,47 @@ def _ends_hot(net, mod, T_hot):
     return first, last, both
 
 
+def _order(method, mod, n_max):
+    """Truncation order of a qme or qle solve: n_max as given, or the
+    drive's sideband order for None.  An explicit order below it is logged,
+    unless beta = 0, where no sideband couples and every order is exact."""
+    order = (master if method == "qme" else langevin).drive_order(mod)
+    if n_max is None:
+        return order
+    check_n_max(n_max)
+    if n_max < order and mod.beta > 0.0:
+        _log.warning(f"n_max = {n_max} below the drive's sideband order "
+                     f"{order} ({method})")
+    return n_max
+
+
 def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
                          T_hot=DEFAULT_T_HOT):
     """(P14, P41) with the hot bath on the first then on the last resonator.
 
     The backward run reuses the identical modulation (phases untouched);
-    only the temperature assignment moves.  n_max None means the method's
-    DEFAULT_N_MAX; pert1 is qme at n_max = 1 whatever n_max says.  Every
+    only the temperature assignment moves.  n_max None means the drive's
+    sideband order for qme and qle, each from its own stripes
+    (``master.drive_order``, ``langevin.drive_order``); an explicit n_max is
+    used as given and logged when below that order.  pert1 is qme at
+    n_max = 1 whatever n_max says; pert2 and the oracle take no order.  Every
     method solves the network with both ends hot once and reads each
     direction from the source bath's share: qme, pert1 and pert2 from one
     power matrix, qle from one vector quadrature, and the oracle from the
     per-bath cycle averages of one shooting period.
     """
     first, last, both = _ends_hot(net, mod, T_hot)
-    if n_max is None:
-        n_max = DEFAULT_N_MAX.get(method)
     if method == "qme":
-        P = master.power_matrix(both, mod, n_max).P
+        P = master.power_matrix(both, mod, _order(method, mod, n_max)).P
     elif method == "pert1":
         P = master.power_matrix(both, mod, 1).P
     elif method == "pert2":
         P = perturbation.power_second_order(both, mod).P
     elif method == "qle":
         return tuple(langevin.integrate_power(both, mod, (first, last),
-                                              (last, first), n_max, quad_tol))
+                                              (last, first),
+                                              _order(method, mod, n_max),
+                                              quad_tol))
     elif method == "oracle":
         samples = timedomain.evolve_to_cycle(both, mod)
         return (timedomain.cycle_average_power(samples, both, first)[0][last],
@@ -140,7 +163,10 @@ class SweepSpec:
 
     parameter is "beta", "theta" or "Omega"; theta values address the
     dephasing of the third resonator (chain convention).  Angles in rad,
-    rates in rad/s.
+    rates in rad/s.  n_max None gives qme and qle the drive's sideband
+    order at each swept point (see ``run_forward_backward``); an integer
+    sets both at every point.  n_max, quad_tol and T_hot are checked here,
+    so a bad one fails the spec, not every row.
     """
 
     network: object
@@ -148,7 +174,7 @@ class SweepSpec:
     parameter: str
     values: np.ndarray
     methods: tuple = ("qme",)
-    n_max: int | None = None          # None: each method's DEFAULT_N_MAX
+    n_max: int | None = None          # None: the drive's order at each point
     quad_tol: float = 1e-6
     T_hot: float = DEFAULT_T_HOT
 
@@ -166,6 +192,12 @@ class SweepSpec:
                 raise ValueError(f"unknown method {m!r}")
         if self.parameter == "theta" and self.network.N != 4:
             raise ValueError("theta sweeps assume the four-resonator chain")
+        if self.n_max is not None:
+            check_n_max(self.n_max)
+        if not 0.0 < self.quad_tol < math.inf:
+            raise ValueError("quad_tol must be positive and finite")
+        if not 0.0 <= self.T_hot < math.inf:
+            raise ValueError("T_hot must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -264,12 +296,13 @@ def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT):
 
     Returns (grid, forward, backward): forward is P_{1->N, omega} with the
     first resonator hot, backward P_{N->1, omega} with the last hot.  n_max
-    None means the qle DEFAULT_N_MAX.  Both spectra come from one network
-    with both end baths hot, through one elimination per frequency chunk.
+    None means the drive's sideband order for qle (``langevin.drive_order``),
+    which also sets the default grid; an explicit order below it is logged.
+    Both spectra come from one network with both end baths hot, through one
+    elimination per frequency chunk.
     """
     first, last, both = _ends_hot(net, mod, T_hot)
-    if n_max is None:
-        n_max = DEFAULT_N_MAX["qle"]
+    n_max = _order("qle", mod, n_max)
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)
     fwd, bwd = langevin.heat_flux_spectrum(both, mod, (first, last),
@@ -301,8 +334,9 @@ class MethodComparison:
 def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
     """Run qme, qle and oracle on the same point and grade the agreement.
 
-    n_max None gives qme and qle their DEFAULT_N_MAX orders; an integer sets
-    both.  The point passes when every method succeeds and, in both
+    n_max None gives qme and qle each the drive's sideband order from its
+    own stripes; an integer sets both, and is logged where it falls below
+    either.  The point passes when every method succeeds and, in both
     directions, qle lies within TOL_QME_QLE = 5e-3 (criterion 2) and the
     oracle within TOL_QME_ORACLE = 1e-4 (criterion 3) of qme, relative
     (equal zeros deviate by 0, anything else against a zero qme by inf).

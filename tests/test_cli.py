@@ -215,6 +215,30 @@ def test_regime_finding_printed_once_per_run(capsys):
         assert code == 0 and err.count("warning: white-noise regime") == 1
 
 
+def test_strong_drive_runs_at_the_drive_order(capsys):
+    # without --nmax, qme truncates at the drive's order (34 here), so E
+    # matches a converged explicit order instead of a fixed 15 sidebands
+    lines = []
+    for extra in ((), ("--nmax", "40")):
+        code, out, err = run(capsys, "power", "--beta", "0.3", "--drive", "0.02",
+                             *extra)
+        assert code == 0 and "below the drive's sideband order" not in err
+        lines.append(out.split("E = ")[1])
+    assert lines[0] == lines[1] == "+0.8434\n"
+
+
+def test_order_below_the_drive_printed_once_per_run(capsys, tmp_path):
+    # two sweep points raise the same notice; pert1 runs at one sideband
+    # by definition and raises none
+    code, _, err = run(capsys, "sweep", "--beta", "0.3", "--drive", "0.02",
+                       "--parameter", "theta", "--values", "0.5,0.5",
+                       "--methods", "qme,pert1", "--nmax", "8",
+                       "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    notice = "warning: n_max = 8 below the drive's sideband order 34 (qme)\n"
+    assert err.count("below the drive's sideband order") == 1 and notice in err
+
+
 def test_unknown_config_key_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("network: {omega: [1.0], kappa: [0.1], typo: 1}\n"

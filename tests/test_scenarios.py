@@ -9,10 +9,11 @@ import pytest
 from floqheat import (SI, ModulationProtocol, ResonatorNetwork,
                       ValidationError, build_chain4, langevin, master,
                       perturbation, scenarios, timedomain)
-from floqheat.scenarios import (DEFAULT_N_MAX, MethodComparison, SweepSpec,
-                                compare_methods, default_chain, operating_point,
-                                rectification, run_forward_backward,
-                                spectrum_run, sweep, write_sweep_csv)
+from floqheat.model import sideband_order
+from floqheat.scenarios import (MethodComparison, SweepSpec, compare_methods,
+                                default_chain, operating_point, rectification,
+                                run_forward_backward, spectrum_run, sweep,
+                                write_sweep_csv)
 
 from conftest import DRIVE, KAPPA, OMEGA0, T_HOT, chain, random_network
 
@@ -193,8 +194,8 @@ class TestSweep:
     def test_qme_directions_share_one_solve(self, monkeypatch):
         # both end baths hot in one power_matrix call: the sideband operator
         # is the same, and each hot bath is its own right-hand side
-        cases = [(chain(0.05, 0.5), DEFAULT_N_MAX["qme"]),
-                 (random_network(np.random.default_rng(6), 6), DEFAULT_N_MAX["qme"]),
+        cases = [(chain(0.05, 0.5), 15),
+                 (random_network(np.random.default_rng(6), 6), 15),
                  (chain(0.2, 0.5, drive_frac=0.02), 32)]      # strong drive
         solve = master.power_matrix
         calls = []
@@ -257,6 +258,26 @@ class TestSweep:
             SweepSpec(network=net, modulation=mod, parameter="beta",
                       values=[1.0], methods=("qme", "wat"))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_max", -1, "n_max must be nonnegative"),
+        ("n_max", 2.5, "n_max must be an integer"),
+        ("n_max", "8", "n_max must be an integer"),
+        ("quad_tol", 0.0, "quad_tol must be positive and finite"),
+        ("quad_tol", -1e-6, "quad_tol must be positive and finite"),
+        ("quad_tol", math.inf, "quad_tol must be positive and finite"),
+        ("quad_tol", math.nan, "quad_tol must be positive and finite"),
+        ("T_hot", -1.0, "T_hot must be nonnegative and finite"),
+        ("T_hot", math.inf, "T_hot must be nonnegative and finite"),
+        ("T_hot", math.nan, "T_hot must be nonnegative and finite"),
+    ])
+    def test_spec_rejects_bad_settings(self, chain_static, field, value,
+                                       message):
+        # a bad setting fails the spec when it is built, not every row
+        net, mod = chain_static
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(network=net, modulation=mod, parameter="beta",
+                      values=[1.0], **{field: value})
+
     def test_csv_roundtrip(self, tmp_path, chain_static):
         net, mod = chain_static
         spec = SweepSpec(network=net, modulation=mod, parameter="beta",
@@ -272,6 +293,111 @@ class TestSweep:
         assert set(got[0]) == {"method", "beta_rad_s", "Omega_rad_s",
                                "theta_rad", "P14_W", "P41_W", "E", "dP_W",
                                "status"}
+
+
+class TestDriveOrder:
+    # n_max None: each solver truncates at the sideband order of its own
+    # stripes, ceil(r + 3 r^(1/3) + 4), at every operating point
+    @pytest.mark.parametrize("case, reference, bound", [
+        # the calibration points of the ROADMAP table: chain at
+        # Omega = 0.02 omega_0, r = beta / Omega, theta in pi
+        pytest.param((0.10, 0.5, 0.02), 160, 1e-9, id="r5-theta0.5"),
+        pytest.param((0.30, 0.5, 0.02), 160, 1e-9, id="r15-theta0.5"),
+        pytest.param((0.50, 0.5, 0.02), 160, 1e-9, id="r25-theta0.5"),
+        pytest.param((0.20, 1.0, 0.02), 160, 1e-9, id="r10-theta1"),
+        pytest.param((0.50, 0.1, 0.02), 160, 1e-9, id="r25-theta0.1"),
+        pytest.param(6, 160, 1e-9, id="network6"),
+        pytest.param(8, 160, 1e-9, id="network8"),
+        # the strongest chain points of the figures and the benchmark
+        pytest.param((0.06, 1.0, 0.05), 40, 1e-12, id="bench-theta1"),
+        pytest.param((0.06, 0.5, 0.05), 40, 1e-12, id="bench-theta0.5"),
+        pytest.param((0.06, 0.1, 0.05), 40, 1e-12, id="bench-theta0.1"),
+    ])
+    def test_qme_at_the_drive_order_is_converged(self, case, reference, bound):
+        if isinstance(case, int):
+            net, mod = random_network(np.random.default_rng(case), case)
+        else:
+            net, mod = chain(*case)
+        got = run_forward_backward(net, mod, "qme")
+        ref = run_forward_backward(net, mod, "qme", reference)
+        for x, y in zip(got, ref, strict=True):
+            assert abs(x / y - 1.0) <= bound
+
+    def test_qle_spectra_at_the_drive_order_are_converged(self):
+        net, mod = chain(0.06, 1.0)
+        grid = scenarios.default_spectrum_grid(net, mod,
+                                               langevin.drive_order(mod))
+        _, fwd, bwd = spectrum_run(net, mod, grid=grid)
+        _, fwd16, bwd16 = spectrum_run(net, mod, grid=grid, n_max=16)
+        for got, ref in ((fwd, fwd16), (bwd, bwd16)):
+            assert np.max(np.abs(got - ref)) <= 1e-9 * ref.max()
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        """The n_max that reaches each solver, in call order."""
+        seen = {"qme": [], "qle": []}
+        for module, name, method, at in ((master, "power_matrix", "qme", 2),
+                                         (langevin, "integrate_power", "qle", 4)):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, fn=fn, m=method, i=at, **k:
+                                seen[m].append(a[i]) or fn(*a, **k))
+        return seen
+
+    def test_each_solver_reads_its_own_stripes(self, orders):
+        # an in-phase drive has no contrast, so the moment stripes vanish,
+        # but the amplitude stripes carry beta |c| / Omega = 0.4
+        net, _ = chain()
+        mod = ModulationProtocol(beta=0.02 * OMEGA0, Omega=DRIVE,
+                                 theta=[0.3] * 4, mask=[1] * 4)
+        for method in ("qme", "qle"):
+            operating_point(net, mod, method, quad_tol=1e-4)
+        assert orders == {"qme": [4], "qle": [7]}
+        assert master.drive_order(mod) == 4 == sideband_order(0.0)
+        assert langevin.drive_order(mod) == 7 == sideband_order(0.4)
+
+    def test_sweep_resolves_the_order_per_point(self, orders):
+        # on the chain max|eta| = max(1, 2 |sin(theta / 2)|): r_eff 1 -> 2
+        net, mod = chain(0.05, 0.5)
+        thetas = np.array([0.1, 1.0]) * np.pi
+        rows = sweep(SweepSpec(network=net, modulation=mod, parameter="theta",
+                               values=thetas, methods=("qme", "qle"),
+                               quad_tol=1e-4))
+        assert all(r.status == "ok" for r in rows)
+        assert orders == {"qme": [sideband_order(1.0), sideband_order(2.0)],
+                          "qle": [sideband_order(1.0)] * 2}
+        assert orders["qme"] == [8, 10]
+
+    def test_explicit_order_is_used_as_given(self, orders):
+        net, mod = chain(0.05, 0.5)
+        for method in ("qme", "qle"):
+            operating_point(net, mod, method, 3, quad_tol=1e-4)
+        assert orders == {"qme": [3], "qle": [3]}
+
+    def test_order_below_the_drive_is_logged(self, caplog):
+        net, mod = chain(0.3, 0.5, drive_frac=0.02)
+        with caplog.at_level("WARNING", "floqheat"):
+            run_forward_backward(net, mod, "qme", 8, T_hot=3000.0)
+            spectrum_run(net, mod, grid=[OMEGA0], n_max=2, T_hot=3000.0)
+        notices = [r.getMessage() for r in caplog.records
+                   if not r.getMessage().startswith("white-noise")]
+        assert notices == ["n_max = 8 below the drive's sideband order 34 (qme)",
+                           "n_max = 2 below the drive's sideband order 27 (qle)"]
+        assert {r.name for r in caplog.records} == {"floqheat.scenarios"}
+
+    @pytest.mark.parametrize("beta_frac, method, n_max", [
+        (0.02, "qme", None),      # the drive's own order
+        (0.02, "qme", 8),         # equal to it
+        (0.02, "qme", 40),
+        (0.02, "pert1", 40),      # pert1 always runs at one sideband
+        (0.0, "qme", 1),          # undriven: every order is exact
+    ])
+    def test_no_notice_at_or_above_the_drive_order(self, caplog, beta_frac,
+                                                   method, n_max):
+        assert master.drive_order(chain(0.02, 0.5)[1]) == 8
+        net, mod = chain(beta_frac, 0.5)
+        with caplog.at_level("WARNING", "floqheat"):
+            run_forward_backward(net, mod, method, n_max, T_hot=3000.0)
+        assert caplog.records == []
 
 
 def _oracle_one_direction_at_a_time(net, mod, source, observer):
