@@ -7,7 +7,6 @@ silently fall back to a default.  Resonator indices in ``couplings`` are
 from __future__ import annotations
 
 import numpy as np
-import yaml
 
 from .model import FloqheatError, ModulationProtocol, ResonatorNetwork
 
@@ -120,6 +119,8 @@ def parse_config(doc):
 
 def load_config(path):
     """Read and parse a YAML configuration file."""
+    import yaml     # here, not at module level: only --config reads YAML
+
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocktri
-from .model import (SI, ConvergenceError, PowerMatrix, check_n_max,
-                    ensure_valid, occupation, sideband_order)
+from .model import (MAX_SIDEBAND_ORDER, SI, ConvergenceError, PowerMatrix,
+                    check_n_max, ensure_valid, occupation, sideband_order)
 
 __all__ = [
     "MomentIndexMap",
@@ -56,6 +56,15 @@ class MomentIndexMap:
         self.ket = np.concatenate([np.arange(N), np.column_stack([l, k]).ravel()])
         self._index = {(int(a), int(b)): i
                        for i, (a, b) in enumerate(zip(self.bra, self.ket))}
+        # Kronecker-sum gathers of assemble_Mn from the flat buffer
+        # [L.ravel(), R.ravel(), 0]: slot (a, b) reads L[a, c] where its ket
+        # matches that of (c, d), R[b, d] where the bras match, else the 0
+        zero = 2 * self.size
+        self.left_gather = np.where(self.ket[:, None] == self.ket,
+                                    self.bra[:, None] * N + self.bra, zero)
+        self.right_gather = np.where(self.bra[:, None] == self.bra,
+                                     self.size + self.ket[:, None] * N
+                                     + self.ket, zero)
 
     def index(self, k, l):
         """Flat position of <a_k^dagger a_l>."""
@@ -75,20 +84,21 @@ def assemble_Mn(net):
     R = diag(kappa + i omega) + i g on the ket index.  On vec(C) that is
     the Kronecker sum L (x) I + I (x) R, gathered straight into
     MomentIndexMap order: slot (a, b) couples to (c, d) through L[a, c]
-    when b == d and through R[b, d] when a == c.  The bra side carries g^T,
-    which is conj(g) only for Hermitian g; non-Hermitian g follows the same
-    convention as the time-domain generator.  The diagonal of g is ignored;
-    sideband blocks come from ``shift_Mn``.
+    when b == d and through R[b, d] when a == c.  The gather indices
+    depend only on N and live in the cached MomentIndexMap.  The bra side
+    carries g^T, which is conj(g) only for Hermitian g; non-Hermitian g
+    follows the same convention as the time-domain generator.  The
+    diagonal of g is ignored; sideband blocks come from ``shift_Mn``.
     """
     N = net.N
     imap = moment_index_map(N)
-    left = -1j * net.g.T
+    buf = np.zeros(2 * N * N + 1, dtype=complex)
+    left, right = buf[:-1].reshape(2, N, N)
+    np.multiply(-1j, net.g.T, out=left)
     np.fill_diagonal(left, net.kappa - 1j * net.omega)
-    right = 1j * net.g
+    np.multiply(1j, net.g, out=right)
     np.fill_diagonal(right, net.kappa + 1j * net.omega)
-    bra, ket = imap.bra, imap.ket
-    return (np.where(ket[:, None] == ket, left[bra[:, None], bra], 0.0)
-            + np.where(bra[:, None] == bra, right[ket[:, None], ket], 0.0))
+    return buf[imap.left_gather] + buf[imap.right_gather]
 
 
 def contrast_vector(mod):
@@ -232,7 +242,8 @@ def _hot_bath_powers(net, n_occ, hot, zeroth):
     return PowerMatrix(P=P, P_em=P_em)
 
 
-def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4, n_max_limit=256):
+def converged_power_matrix(net, mod, rtol=1e-4, n_max_start=4,
+                           n_max_limit=MAX_SIDEBAND_ORDER):
     """Double the truncation order until the power matrix stops moving.
 
     Returns (PowerMatrix, n_max_used); successive orders must agree to rtol

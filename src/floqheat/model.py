@@ -29,6 +29,7 @@ __all__ = [
     "ensure_valid",
     "check_n_max",
     "sideband_order",
+    "MAX_SIDEBAND_ORDER",
     "check_bath_index",
     "build_chain4",
     "FloqheatError",
@@ -299,6 +300,11 @@ def check_n_max(n_max):
         raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+
+
+# the most sidebands any solve truncates at by itself: the drive's order
+# above it is refused, and converged_power_matrix doubles up to it
+MAX_SIDEBAND_ORDER = 256
 
 
 def sideband_order(index):

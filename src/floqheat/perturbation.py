@@ -43,8 +43,7 @@ def assemble_Npert(net, mod):
     eta = contrast_vector(mod)
     gt, gts = np.diag(eta), np.diag(eta.conj())
     try:
-        inv_p = np.linalg.inv(shift_Mn(m0, +1, mod.Omega))
-        inv_m = np.linalg.inv(shift_Mn(m0, -1, mod.Omega))
+        inv_p, inv_m = np.linalg.inv(shift_Mn(m0, np.array([1, -1]), mod.Omega))
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"singular first-sideband block: {exc}") from exc
     return m0 + 0.25 * mod.beta**2 * (gt @ inv_p @ gts + gts @ inv_m @ gt)
@@ -151,7 +150,10 @@ CLOSED_FORM_ORIENTATION = -1.0
 def _require_symmetric_chain(net, mod):
     if net.N != 4:
         raise ValidationError("closed forms require the four-resonator chain")
-    if not (np.allclose(net.omega, net.omega[0]) and np.allclose(net.kappa, net.kappa[0])):
+    # np.allclose(x, x[0]) for omega and kappa, one expression for both
+    rates = np.stack([net.omega, net.kappa])
+    ref = rates[:, :1]
+    if not (np.abs(rates - ref) <= 1e-8 + 1e-5 * np.abs(ref)).all():
         raise ValidationError("closed forms require identical resonators")
     if not np.array_equal(mod.mask, [0, 1, 1, 0]):
         raise ValidationError("closed forms require the inner resonators modulated")

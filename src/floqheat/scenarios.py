@@ -9,14 +9,22 @@ power.  Every solver reads each direction from its own hot bath's share,
 so all of them, the spectra included, take both directions from one
 network with both end baths hot; pert1 is qme truncated at one sideband
 and pert2 its Neumann expansion.  Theta sweeps and the closed forms assume
-the four-resonator chain.  Every row and spectrum logs the regime findings
-of that network (``model.validate``) to this module's logger.
+the four-resonator chain.
+
+An operating point is prepared once and read by every method run on it:
+the swept parameter is applied, the network with both ends hot is built,
+and its regime findings (``model.validate``) go to this module's logger.
+``sweep`` does that once per value for all of its methods, and
+``operating_point``, ``run_forward_backward`` and ``spectrum_run`` once per
+call; a method that fails flags only its own row of a sweep.
 
 qme and qle truncate at the drive's own sideband order unless given one:
 ``master.drive_order`` reads it from the contrasts of the moment stripes,
 ``langevin.drive_order`` from the phasors of the amplitude stripes, at each
-operating point.  An explicit order below that of a driven protocol is
-logged to the same logger.
+operating point.  A drive that needs more than ``MAX_SIDEBAND_ORDER``
+sidebands raises ValidationError before any block is built; an explicit
+order is used as given, and one below that of a driven protocol is logged
+to the same logger.
 """
 from __future__ import annotations
 
@@ -24,14 +32,13 @@ import csv
 import dataclasses
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import langevin, master, perturbation, timedomain
-from .model import (FloqheatError, ValidationError, build_chain4, check_n_max,
-                    validate)
+from .model import (MAX_SIDEBAND_ORDER, FloqheatError, ValidationError,
+                    build_chain4, check_n_max, validate)
 
 __all__ = [
     "DEFAULT_OMEGA0",
@@ -88,23 +95,31 @@ def _ends(net):
 
 
 def _ends_hot(net, mod, T_hot):
-    """(first, last, copy of net with both end baths at T_hot, others at 0 K);
-    logs the regime findings of that copy with mod."""
+    """((first, last), copy of net with both end baths at T_hot and the
+    others at 0 K); logs the regime findings of that copy with mod.
+    ``sweep`` calls it once per value, and every method of the value reads
+    its result."""
     first, last = _ends(net)
     temp = np.zeros(net.N)
     temp[[first, last]] = T_hot
     both = net.with_temperatures(temp)
     for finding in validate(both, mod):
         _log.warning(finding.message)
-    return first, last, both
+    return (first, last), both
 
 
 def _order(method, mod, n_max):
     """Truncation order of a qme or qle solve: n_max as given, or the
-    drive's sideband order for None.  An explicit order below it is logged,
-    unless beta = 0, where no sideband couples and every order is exact."""
+    drive's sideband order for None, which raises ValidationError above
+    MAX_SIDEBAND_ORDER before any block is built.  An explicit order below
+    the drive's is logged, unless beta = 0, where no sideband couples and
+    every order is exact."""
     order = (master if method == "qme" else langevin).drive_order(mod)
     if n_max is None:
+        if order > MAX_SIDEBAND_ORDER:
+            raise ValidationError(
+                f"the drive needs {order} sidebands ({method}), more than "
+                f"{MAX_SIDEBAND_ORDER}; pass n_max to truncate explicitly")
         return order
     check_n_max(n_max)
     if n_max < order and mod.beta > 0.0:
@@ -113,22 +128,10 @@ def _order(method, mod, n_max):
     return n_max
 
 
-def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
-                         T_hot=DEFAULT_T_HOT):
-    """(P14, P41) with the hot bath on the first then on the last resonator.
-
-    The backward run reuses the identical modulation (phases untouched);
-    only the temperature assignment moves.  n_max None means the drive's
-    sideband order for qme and qle, each from its own stripes
-    (``master.drive_order``, ``langevin.drive_order``); an explicit n_max is
-    used as given and logged when below that order.  pert1 is qme at
-    n_max = 1 whatever n_max says; pert2 and the oracle take no order.  Every
-    method solves the network with both ends hot once and reads each
-    direction from the source bath's share: qme, pert1 and pert2 from one
-    power matrix, qle from one vector quadrature, and the oracle from the
-    per-bath cycle averages of one shooting period.
-    """
-    first, last, both = _ends_hot(net, mod, T_hot)
+def _powers(method, ends, both, mod, n_max, quad_tol):
+    """(P14, P41) of one method on ``both``, the network with both ends
+    hot, whose (first, last) resonators are ``ends``."""
+    first, last = ends
     if method == "qme":
         P = master.power_matrix(both, mod, _order(method, mod, n_max)).P
     elif method == "pert1":
@@ -147,6 +150,25 @@ def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
     else:
         raise ValueError(f"unknown method {method!r}")
     return P[first, last], P[last, first]
+
+
+def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
+                         T_hot=DEFAULT_T_HOT):
+    """(P14, P41) with the hot bath on the first then on the last resonator.
+
+    The backward run reuses the identical modulation (phases untouched);
+    only the temperature assignment moves.  n_max None means the drive's
+    sideband order for qme and qle, each from its own stripes
+    (``master.drive_order``, ``langevin.drive_order``), and raises
+    ValidationError where that order exceeds MAX_SIDEBAND_ORDER; an
+    explicit n_max is used as given and logged when below that order.
+    pert1 is qme at n_max = 1 whatever n_max says; pert2 and the oracle
+    take no order.  Every method solves the network with both ends hot
+    once and reads each direction from the source bath's share: qme, pert1
+    and pert2 from one power matrix, qle from one vector quadrature, and
+    the oracle from the per-bath cycle averages of one shooting period.
+    """
+    return _powers(method, *_ends_hot(net, mod, T_hot), mod, n_max, quad_tol)
 
 
 def rectification(P14, P41):
@@ -227,53 +249,84 @@ def _dephasing(mod):
     return float("nan")
 
 
-def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
-                    T_hot=DEFAULT_T_HOT):
-    """One SweepRow of the forward/backward protocol; raises on failure.
-
-    A "closed" row holds only the weak-coupling flux difference dP, with
-    P14, P41 and E NaN, and logs the findings of the network with both ends
-    hot like every other row; E is NaN as well where both powers vanish.
-    """
+def _row(method, ends, both, mod, n_max, quad_tol, T_hot):
+    """SweepRow of one method on ``both``, the network with both ends hot."""
     nan = float("nan")
     if method == "closed":
         p14 = p41 = nan
-        dP = perturbation.closed_form_delta_power(net, mod, T_hot)
-        _ends_hot(net, mod, T_hot)
+        dP = perturbation.closed_form_delta_power(both, mod, T_hot)
     else:
-        p14, p41 = run_forward_backward(net, mod, method, n_max, quad_tol, T_hot)
+        p14, p41 = _powers(method, ends, both, mod, n_max, quad_tol)
         dP = p14 - p41
     e = rectification(p14, p41) if p14 + p41 != 0.0 else nan
     return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
                     p14, p41, e, dP)
 
 
-def _sweep_point(spec, value, method):
+def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
+                    T_hot=DEFAULT_T_HOT):
+    """One SweepRow of the forward/backward protocol; raises on failure.
+
+    Builds the network with both ends hot and logs its regime findings
+    once, then runs the method on it as ``sweep`` does at each value.  A
+    "closed" row holds only the weak-coupling flux difference dP, with
+    P14, P41 and E NaN; E is NaN as well where both powers vanish.
+    """
+    return _row(method, *_ends_hot(net, mod, T_hot), mod, n_max, quad_tol,
+                T_hot)
+
+
+def _flagged(spec, mod, value, method, exc):
+    """Error row of one method at one swept value: NaN powers, the error in
+    the status, and a rejected beta or Omega (mod left unswept) in its
+    column."""
+    nan = float("nan")
+    row = SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
+                   nan, nan, nan, nan, status=f"error: {exc}")
+    if spec.parameter != "theta":
+        row = dataclasses.replace(row, **{spec.parameter: float(value)})
+    return row
+
+
+def _sweep_value(spec, value):
+    """Rows of every method at one swept value, in spec.methods order.
+
+    A failing value or network flags every row of the value; a failing
+    method flags only its own row.  Neither aborts the sweep.
+    """
     mod = spec.modulation
     try:
         mod = _apply_parameter(mod, spec.parameter, value)
-        return operating_point(spec.network, mod, method, spec.n_max,
-                               spec.quad_tol, spec.T_hot)
+        ends, both = _ends_hot(spec.network, mod, spec.T_hot)
     except (FloqheatError, ValueError) as exc:
-        # a failing point must not abort the sweep; flag the row instead,
-        # with a rejected beta or Omega (mod left unswept) in its column
-        nan = float("nan")
-        row = SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
-                       nan, nan, nan, nan, status=f"error: {exc}")
-        if spec.parameter != "theta":
-            row = dataclasses.replace(row, **{spec.parameter: float(value)})
-        return row
+        return [_flagged(spec, mod, value, m, exc) for m in spec.methods]
+    rows = []
+    for method in spec.methods:
+        try:
+            rows.append(_row(method, ends, both, mod, spec.n_max,
+                             spec.quad_tol, spec.T_hot))
+        except (FloqheatError, ValueError) as exc:
+            rows.append(_flagged(spec, mod, value, method, exc))
+    return rows
 
 
 def sweep(spec, workers=1):
-    """One SweepRow per (value, method), ordered by value then method."""
-    tasks = [(value, method) for value in spec.values for method in spec.methods]
+    """One SweepRow per (value, method), ordered by value then method.
+
+    Each value is one operating point: the swept parameter is applied, the
+    network with both ends hot is built and its regime findings logged
+    once, and every method runs on it; each row equals the
+    ``operating_point`` row of that value and method.  With workers > 1
+    the values are spread over that many processes, in the same order.
+    """
     if workers <= 1:
-        return [_sweep_point(spec, v, m) for v, m in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_sweep_point, [spec] * len(tasks),
-                             [v for v, _ in tasks], [m for _, m in tasks]))
-    return rows
+        per_value = [_sweep_value(spec, v) for v in spec.values]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_value = list(pool.map(_sweep_value, [spec] * len(spec.values),
+                                      spec.values))
+    return [row for rows in per_value for row in rows]
 
 
 def default_spectrum_grid(net, mod, n_max):
@@ -297,11 +350,12 @@ def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT):
     Returns (grid, forward, backward): forward is P_{1->N, omega} with the
     first resonator hot, backward P_{N->1, omega} with the last hot.  n_max
     None means the drive's sideband order for qle (``langevin.drive_order``),
-    which also sets the default grid; an explicit order below it is logged.
+    which also sets the default grid and raises ValidationError above
+    MAX_SIDEBAND_ORDER; an explicit order below it is logged.
     Both spectra come from one network with both end baths hot, through one
     elimination per frequency chunk.
     """
-    first, last, both = _ends_hot(net, mod, T_hot)
+    (first, last), both = _ends_hot(net, mod, T_hot)
     n_max = _order("qle", mod, n_max)
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)

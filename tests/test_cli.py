@@ -227,6 +227,13 @@ def test_strong_drive_runs_at_the_drive_order(capsys):
     assert lines[0] == lines[1] == "+0.8434\n"
 
 
+def test_unbounded_drive_order_exits_3(capsys):
+    # the drive's order at Omega = 1e-6 omega_0 is 70839 sidebands
+    code, _, err = run(capsys, "power", "--drive", "1e-6")
+    assert code == 3
+    assert "invalid input: the drive needs 70839 sidebands (qme)" in err
+
+
 def test_order_below_the_drive_printed_once_per_run(capsys, tmp_path):
     # two sweep points raise the same notice; pert1 runs at one sideband
     # by definition and raises none

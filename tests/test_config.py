@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import yaml
@@ -162,3 +167,24 @@ def test_non_mapping_file(tmp_path):
     path.write_text("- just\n- a\n- list\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_unparseable_file(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("network: [unclosed\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(path)
+
+
+def test_import_leaves_yaml_and_the_pool_unloaded():
+    # YAML is read only by load_config, and the process pool is started
+    # only by a sweep with workers > 1: neither import is paid up front
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, floqheat, floqheat.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('yaml', 'multiprocessing', "
+            "'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

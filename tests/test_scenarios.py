@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -7,15 +8,22 @@ import numpy as np
 import pytest
 
 from floqheat import (SI, ModulationProtocol, ResonatorNetwork,
-                      ValidationError, build_chain4, langevin, master,
-                      perturbation, scenarios, timedomain)
-from floqheat.model import sideband_order
+                      SingularBlockError, ValidationError, build_chain4,
+                      langevin, master, perturbation, scenarios, timedomain)
+from floqheat.model import MAX_SIDEBAND_ORDER, sideband_order
 from floqheat.scenarios import (MethodComparison, SweepSpec, compare_methods,
                                 default_chain, operating_point, rectification,
                                 run_forward_backward, spectrum_run, sweep,
                                 write_sweep_csv)
 
 from conftest import DRIVE, KAPPA, OMEGA0, T_HOT, chain, random_network
+
+
+def _same_row(a, b):
+    """Rows equal field by field, bit for bit (NaN equal to NaN)."""
+    return all(x == y or (x != x and y != y)
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b),
+                               strict=True))
 
 
 class TestRunForwardBackward:
@@ -109,15 +117,18 @@ class TestSweep:
             [(v, m) for v in values for m in ("qme", "pert1")]
 
     def test_parallel_equals_serial(self, chain_static):
+        # the pool maps whole values, so rows keep their order and values
         net, mod = chain_static
-        values = np.array([0.0, 0.02, 0.04]) * OMEGA0
+        values = np.array([0.0, 0.02, -1.0, 0.04]) * OMEGA0
         spec = SweepSpec(network=net, modulation=mod, parameter="beta",
-                         values=values, methods=("qme",))
+                         values=values, methods=("qme", "pert2", "closed"))
         serial = sweep(spec, workers=1)
         parallel = sweep(spec, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.P14 == pytest.approx(b.P14, rel=1e-13)
-            assert a.P41 == pytest.approx(b.P41, rel=1e-13)
+        assert len(serial) == len(parallel) == 12
+        for a, b in zip(serial, parallel, strict=True):
+            assert _same_row(a, b)
+        assert [r.status for r in serial[6:9]] == \
+            ["error: beta must be nonnegative"] * 3
 
     def test_failures_flag_rows_without_aborting(self, chain_static):
         net, mod = chain_static
@@ -142,15 +153,38 @@ class TestSweep:
         ("beta", -1.0, "beta must be nonnegative"),
     ])
     def test_rejected_value_flagged_in_its_column(self, parameter, value, message):
+        # a rejected value flags the row of every method at that value
         net, mod = chain(0.02, 0.5)
         good = getattr(mod, parameter)
+        k = len(scenarios.METHODS)
         rows = sweep(SweepSpec(network=net, modulation=mod, parameter=parameter,
-                               values=[value, good], methods=("qme", "closed")))
-        for row in rows[:2]:
+                               values=[value, good], methods=scenarios.METHODS,
+                               quad_tol=1e-4))
+        for row in rows[:k]:
             assert row.status == f"error: {message}"
             assert getattr(row, parameter) == value
             assert np.isnan([row.P14, row.P41, row.E, row.dP]).all()
-        assert [r.status for r in rows[2:]] == ["ok", "ok"]
+        assert [r.status for r in rows[k:]] == ["ok"] * k
+
+    def test_failing_method_flags_only_its_row(self, monkeypatch):
+        net, mod = chain(0.02, 0.5)
+
+        def singular(*args, **kwargs):
+            raise SingularBlockError("singular first-sideband block")
+        monkeypatch.setattr(perturbation, "power_second_order", singular)
+        methods = ("qme", "pert2", "pert1", "closed")
+        rows = sweep(SweepSpec(network=net, modulation=mod, parameter="beta",
+                               values=np.array([0.01, 0.03]) * OMEGA0,
+                               methods=methods))
+        assert [r.status for r in rows] == \
+            ["ok", "error: singular first-sideband block", "ok", "ok"] * 2
+        for row in rows[1::4]:
+            assert np.isnan([row.P14, row.P41, row.E, row.dP]).all()
+        for row, method in zip(rows[4:], methods, strict=True):
+            if method != "pert2":
+                direct = operating_point(net, dataclasses.replace(
+                    mod, beta=0.03 * OMEGA0), method)
+                assert _same_row(row, direct)
 
     def test_closed_rows_do_no_second_order_solve(self, monkeypatch):
         net, mod = chain(0.02, 0.5)
@@ -175,14 +209,22 @@ class TestSweep:
         assert bad.status.startswith("error:") and np.isnan(bad.dP)
 
     def test_sweep_rows_are_operating_points(self, chain_modulated):
+        # every method of a swept value reads the one network that the
+        # value prepares, and gets the row that operating_point gives
         net, mod = chain_modulated
-        methods = ("qme", "pert1", "closed")
-        spec = SweepSpec(network=net, modulation=mod, parameter="beta",
-                         values=[mod.beta], methods=methods)
-        for row, method in zip(sweep(spec), methods, strict=True):
-            direct = dataclasses.astuple(operating_point(net, mod, method))
-            for x, y in zip(dataclasses.astuple(row), direct, strict=True):
-                assert x == y or (np.isnan(x) and np.isnan(y))
+        methods = scenarios.METHODS
+        for parameter, values in (("beta", [0.01 * OMEGA0, mod.beta]),
+                                  ("theta", [0.1 * np.pi, -0.7 * np.pi]),
+                                  ("Omega", [0.03 * OMEGA0, 0.08 * OMEGA0])):
+            spec = SweepSpec(network=net, modulation=mod, parameter=parameter,
+                             values=values, methods=methods, quad_tol=1e-4)
+            rows = sweep(spec)
+            assert len(rows) == len(values) * len(methods)
+            for i, value in enumerate(values):
+                swept = scenarios._apply_parameter(mod, parameter, value)
+                for row, method in zip(rows[i * len(methods):], methods):
+                    direct = operating_point(net, swept, method, quad_tol=1e-4)
+                    assert row.status == "ok" and _same_row(row, direct)
 
     def test_operating_point_raises_and_flags_zero_total(self):
         net, mod = build_chain4(OMEGA0, 0.0, KAPPA, 0.02 * OMEGA0, DRIVE, 0.5)
@@ -384,6 +426,40 @@ class TestDriveOrder:
                            "n_max = 2 below the drive's sideband order 27 (qle)"]
         assert {r.name for r in caplog.records} == {"floqheat.scenarios"}
 
+    def test_unbounded_drive_order_is_refused(self, monkeypatch):
+        # at Omega = 1e-6 omega_0 the chain's drive needs 70839 moment and
+        # 50115 amplitude sidebands; n_max None refuses before any block
+        net, mod = chain(0.05, 0.5, drive_frac=1e-6)
+        assert (master.drive_order(mod), langevin.drive_order(mod)) == \
+            (70839, 50115)
+
+        def no_solve(*a, **k):
+            raise AssertionError("solver reached")
+        for module, name in ((master, "power_matrix"),
+                             (langevin, "integrate_power"),
+                             (langevin, "heat_flux_spectrum"),
+                             (langevin, "integration_window")):
+            monkeypatch.setattr(module, name, no_solve)
+        for method, order in (("qme", 70839), ("qle", 50115)):
+            with pytest.raises(ValidationError,
+                               match=f"needs {order} sidebands \\({method}\\)"):
+                run_forward_backward(net, mod, method)
+        with pytest.raises(ValidationError, match="needs 50115 sidebands"):
+            spectrum_run(net, mod)
+        rows = sweep(SweepSpec(network=net, modulation=mod, parameter="beta",
+                               values=[mod.beta], methods=("qme", "qle")))
+        assert [r.status for r in rows] == [
+            f"error: the drive needs {n} sidebands ({m}), more than "
+            f"{MAX_SIDEBAND_ORDER}; pass n_max to truncate explicitly"
+            for m, n in (("qme", 70839), ("qle", 50115))]
+        assert inspect.signature(master.converged_power_matrix).parameters[
+            "n_max_limit"].default == MAX_SIDEBAND_ORDER
+
+    def test_explicit_order_beyond_the_limit_is_used(self, orders):
+        net, mod = chain(0.05, 0.5, drive_frac=1e-6)
+        operating_point(net, mod, "qme", 3)
+        assert orders["qme"] == [3]
+
     @pytest.mark.parametrize("beta_frac, method, n_max", [
         (0.02, "qme", None),      # the drive's own order
         (0.02, "qme", 8),         # equal to it
@@ -425,7 +501,7 @@ def test_oracle_matches_one_direction_at_a_time(beta_frac, theta_pi):
 
 
 class TestRegimeFindings:
-    def test_logged_once_per_solve_never_warned(self, caplog):
+    def test_logged_once_per_operating_point_never_warned(self, caplog):
         # the reference chain at 300 K: hbar*Omega >= 0.1 kB T_hot
         net, mod = chain(0.0, 0.5)
         spec = SweepSpec(network=net, modulation=mod, parameter="beta",
@@ -436,8 +512,9 @@ class TestRegimeFindings:
             rows = sweep(spec)
             spectrum_run(net, mod, grid=[OMEGA0], n_max=1)
         assert all(r.status == "ok" for r in rows)
-        # every row, closed included, logs its network's finding once
-        assert len(caplog.records) == 4 * 3 + 1
+        # every swept value logs its network's finding once, for all four
+        # methods, closed included
+        assert len(caplog.records) == 3 + 1
         assert {(r.name, r.getMessage().split(" = ")[0]) for r in caplog.records} \
             == {("floqheat.scenarios", "white-noise regime questionable: hbar*Omega")}
 
