@@ -9,6 +9,16 @@ The coupling stripes are diagonal and the same in every block row, so
 the centre block row r = n (sideband 0), given as its (..., B, C) block.
 Leading axes of ``diag`` (..., R, B, B) in front of the block axis are
 batch axes and broadcast, numpy-style, with those of the rhs.
+
+A system may carry a mirror: an involutive permutation P of the B slots
+of a block with P conj(diag[r]) P = diag[R-1-r], P conj(lower) P = upper
+(as diagonals) and P conj(rhs) = rhs.  Then x' with x'[R-1-r] =
+P conj(x[r]) solves the system too, and so equals x: the block rows of
+sideband -m are those of +m conjugated and permuted.  The master
+equation has one whenever the couplings are Hermitian: the moments
+C_kl = <a_k^+ a_l> form a Hermitian matrix at every instant, so their
+Fourier coefficients obey C_-n = C_n^dagger, and P swaps each pair slot
+(k, l) with (l, k).
 """
 from __future__ import annotations
 
@@ -19,7 +29,7 @@ from .model import SingularBlockError
 __all__ = ["solve_thomas"]
 
 
-def solve_thomas(diag, upper, lower, rhs):
+def solve_thomas(diag, upper, lower, rhs, mirror=None):
     """Block LU (Golub & Van Loan, Matrix Computations, 4.5) from both ends
     toward the centre block row: a matrix continued fraction.
 
@@ -36,6 +46,13 @@ def solve_thomas(diag, upper, lower, rhs):
     drive (beta up to 0.5 omega_0, Omega = 0.02 omega_0, n_max = 64), where
     the blocks are far from diagonally dominant.  Returns x shaped
     (..., R, B, C).
+
+    ``mirror`` is the permutation P of a system with the mirror of the
+    module docstring, as a (B,) index array: P v = v[mirror].  The caller
+    vouches for the contract; only the length of P is checked.  Only the
+    top sweep is then eliminated: each bottom factor is P conj(top
+    factor) P, so it enters the centre block as a gather, and the bottom
+    half of the solution is written as x[R-1-r] = P conj(x[r]).
     """
     diag, rhs = np.asarray(diag), np.asarray(rhs)
     *_, nblocks, b, _ = diag.shape
@@ -46,20 +63,34 @@ def solve_thomas(diag, upper, lower, rhs):
     n = nblocks // 2
     # the top sweep meets its eliminated neighbour through ``lower`` and
     # passes on through ``upper``, the bottom sweep the other way round.
-    # factors[k] = -S_k^-1 diag(passing stripe) of both sweeps' Schur
-    # complements S_k carries x one block row away from the centre.
-    into = np.stack((lower, upper))[:, :, None]
-    out = -np.stack((upper, lower))[:, None, :]
+    # factors[k] = -S_k^-1 diag(passing stripe) of the Schur complements
+    # S_k of both sweeps, or of the top one alone under a mirror, carries
+    # x one block row away from the centre.  sides[k] slices out the block
+    # rows that step k eliminates: k and R-1-k, or k alone.
+    sweeps = 2
+    if mirror is not None:
+        mirror = np.asarray(mirror)
+        if mirror.shape != (b,):
+            raise ValueError("mirror must permute the B slots of a block")
+        sweeps = 1
+    into = np.array((lower, upper))[:sweeps, :, None]
+    out = -np.array((upper, lower))[:sweeps, None, :]
+    last = nblocks - 1
+    sides = [slice(k, last - k + 1 if sweeps == 2 else k + 1, last - 2 * k)
+             for k in range(n)]
     factors = []
     try:
         for k in range(n):
-            s = diag[..., (k, nblocks - 1 - k), :, :]
+            s = diag[..., sides[k], :, :]
             if factors:
                 s = s + into * factors[-1]
             factors.append(np.linalg.inv(s) * out)
         centre = diag[..., n, :, :]
         if factors:
-            centre = centre + (into * factors[-1]).sum(axis=-3)
+            fold = (into * factors[-1]).sum(axis=-3)
+            if mirror is not None:
+                fold = fold + fold.take(mirror, -2).take(mirror, -1).conj()
+            centre = centre + fold
         x_centre = np.linalg.solve(centre, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"singular block during elimination: {exc}") from exc
@@ -71,7 +102,9 @@ def solve_thomas(diag, upper, lower, rhs):
     side = cols[..., None, :, None]
     for k in range(n - 1, -1, -1):
         side = factors[k][..., None, :, :, :] @ side
-        x[..., (k, nblocks - 1 - k), :] = side[..., 0]
-    if not np.all(np.isfinite(x)):
+        x[..., sides[k], :] = side[..., 0]
+    if mirror is not None:
+        x[..., n + 1:, :] = x[..., :n, :][..., ::-1, :].take(mirror, -1).conj()
+    if not np.isfinite(x).all():
         raise SingularBlockError("non-finite solution from block elimination")
-    return np.moveaxis(x, -3, -1)
+    return x.swapaxes(-3, -2).swapaxes(-2, -1)

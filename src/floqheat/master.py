@@ -12,6 +12,13 @@ The solve is block elimination (``blocktri.solve_thomas``) and nothing
 else: M_0 is assembled once per operating point, the sideband blocks
 M_n = M_0 - i n Omega I are shifted from it (``shift_Mn``), and every hot
 bath is one right-hand-side column of the same elimination.
+
+When g is exactly Hermitian (every qme path: ``power_matrix``, pert1,
+``converged_power_matrix``, ``solve_fourier``; the sources are real), the
+moments form a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the
+swap (k, l) <-> (l, k) of MomentIndexMap.  The elimination then runs the
+top sweep only and mirrors the bottom half (``_moment_mirror``); any
+other g, including one a rounding error off Hermitian, runs both sweeps.
 """
 from __future__ import annotations
 
@@ -65,6 +72,11 @@ class MomentIndexMap:
         self.right_gather = np.where(self.bra[:, None] == self.bra,
                                      self.size + self.ket[:, None] * N
                                      + self.ket, zero)
+        # slot of <a_l^+ a_k> for each <a_k^+ a_l>: the pair slots swap
+        # in twos, the diagonal moments stay put
+        self.swap = np.arange(self.size)
+        self.swap[N::2] += 1
+        self.swap[N + 1::2] -= 1
 
     def index(self, k, l):
         """Flat position of <a_k^dagger a_l>."""
@@ -74,6 +86,20 @@ class MomentIndexMap:
 @functools.lru_cache(maxsize=None)
 def moment_index_map(N):
     return MomentIndexMap(N)
+
+
+def _moment_mirror(net):
+    """The swap of MomentIndexMap when g is exactly Hermitian, else None.
+
+    Then C = <a_k^+ a_l> is a Hermitian matrix at every instant, and with
+    P the swap (k, l) <-> (l, k): P conj(M_n) P = M_-n and
+    P conj(G+) P = G-, so the moment equations carry the mirror of
+    ``blocktri``.  The test is exact equality, not the 1e-15 tolerance of
+    the ``hermitian`` flag: a g one ulp off takes the two-sided solve.
+    """
+    if np.array_equal(net.g, net.g.conj().T):
+        return moment_index_map(net.N).swap
+    return None
 
 
 def assemble_Mn(net):
@@ -190,8 +216,8 @@ def _solve_fourier_nvec(net, mod, n_max, nvecs):
     cols = nvecs.reshape(-1, N)
     rhs = np.zeros((N * N, cols.shape[0]), dtype=complex)
     rhs[:N] = (2.0 * net.kappa[:, None]) * cols.T
-    coeffs = np.moveaxis(
-        blocktri.solve_thomas(*_sideband_blocks(net, mod, n_max), rhs), -1, 0)
+    coeffs = blocktri.solve_thomas(*_sideband_blocks(net, mod, n_max), rhs,
+                                   mirror=_moment_mirror(net)).transpose(2, 0, 1)
     return coeffs if nvecs.ndim == 2 else coeffs[0]
 
 

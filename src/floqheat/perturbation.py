@@ -14,7 +14,8 @@ import csv
 
 import numpy as np
 
-from .master import _hot_bath_powers, assemble_Mn, contrast_vector, shift_Mn
+from .master import (_hot_bath_powers, _moment_mirror, assemble_Mn,
+                     contrast_vector, shift_Mn)
 from .model import (SI, SingularBlockError, ValidationError, ensure_valid,
                     occupation)
 
@@ -34,7 +35,9 @@ def assemble_Npert(net, mod):
 
     N = M_0 + (beta^2/4) (Gt M_+1^-1 Gt* + Gt* M_-1^-1 Gt) with
     Gt = diag(eta) from ``master.contrast_vector``, so that G+ = (i beta/2)
-    Gt; blocks with |n| >= 2 are discarded.
+    Gt; blocks with |n| >= 2 are discarded.  For exactly Hermitian g,
+    M_-1^-1 is the mirror P conj(M_+1^-1) P of ``master._moment_mirror``
+    and only M_+1 is inverted.
     """
     ensure_valid(net, mod)
     m0 = assemble_Mn(net)
@@ -42,8 +45,15 @@ def assemble_Npert(net, mod):
         return m0
     eta = contrast_vector(mod)
     gt, gts = np.diag(eta), np.diag(eta.conj())
+    swap = _moment_mirror(net)
     try:
-        inv_p, inv_m = np.linalg.inv(shift_Mn(m0, np.array([1, -1]), mod.Omega))
+        if swap is None:
+            inv_p, inv_m = np.linalg.inv(
+                shift_Mn(m0, np.array([1, -1]), mod.Omega))
+        else:
+            # M_-1 = P conj(M_+1) P, and so are the inverses
+            inv_p = np.linalg.inv(shift_Mn(m0, 1, mod.Omega))
+            inv_m = inv_p.conj()[swap[:, None], swap]
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"singular first-sideband block: {exc}") from exc
     return m0 + 0.25 * mod.beta**2 * (gt @ inv_p @ gts + gts @ inv_m @ gt)

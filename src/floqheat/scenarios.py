@@ -395,16 +395,24 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
     oracle within TOL_QME_ORACLE = 1e-4 (criterion 3) of qme, relative
     (equal zeros deviate by 0, anything else against a zero qme by inf).
     A network without two distinct ends raises ValidationError; solver
-    failures are reported per method.
+    failures are reported per method.  The network with both ends hot is
+    built and its regime findings logged once, and all three methods run
+    on it; a failure to build it is reported for all three.
     """
     _ends(net)
-    powers = {}
-    for method in ("qme", "qle", "oracle"):
-        try:
-            powers[method] = run_forward_backward(net, mod, method, n_max,
-                                                  quad_tol, T_hot)
-        except (FloqheatError, ValueError) as exc:
-            powers[method] = str(exc)
+    methods = ("qme", "qle", "oracle")
+    try:
+        ends, both = _ends_hot(net, mod, T_hot)
+    except (FloqheatError, ValueError) as exc:
+        powers = dict.fromkeys(methods, str(exc))
+    else:
+        powers = {}
+        for method in methods:
+            try:
+                powers[method] = _powers(method, ends, both, mod, n_max,
+                                         quad_tol)
+            except (FloqheatError, ValueError) as exc:
+                powers[method] = str(exc)
 
     def rel_dev(a, b):
         # against a zero qme power, an equal zero deviates by 0, anything else by inf

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from floqheat.blocktri import solve_thomas
 from floqheat.langevin import _bath_weights, _sideband_blocks as qle_blocks
-from floqheat.master import _sideband_blocks as qme_blocks
+from floqheat.master import (_moment_mirror, _sideband_blocks as qme_blocks,
+                             power_matrix)
 from floqheat.model import SingularBlockError
 
 from conftest import KAPPA, OMEGA0, assemble_dense, chain, random_network
@@ -207,3 +210,66 @@ def test_every_bath_weight_matches_dense_lu():
                                   np.eye(net.N))
             dense = np.einsum("mki->ik", np.abs(rows) ** 2)
             assert np.max(np.abs(weights[f] - dense) / dense) <= 1e-12, name
+
+
+def mirror_cases():
+    rng = np.random.default_rng(21)
+    return ([(f"chain n={n}", *chain(0.05, 0.5), n) for n in (1, 4, 9, 64)]
+            + [(f"random N={n}", *random_network(rng, n), 6) for n in range(2, 9)]
+            + [("strong drive", *chain(0.5, 0.5, drive_frac=0.02), 64)])
+
+
+def test_mirrored_solve_matches_dense_lu():
+    # Hermitian g: the moment operator carries the pair-slot swap, so only
+    # the top sweep is eliminated and the bottom half is its mirror image
+    rng = np.random.default_rng(22)
+    for name, net, mod, n_max in mirror_cases():
+        swap = _moment_mirror(net)
+        assert swap is not None, name
+        rhs = np.zeros((net.N ** 2, 2), dtype=complex)
+        rhs[:net.N] = rng.uniform(0.0, 1.0, (net.N, 2))
+        diag, upper, lower = qme_blocks(net, mod, n_max)
+        x = solve_thomas(diag, upper, lower, rhs, mirror=swap)
+        assert max_rel(x, dense_solution(diag, upper, lower, rhs)) <= 1.5e-15, name
+        # x_-n = P conj(x_n), block row by block row
+        assert max_rel(x[::-1, swap].conj(), x) <= 1e-15, name
+
+
+def test_mirror_needs_exactly_hermitian_g(monkeypatch):
+    # a g one ulp off Hermitian, and a plainly non-Hermitian one, take the
+    # two-sided elimination: both sweeps stacked in every block inversion
+    net, mod = chain(0.05, 0.5)
+    ulp, skewed = np.array(net.g), np.array(net.g)
+    ulp[0, 1] = np.nextafter(ulp[0, 1].real, np.inf) + 1j * ulp[0, 1].imag
+    skewed[0, 1] *= 1.5
+    nets = [dataclasses.replace(net, g=g, hermitian=h).with_temperatures(
+        [300.0, 0.0, 0.0, 300.0]) for g, h in ((net.g, True), (ulp, True),
+                                               (skewed, False))]
+    sweeps, inv = [], np.linalg.inv
+
+    def spy(a):
+        sweeps.append(a.shape[-3])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    powers = []
+    for hot, expected in zip(nets, (1, 2, 2)):
+        sweeps.clear()
+        powers.append(power_matrix(hot, mod, 10))
+        assert sweeps == [expected] * 10
+    assert _moment_mirror(nets[0]) is not None
+    assert _moment_mirror(nets[1]) is None and _moment_mirror(nets[2]) is None
+    # no jump where the mirror switches off
+    exact, near = powers[:2]
+    scale = np.abs(exact.P).max()
+    assert np.abs(near.P - exact.P).max() <= 1e-14 * scale
+    assert np.abs(near.P_em - exact.P_em).max() <= 1e-14 * scale
+
+
+def test_mirror_length_checked():
+    rng = np.random.default_rng(23)
+    diag, upper, lower, rhs = accretive_system(rng, 2, 4)
+    with pytest.raises(ValueError, match="mirror"):
+        solve_thomas(diag, upper, lower, rhs, mirror=np.arange(3))
+    with pytest.raises(ValueError, match="mirror"):
+        solve_thomas(diag, upper, lower, rhs, mirror=np.arange(16).reshape(4, 4))

@@ -640,8 +640,25 @@ class TestCompareMethods:
 
     def test_nonzero_against_zero_qme_fails(self, chain_modulated, monkeypatch):
         fake = {"qme": (0.0, 0.0), "qle": (1e-20, 0.0), "oracle": (0.0, 0.0)}
-        monkeypatch.setattr(scenarios, "run_forward_backward",
-                            lambda net, mod, method, *args: fake[method])
+        monkeypatch.setattr(scenarios, "_powers",
+                            lambda method, *args: fake[method])
         report = compare_methods(*chain_modulated)
         assert report.deviations == {"qme-vs-qle": math.inf, "qme-vs-oracle": 0.0}
         assert not report.passed
+
+    def test_findings_logged_once_per_point(self, caplog):
+        # one network with both ends hot serves all three methods, so the
+        # hbar*Omega finding of the reference point is logged once, not
+        # once per method
+        with caplog.at_level("WARNING", "floqheat"):
+            report = compare_methods(*default_chain(0.05 * OMEGA0))
+        assert report.passed
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages and len(messages) == len(set(messages))
+
+    def test_unprepared_point_fails_every_method(self, chain_modulated):
+        report = compare_methods(*chain_modulated, T_hot=-1.0)
+        errors = set(report.powers.values())
+        assert len(errors) == 1 and isinstance(errors.pop(), str)
+        assert set(report.powers) == {"qme", "qle", "oracle"}
+        assert report.deviations == {} and not report.passed
