@@ -5,7 +5,7 @@ flows from the 300 K bath on resonator 1 to the cold end, the same in both
 directions, and both solver families must land on the same number (about
 5.9e-22 W for these graphene-flake-like rates).
 """
-from floqheat import default_chain, occupation, rectification, run_forward_backward
+from floqheat import default_chain, occupation, operating_point
 from floqheat.scenarios import DEFAULT_OMEGA0, DEFAULT_T_HOT
 
 net, mod = default_chain(beta=0.0)
@@ -19,18 +19,17 @@ print("single-link scale hbar w 2 kappa n = %.3e W"
 print()
 
 # frequency-domain Langevin route: integrate the heat-flux spectrum
-p14_qle, p41_qle = run_forward_backward(net, mod, "qle")
+qle = operating_point(net, mod, "qle")
 # Fourier-moment route: one linear solve, no integration
-p14_qme, p41_qme = run_forward_backward(net, mod, "qme")
+qme = operating_point(net, mod, "qme")
 
 print("                 P14 [W]        P41 [W]")
-print("spectral      %.6e   %.6e" % (p14_qle, p41_qle))
-print("moment-space  %.6e   %.6e" % (p14_qme, p41_qme))
-print("cross deviation: %.2e" % abs(p14_qle / p14_qme - 1))
-print("rectification E = %+.2e (reciprocal transport: E = 0)"
-      % rectification(p14_qme, p41_qme))
+print("spectral      %.6e   %.6e" % (qle.P14, qle.P41))
+print("moment-space  %.6e   %.6e" % (qme.P14, qme.P41))
+print("cross deviation: %.2e" % abs(qle.P14 / qme.P14 - 1))
+print("rectification E = %+.2e (reciprocal transport: E = 0)" % qme.E)
 
 # the end-to-end transfer is a three-hop process, so it rides at
 # (g/kappa)^6 below the single-link scale -- twelve orders down here
-ratio = p14_qme / (1.054571817e-34 * DEFAULT_OMEGA0 * 2 * net.kappa[0] * n_hot)
+ratio = qme.P14 / (1.054571817e-34 * DEFAULT_OMEGA0 * 2 * net.kappa[0] * n_hot)
 print("\nend-to-end transfer sits %.1e below the single-link scale" % ratio)

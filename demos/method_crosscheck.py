@@ -7,10 +7,10 @@ agreement is the strongest internal check the package has.
 """
 import numpy as np
 
-from floqheat.master import moment_index_map, solve_fourier
+from floqheat.master import power_matrix
 from floqheat.scenarios import (DEFAULT_OMEGA0, DEFAULT_T_HOT, compare_methods,
                                 default_chain)
-from floqheat.timedomain import cycle_averaged_moments, evolve_to_cycle
+from floqheat.timedomain import cycle_average_power, evolve_to_cycle
 
 net, mod = default_chain(beta=0.05 * DEFAULT_OMEGA0, theta=0.5 * np.pi)
 
@@ -19,18 +19,16 @@ report = compare_methods(net, mod)
 for line in report.lines():
     print(line)
 
-# the same agreement holds moment by moment, not just for the powers
+# the same agreement holds resonator by resonator, not just end to end
 hot = net.with_hot_bath(0, DEFAULT_T_HOT)
 samples = evolve_to_cycle(hot, mod)
-avg = cycle_averaged_moments(samples)
-zeroth = solve_fourier(hot, mod, 15, 0).coefficient(0)
-imap = moment_index_map(4)
+rk4, _ = cycle_average_power(samples, hot, 0)
+fourier = power_matrix(hot, mod, 15).P[0]
 
 print(f"\nlargest Floquet multiplier of one drive period: "
       f"{samples.floquet_multiplier:.3e}")
-print("cycle-averaged occupations, rk4 vs fourier:")
-for k in range(4):
-    a = avg[imap.index(k, k)].real
-    b = zeroth[imap.index(k, k)].real
+print("cycle-averaged power from the bath of resonator 1, rk4 vs fourier [W]:")
+for k in range(1, 4):
+    a, b = rk4[k], fourier[k]
     print(f"  resonator {k + 1}: {a:.6e}  vs  {b:.6e}"
           f"   (dev {abs(a / b - 1):.1e})")

@@ -32,14 +32,11 @@ from .langevin import (
     spectral_correlations,
 )
 from .master import (
-    FourierSolution,
     MomentIndexMap,
-    assemble_Gpm,
     assemble_Mn,
     moment_index_map,
     converged_power_matrix,
     power_matrix,
-    solve_fourier,
 )
 from .perturbation import (
     assemble_Npert,
@@ -54,8 +51,8 @@ from .scenarios import (
     MethodComparison,
     compare_methods,
     default_chain,
+    operating_point,
     rectification,
-    run_forward_backward,
     spectrum_run,
     sweep,
 )

@@ -71,27 +71,33 @@ def parse_config(doc):
     _check_keys("network", net_map, _NET_KEYS)
     omega = _vector("network", net_map, "omega")
     n = omega.size
-    if "N" in net_map and int(net_map["N"]) != n:
-        raise ConfigError(f"network.N = {net_map['N']} but omega has {n} entries")
+    size = net_map.get("N", n)
+    if type(size) is not int or size != n:
+        raise ConfigError(f"network.N must be the integer len(omega) = {n}, got {size!r}")
     kappa = _vector("network", net_map, "kappa", n)
     temp = _vector("network", net_map, "T", n, required=False)
     if temp is None:
         temp = np.zeros(n)
-    hermitian = bool(net_map.get("hermitian", False))
+    hermitian = net_map.get("hermitian", False)
+    if not isinstance(hermitian, bool):
+        raise ConfigError(f"network.hermitian must be true or false, got {hermitian!r}")
+    couplings = net_map.get("couplings") or []
+    if not isinstance(couplings, list):
+        raise ConfigError("network.couplings must be a list of [i, j, re, im]")
 
     g = np.zeros((n, n), dtype=complex)
     explicit = set()
-    for entry in net_map.get("couplings", []) or []:
+    for entry in couplings:
         try:
             i, j, re, im = entry
-            i, j = int(i), int(j)
+            i, j, value = int(i), int(j), complex(float(re), float(im))
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"coupling entries must be [i, j, re, im], got {entry!r}"
             ) from exc
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ConfigError(f"coupling indices out of range or diagonal: {entry!r}")
-        g[i - 1, j - 1] = complex(float(re), float(im))
+        g[i - 1, j - 1] = value
         explicit.add((i - 1, j - 1))
     for (i, j) in sorted(p for p in explicit if p[::-1] not in explicit):
         if not hermitian:

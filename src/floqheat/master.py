@@ -14,7 +14,7 @@ M_n = M_0 - i n Omega I are shifted from it (``shift_Mn``), and every hot
 bath is one right-hand-side column of the same elimination.
 
 When g is exactly Hermitian (every qme path: ``power_matrix``, pert1,
-``converged_power_matrix``, ``solve_fourier``; the sources are real), the
+``converged_power_matrix``; the sources are real), the
 moments form a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the
 swap (k, l) <-> (l, k) of MomentIndexMap.  The elimination then runs the
 top sweep only and mirrors the bottom half (``_moment_mirror``); any
@@ -23,24 +23,20 @@ other g, including one a rounding error off Hermitian, runs both sweeps.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocktri
 from .model import (MAX_SIDEBAND_ORDER, SI, ConvergenceError, PowerMatrix,
-                    check_n_max, ensure_valid, occupation, sideband_order)
+                    check_n_max, ensure_valid, sideband_order)
 
 __all__ = [
     "MomentIndexMap",
     "moment_index_map",
-    "FourierSolution",
     "assemble_Mn",
     "contrast_vector",
     "drive_order",
-    "assemble_Gpm",
     "shift_Mn",
-    "solve_fourier",
     "power_matrix",
     "converged_power_matrix",
 ]
@@ -146,36 +142,6 @@ def drive_order(mod):
     return sideband_order(mod.beta * np.abs(contrast_vector(mod)).max() / mod.Omega)
 
 
-def assemble_Gpm(mod):
-    """Diagonal sideband-coupling matrices (G+, G-).
-
-    G+ = (i beta / 2) diag(eta) and G- = (i beta / 2) diag(conj(eta)) with
-    eta from ``contrast_vector``: -eta on the swapped slot, zeros on the
-    diagonal-moment slots.
-    """
-    eta = contrast_vector(mod)
-    return np.diag(0.5j * mod.beta * eta), np.diag(0.5j * mod.beta * eta.conj())
-
-
-@dataclass(frozen=True)
-class FourierSolution:
-    """Fourier coefficients of all second moments.
-
-    coeffs[r] holds sideband n = n_max - r (row 0 is +n_max, the last row is
-    -n_max), each a flat complex vector in MomentIndexMap order.
-    """
-
-    n_max: int
-    Omega: float
-    coeffs: np.ndarray  # (2 n_max + 1, N^2)
-
-    def coefficient(self, n):
-        """Flat moment vector <.>_n."""
-        if abs(n) > self.n_max:
-            raise IndexError(f"sideband {n} outside truncation +-{self.n_max}")
-        return self.coeffs[self.n_max - n]
-
-
 def shift_Mn(m0, n, Omega):
     """Sideband blocks M_n = M_0 - i n Omega I from the static block M_0.
 
@@ -191,16 +157,17 @@ def shift_Mn(m0, n, Omega):
 def _sideband_blocks(net, mod, n_max):
     diag = shift_Mn(assemble_Mn(net), np.arange(n_max, -n_max - 1, -1),
                     mod.Omega)
-    gp, gm = assemble_Gpm(mod)
     # The Fourier recursion couples <.>_n to <.>_{n+1} with -G+ and to
-    # <.>_{n-1} with -G-; this sign keeps the reconstructed time series in
-    # phase with the generator of the time-domain equations.  The opposite
-    # global sign only remaps <.>_n -> (-1)^n <.>_n and leaves every
-    # cycle-averaged quantity unchanged.  Blocks are stored from +n_max down
-    # to -n_max, so <.>_{n+1} sits one block row up (the "lower" stripe
-    # holds its coefficient) and <.>_{n-1} one down.  Both stripes are
-    # diagonal and the same in every block row.
-    return diag, -np.diagonal(gm), -np.diagonal(gp)
+    # <.>_{n-1} with -G-, where G+ = (i beta/2) diag(eta) and
+    # G- = (i beta/2) diag(conj(eta)); this sign keeps the reconstructed
+    # time series in phase with the time-domain generator, and the opposite
+    # one only remaps <.>_n -> (-1)^n <.>_n.  Blocks are stored from +n_max
+    # down to -n_max, so <.>_{n+1} sits one block row up (the "lower"
+    # stripe holds its coefficient) and <.>_{n-1} one down.  Both stripes
+    # are diagonals, the same in every block row.
+    eta = contrast_vector(mod)
+    half = 0.5j * mod.beta
+    return diag, -(half * eta.conj()), -(half * eta)
 
 
 def _solve_fourier_nvec(net, mod, n_max, nvecs):
@@ -219,16 +186,6 @@ def _solve_fourier_nvec(net, mod, n_max, nvecs):
     coeffs = blocktri.solve_thomas(*_sideband_blocks(net, mod, n_max), rhs,
                                    mirror=_moment_mirror(net)).transpose(2, 0, 1)
     return coeffs if nvecs.ndim == 2 else coeffs[0]
-
-
-def solve_fourier(net, mod, n_max, source):
-    """Periodic steady state with only bath ``source`` thermally occupied."""
-    ensure_valid(net, mod)
-    check_n_max(n_max)
-    nvec = np.zeros(net.N)
-    nvec[source] = occupation(net.T[source], net.omega[source])
-    coeffs = _solve_fourier_nvec(net, mod, n_max, nvec)
-    return FourierSolution(n_max=n_max, Omega=mod.Omega, coeffs=coeffs)
 
 
 def power_matrix(net, mod, n_max):

@@ -44,7 +44,7 @@ def assemble_Npert(net, mod):
     if mod.beta == 0.0:
         return m0
     eta = contrast_vector(mod)
-    gt, gts = np.diag(eta), np.diag(eta.conj())
+    etas = eta.conj()
     swap = _moment_mirror(net)
     try:
         if swap is None:
@@ -56,7 +56,8 @@ def assemble_Npert(net, mod):
             inv_m = inv_p.conj()[swap[:, None], swap]
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"singular first-sideband block: {exc}") from exc
-    return m0 + 0.25 * mod.beta**2 * (gt @ inv_p @ gts + gts @ inv_m @ gt)
+    return m0 + 0.25 * mod.beta**2 * (eta[:, None] * inv_p * etas
+                                      + etas[:, None] * inv_m * eta)
 
 
 def power_second_order(net, mod):

@@ -15,8 +15,8 @@ An operating point is prepared once and read by every method run on it:
 the swept parameter is applied, the network with both ends hot is built,
 and its regime findings (``model.validate``) go to this module's logger.
 ``sweep`` does that once per value for all of its methods, and
-``operating_point``, ``run_forward_backward`` and ``spectrum_run`` once per
-call; a method that fails flags only its own row of a sweep.
+``operating_point`` and ``spectrum_run`` once per call; a method that fails
+flags only its own row of a sweep.
 
 qme and qle truncate at the drive's own sideband order unless given one:
 ``master.drive_order`` reads it from the contrasts of the moment stripes,
@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_OMEGA0",
     "DEFAULT_T_HOT",
     "default_chain",
-    "run_forward_backward",
     "rectification",
     "operating_point",
     "SweepSpec",
@@ -152,25 +151,6 @@ def _powers(method, ends, both, mod, n_max, quad_tol):
     return P[first, last], P[last, first]
 
 
-def run_forward_backward(net, mod, method="qme", n_max=None, quad_tol=1e-6,
-                         T_hot=DEFAULT_T_HOT):
-    """(P14, P41) with the hot bath on the first then on the last resonator.
-
-    The backward run reuses the identical modulation (phases untouched);
-    only the temperature assignment moves.  n_max None means the drive's
-    sideband order for qme and qle, each from its own stripes
-    (``master.drive_order``, ``langevin.drive_order``), and raises
-    ValidationError where that order exceeds MAX_SIDEBAND_ORDER; an
-    explicit n_max is used as given and logged when below that order.
-    pert1 is qme at n_max = 1 whatever n_max says; pert2 and the oracle
-    take no order.  Every method solves the network with both ends hot
-    once and reads each direction from the source bath's share: qme, pert1
-    and pert2 from one power matrix, qle from one vector quadrature, and
-    the oracle from the per-bath cycle averages of one shooting period.
-    """
-    return _powers(method, *_ends_hot(net, mod, T_hot), mod, n_max, quad_tol)
-
-
 def rectification(P14, P41):
     """Normalized forward/backward asymmetry (P14 - P41)/(P14 + P41)."""
     total = P14 + P41
@@ -186,7 +166,7 @@ class SweepSpec:
     parameter is "beta", "theta" or "Omega"; theta values address the
     dephasing of the third resonator (chain convention).  Angles in rad,
     rates in rad/s.  n_max None gives qme and qle the drive's sideband
-    order at each swept point (see ``run_forward_backward``); an integer
+    order at each swept point (see ``operating_point``); an integer
     sets both at every point.  n_max, quad_tol and T_hot are checked here,
     so a bad one fails the spec, not every row.
     """
@@ -267,10 +247,13 @@ def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
                     T_hot=DEFAULT_T_HOT):
     """One SweepRow of the forward/backward protocol; raises on failure.
 
-    Builds the network with both ends hot and logs its regime findings
-    once, then runs the method on it as ``sweep`` does at each value.  A
-    "closed" row holds only the weak-coupling flux difference dP, with
-    P14, P41 and E NaN; E is NaN as well where both powers vanish.
+    P14 has the hot bath on the first resonator, P41 on the last, under the
+    same modulation.  Builds the network with both ends hot and logs its
+    regime findings once, then runs the method on it as ``sweep`` does at
+    each value.  pert1 is qme at n_max = 1 whatever n_max says; pert2, the
+    oracle and "closed" take no order.  A "closed" row holds only the
+    weak-coupling flux difference dP, with P14, P41 and E NaN; E is NaN as
+    well where both powers vanish.
     """
     return _row(method, *_ends_hot(net, mod, T_hot), mod, n_max, quad_tol,
                 T_hot)

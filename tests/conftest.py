@@ -74,12 +74,14 @@ def assemble_dense(diag, upper, lower):
     return full
 
 
-def periodic_expectations(sol, t):
-    """Moment vector at time t from the Fourier coefficients of ``sol``.
+def periodic_expectations(coeffs, Omega, t):
+    """Moment vector at time t from Fourier coefficients (2 n_max + 1, N^2)
+    whose row n_max - n holds sideband n.
 
     Off-diagonal moments are genuinely complex; diagonal entries come out
     real to solver precision.
     """
-    n = np.arange(sol.n_max, -sol.n_max - 1, -1)
-    phases = np.exp(-1j * n * sol.Omega * t)
-    return phases @ sol.coeffs
+    n_max = (len(coeffs) - 1) // 2
+    n = np.arange(n_max, -n_max - 1, -1)
+    phases = np.exp(-1j * n * Omega * t)
+    return phases @ coeffs

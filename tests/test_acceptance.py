@@ -12,8 +12,7 @@ import pytest
 
 from floqheat import SI, occupation
 from floqheat.langevin import emitted_power, integrate_power
-from floqheat.master import (moment_index_map, power_matrix, solve_fourier,
-                             _solve_fourier_nvec)
+from floqheat.master import moment_index_map, power_matrix, _solve_fourier_nvec
 from floqheat.perturbation import (closed_form_delta_power,
                                    delta_n14_closed_form,
                                    delta_power_weak_coupling, power_second_order)

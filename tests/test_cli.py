@@ -12,7 +12,7 @@ import yaml
 from floqheat.cli import build_parser, main
 from floqheat.config import load_config
 from floqheat.perturbation import closed_form_delta_power
-from floqheat.scenarios import default_spectrum_grid, run_forward_backward
+from floqheat.scenarios import default_spectrum_grid, operating_point
 
 from conftest import COUPLING, DRIVE, KAPPA, OMEGA0, chain
 
@@ -96,9 +96,9 @@ def test_power_config_of_any_size_runs_the_protocol(capsys, tmp_path):
     assert out.count("P14 =") == 1 and "qle: P14 =" in out
     (row,) = csv_rows(out_csv)
     net, mod = load_config(path)
-    p14, p41 = run_forward_backward(net, mod, "qle", quad_tol=1e-3, T_hot=5.0)
+    ref = operating_point(net, mod, "qle", quad_tol=1e-3, T_hot=5.0)
     assert row["method"] == "qle"
-    assert (row["P14_W"], row["P41_W"]) == (f"{p14:.12e}", f"{p41:.12e}")
+    assert (row["P14_W"], row["P41_W"]) == (f"{ref.P14:.12e}", f"{ref.P41:.12e}")
 
 
 def test_sweep_config_rows_equal_power_rows(capsys, tmp_path):
@@ -253,6 +253,18 @@ def test_unknown_config_key_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "power", "--config", str(path))
     assert code == 3
     assert "typo" in err
+
+
+@pytest.mark.parametrize("net_extra", [
+    {"N": "abc"},
+    {"couplings": [[1, 2, [1], 0]]},
+    {"hermitian": "false"},
+])
+def test_malformed_config_value_exits_3(capsys, tmp_path, net_extra):
+    cfg = chain_config(tmp_path, **net_extra)
+    code, _, err = run(capsys, "power", "--config", str(cfg))
+    assert code == 3
+    assert "invalid input" in err and "Traceback" not in err
 
 
 def test_invalid_network_exits_3(capsys, tmp_path):

@@ -136,6 +136,26 @@ def test_vector_length_and_index_checks():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("N", "abc", "N"),
+    ("N", [1], "N"),
+    ("N", 4.7, "N"),
+    ("N", True, "N"),
+    ("couplings", 5, "couplings"),
+    ("couplings", [[1, 2, [1], 0]], "coupling entries"),
+    ("couplings", [[1, 2, "x", 0]], "coupling entries"),
+    ("hermitian", "false", "hermitian"),
+], ids=["N-text", "N-list", "N-float", "N-bool", "couplings-scalar",
+        "coupling-list-value", "coupling-text-value", "hermitian-text"])
+def test_malformed_network_values_rejected(key, value, match):
+    # each of these once escaped as a TypeError, read as a solver failure,
+    # or was silently coerced (N truncated, a string read as hermitian)
+    doc = chain_doc()
+    doc["network"][key] = value
+    with pytest.raises(ConfigError, match=match):
+        parse_config(doc)
+
+
 def test_unsigned_exponent_literals_accepted(tmp_path):
     # YAML 1.1 resolves 8.45e12 (no exponent sign) as a string; the loader
     # must still read it as the number it plainly is

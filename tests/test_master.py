@@ -5,9 +5,9 @@ import pytest
 from scipy.linalg import solve_sylvester
 
 from floqheat import (ModulationProtocol, ResonatorNetwork, SI, occupation)
-from floqheat.master import (FourierSolution, assemble_Gpm, assemble_Mn,
-                             contrast_vector, moment_index_map, power_matrix,
-                             shift_Mn, solve_fourier, _solve_fourier_nvec)
+from floqheat.master import (assemble_Mn, contrast_vector, moment_index_map,
+                             power_matrix, shift_Mn, _sideband_blocks,
+                             _solve_fourier_nvec)
 from floqheat.model import ValidationError
 
 from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, chain,
@@ -21,6 +21,21 @@ def sylvester_static_occupations(net, nvec):
     np.fill_diagonal(w, 1j * net.omega + net.kappa)
     q = np.diag(2.0 * net.kappa * nvec).astype(complex)
     return solve_sylvester(w.conj(), w.T, q)
+
+
+def stripes(mod):
+    """Sideband stripes (upper, lower) = (-G-, -G+) as their diagonals, for
+    a protocol of four resonators."""
+    net, _ = chain(0.0)
+    _, upper, lower = _sideband_blocks(net, mod, 1)
+    return upper, lower
+
+
+def hot_coeffs(net, mod, n_max, source):
+    """Fourier coefficients with bath ``source`` alone at T_HOT; row
+    n_max - n holds sideband n."""
+    hot = net.with_hot_bath(source, T_HOT)
+    return _solve_fourier_nvec(hot, mod, n_max, hot.occupations())
 
 
 class TestMomentIndexMap:
@@ -87,15 +102,15 @@ class TestAssembly:
             assert np.array_equal(shift_Mn(m0, n, mod.Omega), expected)
 
     def test_coupling_matrices_vanish_without_drive(self):
-        net, mod = chain(0.0)
-        gp, gm = assemble_Gpm(mod)
-        assert np.all(gp == 0) and np.all(gm == 0)
+        _, mod = chain(0.0)
+        upper, lower = stripes(mod)
+        assert np.all(upper == 0) and np.all(lower == 0)
 
     def test_global_phase_is_gauge(self):
         mod = ModulationProtocol(beta=1e12, Omega=8e12,
                                  theta=np.full(4, 0.73), mask=np.ones(4, int))
-        gp, gm = assemble_Gpm(mod)
-        assert np.all(gp == 0) and np.all(gm == 0)
+        upper, lower = stripes(mod)
+        assert np.all(upper == 0) and np.all(lower == 0)
 
     def test_chain_drive_contrasts(self):
         _, mod = chain(0.05, 0.5)
@@ -108,15 +123,16 @@ class TestAssembly:
         eta = contrast_vector(mod)
         for (k, l), val in expected.items():
             assert eta[imap.index(k, l)] == pytest.approx(val)
-        gp, gm = assemble_Gpm(mod)
+        # the stripes are -G- above and -G+ below the diagonal, with
+        # G+ = (i beta/2) diag(eta) and G- = (i beta/2) diag(conj(eta))
+        upper, lower = stripes(mod)
+        gp, gm = -lower, -upper
         for (k, l), val in expected.items():
-            assert gp[imap.index(k, l), imap.index(k, l)] == pytest.approx(
-                0.5j * mod.beta * val)
-            assert gp[imap.index(l, k), imap.index(l, k)] == pytest.approx(
-                -0.5j * mod.beta * val)
-            assert gm[imap.index(k, l), imap.index(k, l)] == pytest.approx(
+            assert gp[imap.index(k, l)] == pytest.approx(0.5j * mod.beta * val)
+            assert gp[imap.index(l, k)] == pytest.approx(-0.5j * mod.beta * val)
+            assert gm[imap.index(k, l)] == pytest.approx(
                 0.5j * mod.beta * np.conj(val))
-        assert np.all(np.diag(gp)[:4] == 0) and np.all(np.diag(gm)[:4] == 0)
+        assert np.all(gp[:4] == 0) and np.all(gm[:4] == 0)
 
 
 class TestSolveFourier:
@@ -124,48 +140,46 @@ class TestSolveFourier:
         solo = ResonatorNetwork(omega=[OMEGA0], g=[[0.0]], kappa=[KAPPA],
                                 T=[T_HOT])
         mod = ModulationProtocol(beta=0.0, Omega=8e12, theta=[0.0], mask=[0])
-        sol = solve_fourier(solo, mod, 3, 0)
+        coeffs = _solve_fourier_nvec(solo, mod, 3, solo.occupations())
         n1 = occupation(T_HOT, OMEGA0)
-        assert sol.coefficient(0)[0] == pytest.approx(n1, rel=1e-12)
-        assert np.max(np.abs(sol.coefficient(1))) < 1e-30
+        assert coeffs[3][0] == pytest.approx(n1, rel=1e-12)
+        assert np.max(np.abs(coeffs[3 - 1])) < 1e-30
 
     def test_static_limit_matches_sylvester_oracle(self):
         net, mod = chain(0.0)
         hot = net.with_hot_bath(0, T_HOT)
         nvec = hot.occupations()
         cov = sylvester_static_occupations(hot, nvec)
-        sol = solve_fourier(hot, mod, 4, 0)
-        zero = sol.coefficient(0)
+        coeffs = hot_coeffs(net, mod, 4, 0)
+        zero = coeffs[4]
         imap = moment_index_map(4)
         for k in range(4):
             for l in range(4):
                 assert zero[imap.index(k, l)] == pytest.approx(
                     cov[k, l], rel=1e-9, abs=1e-12 * abs(cov).max())
-        assert np.max(np.abs(sol.coefficient(2))) < 1e-30
+        assert np.max(np.abs(coeffs[4 - 2])) < 1e-30
 
     def test_modulated_sidebands_populate(self, chain_modulated):
         net, mod = chain_modulated
-        sol = solve_fourier(net.with_hot_bath(0, T_HOT), mod, 8, 0)
-        assert np.max(np.abs(sol.coefficient(1))) > 0
-        assert np.max(np.abs(sol.coefficient(8))) < np.max(np.abs(sol.coefficient(1)))
+        coeffs = hot_coeffs(net, mod, 8, 0)
+        assert np.max(np.abs(coeffs[8 - 1])) > 0
+        assert np.max(np.abs(coeffs[8 - 8])) < np.max(np.abs(coeffs[8 - 1]))
 
     def test_reality_pairing_invariant(self):
         rng = np.random.default_rng(11)
         for _ in range(6):
             net, mod = random_network(rng, 3)
             imap = moment_index_map(3)
-            sol = FourierSolution(n_max=6, Omega=mod.Omega,
-                                  coeffs=_solve_fourier_nvec(net, mod, 6,
-                                                             net.occupations()))
-            scale = np.max(np.abs(sol.coeffs))
+            coeffs = _solve_fourier_nvec(net, mod, 6, net.occupations())
+            scale = np.max(np.abs(coeffs))
             for n in range(-6, 7):
                 for k in range(3):
                     for l in range(3):
-                        a = sol.coefficient(-n)[imap.index(k, l)]
-                        b = np.conj(sol.coefficient(n)[imap.index(l, k)])
+                        a = coeffs[6 + n][imap.index(k, l)]
+                        b = np.conj(coeffs[6 - n][imap.index(l, k)])
                         assert abs(a - b) <= 1e-10 * scale
             for k in range(3):
-                zero = sol.coefficient(0)[imap.index(k, k)]
+                zero = coeffs[6][imap.index(k, k)]
                 assert abs(zero.imag) <= 1e-10 * scale
                 assert zero.real >= -1e-10 * scale
 
@@ -184,15 +198,15 @@ class TestSolveFourier:
         short = ModulationProtocol(beta=mod.beta, Omega=mod.Omega,
                                    theta=[0.0, 0.0], mask=[1, 1])
         with pytest.raises(ValidationError):
-            solve_fourier(net, short, 4, 0)
+            power_matrix(net, short, 4)
         for n_max in (-1, 2.0, 2.5):
             with pytest.raises(ValueError):
-                solve_fourier(net, mod, n_max, 0)
+                power_matrix(net, mod, n_max)
 
     def test_thomas_solver_agrees_with_dense(self, chain_modulated):
         # dense pivoted LU of the full sideband operator, every block
-        # written out as M_0 - i n Omega I, as the reference for the block
-        # elimination
+        # written out as M_0 - i n Omega I and both couplings from eta, as
+        # the reference for the block elimination
         cases = [(*chain_modulated, 10),
                  (*random_network(np.random.default_rng(7), 6), 6),
                  (*chain(0.3, 0.5, drive_frac=0.02), 64)]
@@ -200,7 +214,9 @@ class TestSolveFourier:
         for net, mod, n_max in cases:
             hot = net.with_hot_bath(source, T_HOT)
             imap = moment_index_map(net.N)
-            gp, gm = assemble_Gpm(mod)
+            eta = contrast_vector(mod)
+            gp = np.diag(0.5j * mod.beta * eta)
+            gm = np.diag(0.5j * mod.beta * eta.conj())
             m0 = assemble_Mn(hot)
             full = assemble_dense(
                 [m0 - 1j * n * mod.Omega * np.eye(imap.size)
@@ -210,7 +226,7 @@ class TestSolveFourier:
             rhs[n_max * imap.size + imap.index(source, source)] = (
                 2.0 * hot.kappa[source] * occupation(T_HOT, hot.omega[source]))
             dense = np.linalg.solve(full, rhs).reshape(2 * n_max + 1, imap.size)
-            thomas = solve_fourier(hot, mod, n_max, source).coeffs
+            thomas = hot_coeffs(net, mod, n_max, source)
             assert np.max(np.abs(dense - thomas)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -295,25 +311,25 @@ class TestConvergedPowerMatrix:
 class TestPeriodicExpectations:
     def test_static_is_time_independent(self, chain_static):
         net, mod = chain_static
-        sol = solve_fourier(net.with_hot_bath(0, T_HOT), mod, 4, 0)
-        y0 = periodic_expectations(sol, 0.0)
-        y1 = periodic_expectations(sol, 0.37 * mod.period)
+        coeffs = hot_coeffs(net, mod, 4, 0)
+        y0 = periodic_expectations(coeffs, mod.Omega, 0.0)
+        y1 = periodic_expectations(coeffs, mod.Omega, 0.37 * mod.period)
         assert np.allclose(y0, y1, rtol=0, atol=1e-14 * np.abs(y0).max())
 
     def test_periodicity_and_cycle_average(self, chain_modulated):
         net, mod = chain_modulated
-        sol = solve_fourier(net.with_hot_bath(0, T_HOT), mod, 12, 0)
-        y0 = periodic_expectations(sol, 0.0)
-        y1 = periodic_expectations(sol, mod.period)
+        coeffs = hot_coeffs(net, mod, 12, 0)
+        y0 = periodic_expectations(coeffs, mod.Omega, 0.0)
+        y1 = periodic_expectations(coeffs, mod.Omega, mod.period)
         assert np.max(np.abs(y0 - y1)) <= 1e-12 * np.max(np.abs(y0))
         ts = np.linspace(0.0, mod.period, 4097)
-        traj = np.array([periodic_expectations(sol, t) for t in ts])
+        traj = np.array([periodic_expectations(coeffs, mod.Omega, t) for t in ts])
         avg = np.trapezoid(traj, dx=ts[1] - ts[0], axis=0) / mod.period
-        assert np.max(np.abs(avg - sol.coefficient(0))) <= 1e-10 * np.max(np.abs(avg))
+        assert np.max(np.abs(avg - coeffs[12])) <= 1e-10 * np.max(np.abs(avg))
 
     def test_diagonals_stay_positive(self, chain_modulated):
         net, mod = chain_modulated
-        sol = solve_fourier(net.with_hot_bath(0, T_HOT), mod, 12, 0)
+        coeffs = hot_coeffs(net, mod, 12, 0)
         for t in np.linspace(0.0, mod.period, 33):
-            y = periodic_expectations(sol, t)
+            y = periodic_expectations(coeffs, mod.Omega, t)
             assert np.all(y[:4].real >= -1e-10 * np.abs(y).max())

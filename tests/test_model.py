@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -266,3 +267,23 @@ def test_constants_are_not_a_parameter():
     assert taking == []
     assert "consts" not in {f.name for f in dataclasses.fields(SweepSpec)}
     assert "PhysicalConstants" not in floqheat.__dict__
+
+
+def test_public_names_resolve():
+    # every name a module lists in __all__ exists, and every name the
+    # package re-exports is public in the module it is imported from
+    missing = []
+    for info in pkgutil.iter_modules(floqheat.__path__):
+        module = importlib.import_module(f"floqheat.{info.name}")
+        missing += [f"{module.__name__}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    tree = ast.parse(inspect.getsource(floqheat))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"floqheat.{node.module}")
+        missing += [f"floqheat.{alias.name} (not in {module.__name__}.__all__)"
+                    for alias in node.names if alias.name not in module.__all__]
+    assert missing == []

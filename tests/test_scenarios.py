@@ -13,8 +13,7 @@ from floqheat import (SI, ModulationProtocol, ResonatorNetwork,
 from floqheat.model import MAX_SIDEBAND_ORDER, sideband_order
 from floqheat.scenarios import (MethodComparison, SweepSpec, compare_methods,
                                 default_chain, operating_point, rectification,
-                                run_forward_backward, spectrum_run, sweep,
-                                write_sweep_csv)
+                                spectrum_run, sweep, write_sweep_csv)
 
 from conftest import DRIVE, KAPPA, OMEGA0, T_HOT, chain, random_network
 
@@ -29,29 +28,29 @@ def _same_row(a, b):
 class TestRunForwardBackward:
     def test_static_chain_is_reciprocal(self, chain_static):
         net, mod = chain_static
-        p14, p41 = run_forward_backward(net, mod, "qme")
-        assert p14 == pytest.approx(p41, rel=1e-10)
+        row = operating_point(net, mod, "qme")
+        assert row.P14 == pytest.approx(row.P41, rel=1e-10)
 
     def test_uncoupled_chain_transfers_nothing(self):
         net, mod = build_chain4(OMEGA0, 0.0, KAPPA, 0.02 * OMEGA0, DRIVE, 0.5)
-        p14, p41 = run_forward_backward(net, mod, "qme")
-        assert p14 == 0.0 and p41 == 0.0
+        row = operating_point(net, mod, "qme")
+        assert row.P14 == 0.0 and row.P41 == 0.0
         with pytest.raises(ZeroDivisionError):
-            rectification(p14, p41)
+            rectification(row.P14, row.P41)
 
     def test_methods_share_the_protocol(self, chain_modulated):
         net, mod = chain_modulated
-        p14_qme, p41_qme = run_forward_backward(net, mod, "qme")
-        p14_p1, p41_p1 = run_forward_backward(net, mod, "pert1")
+        qme = operating_point(net, mod, "qme")
+        pert1 = operating_point(net, mod, "pert1")
         # second order misses higher harmonics but must land in the
         # same ballpark and preserve the asymmetry direction
-        assert np.sign(p14_p1 - p41_p1) == np.sign(p14_qme - p41_qme)
-        assert p14_p1 == pytest.approx(p14_qme, rel=0.5)
+        assert np.sign(pert1.P14 - pert1.P41) == np.sign(qme.P14 - qme.P41)
+        assert pert1.P14 == pytest.approx(qme.P14, rel=0.5)
 
     def test_unknown_method(self, chain_static):
         net, mod = chain_static
         with pytest.raises(ValueError):
-            run_forward_backward(net, mod, "magic")
+            operating_point(net, mod, "magic")
 
 
 class TestOneResonator:
@@ -68,7 +67,7 @@ class TestOneResonator:
     @pytest.mark.parametrize("method", ["qme", "qle", "oracle", "pert1", "pert2"])
     def test_run_forward_backward_raises(self, single, method):
         with pytest.raises(ValidationError, match="at least two resonators"):
-            run_forward_backward(*single, method)
+            operating_point(*single, method)
 
     def test_spectrum_and_compare_raise(self, single, monkeypatch):
         def no_solve(*a, **k):
@@ -101,10 +100,10 @@ class TestSweep:
         spec = SweepSpec(network=net, modulation=mod, parameter="beta",
                          values=[mod.beta], methods=("qme",))
         (row,) = sweep(spec)
-        p14, p41 = run_forward_backward(net, mod, "qme")
-        assert row.P14 == pytest.approx(p14, rel=1e-12)
-        assert row.P41 == pytest.approx(p41, rel=1e-12)
-        assert row.E == pytest.approx(rectification(p14, p41), rel=1e-12)
+        ref = operating_point(net, mod, "qme")
+        assert row.P14 == pytest.approx(ref.P14, rel=1e-12)
+        assert row.P41 == pytest.approx(ref.P41, rel=1e-12)
+        assert row.E == pytest.approx(rectification(ref.P14, ref.P41), rel=1e-12)
         assert row.status == "ok"
 
     def test_ordering_and_methods(self, chain_static):
@@ -360,9 +359,9 @@ class TestDriveOrder:
             net, mod = random_network(np.random.default_rng(case), case)
         else:
             net, mod = chain(*case)
-        got = run_forward_backward(net, mod, "qme")
-        ref = run_forward_backward(net, mod, "qme", reference)
-        for x, y in zip(got, ref, strict=True):
+        got = operating_point(net, mod, "qme")
+        ref = operating_point(net, mod, "qme", reference)
+        for x, y in ((got.P14, ref.P14), (got.P41, ref.P41)):
             assert abs(x / y - 1.0) <= bound
 
     def test_qle_spectra_at_the_drive_order_are_converged(self):
@@ -418,7 +417,7 @@ class TestDriveOrder:
     def test_order_below_the_drive_is_logged(self, caplog):
         net, mod = chain(0.3, 0.5, drive_frac=0.02)
         with caplog.at_level("WARNING", "floqheat"):
-            run_forward_backward(net, mod, "qme", 8, T_hot=3000.0)
+            operating_point(net, mod, "qme", 8, T_hot=3000.0)
             spectrum_run(net, mod, grid=[OMEGA0], n_max=2, T_hot=3000.0)
         notices = [r.getMessage() for r in caplog.records
                    if not r.getMessage().startswith("white-noise")]
@@ -443,7 +442,7 @@ class TestDriveOrder:
         for method, order in (("qme", 70839), ("qle", 50115)):
             with pytest.raises(ValidationError,
                                match=f"needs {order} sidebands \\({method}\\)"):
-                run_forward_backward(net, mod, method)
+                operating_point(net, mod, method)
         with pytest.raises(ValidationError, match="needs 50115 sidebands"):
             spectrum_run(net, mod)
         rows = sweep(SweepSpec(network=net, modulation=mod, parameter="beta",
@@ -472,7 +471,7 @@ class TestDriveOrder:
         assert master.drive_order(chain(0.02, 0.5)[1]) == 8
         net, mod = chain(beta_frac, 0.5)
         with caplog.at_level("WARNING", "floqheat"):
-            run_forward_backward(net, mod, method, n_max, T_hot=3000.0)
+            operating_point(net, mod, method, n_max, T_hot=3000.0)
         assert caplog.records == []
 
 
@@ -493,10 +492,10 @@ def test_oracle_matches_one_direction_at_a_time(beta_frac, theta_pi):
     # direction to rounding
     net, mod = default_chain(beta_frac * scenarios.DEFAULT_OMEGA0,
                              theta_pi * math.pi)
-    p14, p41 = run_forward_backward(net, mod, "oracle")
-    assert p14 == pytest.approx(
+    row = operating_point(net, mod, "oracle")
+    assert row.P14 == pytest.approx(
         _oracle_one_direction_at_a_time(net, mod, 0, 3), rel=1e-12, abs=0.0)
-    assert p41 == pytest.approx(
+    assert row.P41 == pytest.approx(
         _oracle_one_direction_at_a_time(net, mod, 3, 0), rel=1e-12, abs=0.0)
 
 
@@ -521,7 +520,7 @@ class TestRegimeFindings:
     def test_inside_the_regime_logs_nothing(self, caplog):
         net, mod = chain(0.02, 0.5)
         with caplog.at_level("WARNING", "floqheat"):
-            run_forward_backward(net, mod, "pert1", T_hot=3000.0)
+            operating_point(net, mod, "pert1", T_hot=3000.0)
         assert caplog.records == []
 
 
@@ -529,18 +528,17 @@ class TestRectificationCurve:
     def test_antisymmetric_in_dephasing(self):
         for theta_pi in (0.1, 0.3, 0.5):
             net, mod = chain(0.05, theta_pi)
-            e_plus = rectification(*run_forward_backward(net, mod, "qme"))
+            e_plus = operating_point(net, mod, "qme").E
             net, mod = chain(0.05, -theta_pi)
-            e_minus = rectification(*run_forward_backward(net, mod, "qme"))
+            e_minus = operating_point(net, mod, "qme").E
             assert abs(e_plus + e_minus) <= 1e-6
 
     def test_zero_at_mirror_symmetric_points(self):
         for theta_pi in (0.0, 1.0):
             net, mod = chain(0.05, theta_pi)
-            e = rectification(*run_forward_backward(net, mod, "qme"))
-            assert abs(e) <= 1e-9
+            assert abs(operating_point(net, mod, "qme").E) <= 1e-9
         net, mod = chain(0.0, 0.5)
-        assert abs(rectification(*run_forward_backward(net, mod, "qme"))) <= 1e-9
+        assert abs(operating_point(net, mod, "qme").E) <= 1e-9
 
     def test_extremum_near_quarter_turn(self):
         # coarse-to-fine scan of theta in (0, pi); |E| peaks within
@@ -556,8 +554,8 @@ class TestRectificationCurve:
     def test_separation_grows_with_dephasing(self):
         net1, mod1 = chain(0.05, 0.1)
         net5, mod5 = chain(0.05, 0.5)
-        d1 = abs(np.subtract(*run_forward_backward(net1, mod1, "qme")))
-        d5 = abs(np.subtract(*run_forward_backward(net5, mod5, "qme")))
+        d1 = abs(operating_point(net1, mod1, "qme").dP)
+        d5 = abs(operating_point(net5, mod5, "qme").dP)
         assert d5 > d1
 
 
@@ -596,11 +594,11 @@ class TestSpectrumRun:
         net, mod = chain_modulated
         grid = default_spectrum_grid(net, mod, 10)
         grid, fwd, bwd = spectrum_run(net, mod, grid=grid, n_max=10)
-        p14, p41 = run_forward_backward(net, mod, "qle", n_max=10)
+        row = operating_point(net, mod, "qle", n_max=10)
         int_fwd = np.trapezoid(fwd, grid) / (2 * np.pi)
         int_bwd = np.trapezoid(bwd, grid) / (2 * np.pi)
-        assert int_fwd == pytest.approx(p14, rel=2e-3)
-        assert int_bwd == pytest.approx(p41, rel=2e-3)
+        assert int_fwd == pytest.approx(row.P14, rel=2e-3)
+        assert int_bwd == pytest.approx(row.P41, rel=2e-3)
         assert int_fwd > 1.5 * int_bwd  # strongly nonreciprocal point
 
 
