@@ -90,11 +90,14 @@ def parse_config(doc):
     for entry in couplings:
         try:
             i, j, re, im = entry
-            i, j, value = int(i), int(j), complex(float(re), float(im))
+            value = complex(float(re), float(im))
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"coupling entries must be [i, j, re, im], got {entry!r}"
             ) from exc
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                   for k in (i, j)):
+            raise ConfigError(f"coupling indices must be integers: {entry!r}")
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ConfigError(f"coupling indices out of range or diagonal: {entry!r}")
         g[i - 1, j - 1] = value

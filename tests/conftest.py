@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,35 @@ T_HOT = 300.0
 # agreeing to 2e-12; see tests for the in-suite recomputation)
 OCC_300K = 0.013715221568093535          # occupation at 300 K, omega_0
 P14_STATIC = 5.943074812815e-22          # W, unmodulated chain, T_hot = 300 K
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def _clipped_windows_are_marked(request):
+    """Fail a test whose quadrature window was clipped at omega = 0 unless
+    it carries the ``clips_window`` marker: the clipped spectral mass is
+    dropped from every power, so each such test states that it is small."""
+    handler = _Records()
+    logger = logging.getLogger("floqheat.langevin")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    clipped = [r for r in handler.records
+               if "integration window clipped" in r.getMessage()]
+    if clipped and request.node.get_closest_marker("clips_window") is None:
+        pytest.fail(f"{len(clipped)} integration window(s) clipped at "
+                    "omega = 0; mark the test clips_window with the reason",
+                    pytrace=False)
 
 
 def chain(beta_frac=0.0, theta_pi=0.5, drive_frac=DEFAULT_DRIVE_FRAC):

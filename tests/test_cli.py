@@ -259,6 +259,7 @@ def test_unknown_config_key_exits_3(capsys, tmp_path):
     {"N": "abc"},
     {"couplings": [[1, 2, [1], 0]]},
     {"hermitian": "false"},
+    {"couplings": [[1.7, 2, 1e9, 0.0]]},
 ])
 def test_malformed_config_value_exits_3(capsys, tmp_path, net_extra):
     cfg = chain_config(tmp_path, **net_extra)

@@ -145,8 +145,11 @@ def test_vector_length_and_index_checks():
     ("couplings", [[1, 2, [1], 0]], "coupling entries"),
     ("couplings", [[1, 2, "x", 0]], "coupling entries"),
     ("hermitian", "false", "hermitian"),
+    ("couplings", [[1.7, 2, 1e9, 0]], "coupling indices must be integers"),
+    ("couplings", [[True, 2, 1e9, 0]], "coupling indices must be integers"),
 ], ids=["N-text", "N-list", "N-float", "N-bool", "couplings-scalar",
-        "coupling-list-value", "coupling-text-value", "hermitian-text"])
+        "coupling-list-value", "coupling-text-value", "hermitian-text",
+        "coupling-float-index", "coupling-bool-index"])
 def test_malformed_network_values_rejected(key, value, match):
     # each of these once escaped as a TypeError, read as a solver failure,
     # or was silently coerced (N truncated, a string read as hermitian)

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import floqheat
 from floqheat import (ModulationProtocol, QuadratureError, ResonatorNetwork,
                       SI, langevin, occupation)
-from floqheat.langevin import (assemble_A, emitted_power, heat_flux_spectrum,
-                               integrate_power, integration_window,
-                               spectral_correlations, write_spectrum_csv,
+from floqheat.langevin import (assemble_A, drive_order, emitted_power,
+                               heat_flux_spectrum, integrate_power,
+                               integration_window, spectral_correlations,
+                               write_spectrum_csv,
                                _bath_weights, _quad, _response_rows,
                                _sideband_blocks)
 from floqheat.master import power_matrix
@@ -428,6 +429,8 @@ class TestPowers:
                         for l in (1, 2, 3))
             assert abs(p_em - total) <= 3 * quad_tol * p_em
 
+    @pytest.mark.clips_window("n_max 12 on the chain reaches past omega = 0; "
+                               "the mass below it is <= 7.8e-8 of each power")
     def test_truncation_converged_for_every_receiver(self, chain_modulated):
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
@@ -522,6 +525,126 @@ class TestPowers:
         assert f"{err.value.estimate:.6e}" in str(err.value)
 
 
+class TestQuadratureCalibration:
+    """``_gk15``'s error estimate against each panel's true error.
+
+    ``integrate_power`` runs at quad_tol 1e-3, 1e-6 and 1e-9, and at 1e-12
+    for the reference.  Every ``stride``-th panel evaluated at the first
+    three, in order along the axis, is checked against its truth, the panel
+    split into 16 GK15 sub-panels: the estimate may fall short of the true
+    error only by the integrand's own round-off, 1e-13 of the panel.  A
+    panel evaluated again at a later tolerance is taken from its first
+    evaluation, which returns the same numbers.
+    """
+
+    TOLS = (1e-3, 1e-6, 1e-9)
+
+    def calibrate(self, monkeypatch, power, stride=1):
+        """Check one integrand, ``power(quad_tol)``; returns its nodes per
+        tolerance."""
+        gk15, panels, evaluated, integrand = langevin._gk15, {}, [], []
+
+        def recording(fn, a, b, rho):
+            evaluated.append(15 * a.size)
+            new = np.array([key not in panels for key in zip(a, b)])
+            if new.any():
+                part, err = gk15(fn, a[new], b[new], rho[new])
+                panels.update(zip(zip(a[new], b[new]), zip(part, err)))
+            integrand[:] = [fn]
+            part, err = zip(*(panels[key] for key in zip(a, b)))
+            return np.array(part), np.array(err)
+
+        def run(tol):
+            evaluated.clear()
+            return power(tol), sum(evaluated)
+
+        monkeypatch.setattr(langevin, "_gk15", recording)
+        values, nodes = {}, {}
+        for tol in self.TOLS:
+            values[tol], nodes[tol] = run(tol)
+        keys = sorted(panels)[::stride]
+        reference, _ = run(1e-12)
+        monkeypatch.undo()
+
+        a, b = (np.array(x) for x in zip(*keys))
+        part, err = (np.array(x) for x in zip(*(panels[key] for key in keys)))
+        edges = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 17)
+        sub, _ = gk15(integrand[0], edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+                      np.ones(16 * a.size))
+        truth = sub.reshape(part.shape[:1] + (16,) + part.shape[1:]).sum(axis=1)
+        assert np.all(err >= np.abs(part - truth) - 1e-13 * np.abs(truth))
+        for tol in self.TOLS:
+            assert np.all(np.abs(values[tol] - reference) <= tol * reference)
+        return nodes
+
+    def calibrate_pairs(self, monkeypatch, net, mod, sources, observers,
+                        n_max=None, stride=1):
+        n_max = drive_order(mod) if n_max is None else n_max
+        return self.calibrate(monkeypatch, lambda tol: integrate_power(
+            net, mod, sources, observers, n_max, tol), stride)
+
+    def test_reference_chain(self, monkeypatch):
+        # both directions in one call, as the bench and fig3a run them
+        nodes = 0
+        for beta_frac in (0.01, 0.05):
+            for theta_pi in (0.5, 1.0, -0.7):
+                net, mod = chain(beta_frac, theta_pi)
+                both = net.with_temperatures([T_HOT, 0.0, 0.0, T_HOT])
+                nodes += self.calibrate_pairs(monkeypatch, both, mod, (0, 3),
+                                              (3, 0))[1e-6]
+        # the QUADPACK estimate needed 3180 nodes on these six points
+        assert nodes <= 0.65 * 3180
+
+    @pytest.mark.clips_window("drives up to Omega = 0.08 omega_0 reach past "
+                              "omega = 0; the mass below it is <= 2.6e-7 of "
+                              "the power")
+    def test_random_networks(self, monkeypatch):
+        # every sixteenth panel keeps the 16-fold truth affordable at N = 2-6
+        rng = np.random.default_rng(11)
+        for i in range(20):
+            n = 2 + i % 5
+            net, mod = random_network(rng, n)
+            source = int(np.flatnonzero(net.T)[0])
+            self.calibrate_pairs(monkeypatch, net, mod, [source],
+                                 [(source + 1) % n], stride=16)
+
+    def test_strong_drive(self, monkeypatch):
+        # 16 to 21 sidebands: every second panel
+        for beta_frac in (0.12, 0.2):
+            net, mod = chain(beta_frac, 0.5, drive_frac=0.02)
+            both = net.with_temperatures([T_HOT, 0.0, 0.0, T_HOT])
+            self.calibrate_pairs(monkeypatch, both, mod, (0, 3), (3, 0),
+                                 stride=2)
+
+    @pytest.mark.clips_window("the clipped window is the subject; the mass "
+                              "below omega = 0 is 3.8e-4 of the power")
+    def test_clipped_window(self, monkeypatch):
+        net = ResonatorNetwork(omega=[10.0, 11.0], g=[[0.0, 0.3], [0.3, 0.0]],
+                               kappa=[1.0, 1.2], T=[T_HOT, 0.0])
+        mod = ModulationProtocol(beta=2.0, Omega=4.0, theta=[0.0, 1.0],
+                                 mask=[1, 1])
+        assert integration_window(net, mod, drive_order(mod))[0] == 0.0
+        self.calibrate_pairs(monkeypatch, net, mod, 0, 1)
+
+    def test_cancelling_pole_pairs(self, monkeypatch):
+        # panels where the poles of a conjugate pair cancel in K15 - G7; from
+        # |K15 - G7| alone, without the Legendre amplitude, the estimate
+        # read 16x, 9x and 2800x under the true error on these three
+        net, mod = random_network(np.random.default_rng(3), 3)
+        self.calibrate_pairs(monkeypatch, net, mod, [0], [1])
+        net, mod = random_network(np.random.default_rng(39), 2)
+        self.calibrate(monkeypatch, lambda tol: emitted_power(
+            net, mod, 0, drive_order(mod), tol))
+        net, mod = random_network(np.random.default_rng(24), 3)
+        self.calibrate_pairs(monkeypatch, net, mod, [1], [2], n_max=2)
+
+    def test_wide_panels_take_qk15(self, monkeypatch):
+        # below rho = 2 the rate is not yet asymptotic: trusting rho^-9 on
+        # this network's panels read 3.4x under the true error
+        net, mod = random_network(np.random.default_rng(4), 3)
+        self.calibrate_pairs(monkeypatch, net, mod, [0], [1], n_max=2)
+
+
 class TestWindowAndExport:
     def test_window_covers_peaks(self, chain_modulated):
         net, mod = chain_modulated
@@ -547,6 +670,8 @@ class TestWindowAndExport:
         pref = SI.hbar * warm.omega[0] * 2.0 * warm.kappa[3]
         assert np.allclose(flux, pref * direct[:, 3, 0], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.clips_window("the notice is the subject; no power is "
+                               "integrated")
     def test_window_clipped_at_zero_warns(self, caplog):
         net = ResonatorNetwork(omega=[10.0], g=[[0.0]], kappa=[1.0], T=[0.0])
         mod = ModulationProtocol(beta=0.5, Omega=5.0, theta=[0.0], mask=[1])

@@ -207,6 +207,8 @@ class TestSweep:
                                  values=[-1.0], methods=("closed",)))
         assert bad.status.startswith("error:") and np.isnan(bad.dP)
 
+    @pytest.mark.clips_window("qle at Omega = 0.08 omega_0 reaches past "
+                               "omega = 0; the mass below it is 1.2e-14 of P14/P41")
     def test_sweep_rows_are_operating_points(self, chain_modulated):
         # every method of a swept value reads the one network that the
         # value prepares, and gets the row that operating_point gives
