@@ -14,11 +14,17 @@ A system may carry a mirror: an involutive permutation P of the B slots
 of a block with P conj(diag[r]) P = diag[R-1-r], P conj(lower) P = upper
 (as diagonals) and P conj(rhs) = rhs.  Then x' with x'[R-1-r] =
 P conj(x[r]) solves the system too, and so equals x: the block rows of
-sideband -m are those of +m conjugated and permuted.  The master
-equation has one whenever the couplings are Hermitian: the moments
-C_kl = <a_k^+ a_l> form a Hermitian matrix at every instant, so their
-Fourier coefficients obey C_-n = C_n^dagger, and P swaps each pair slot
-(k, l) with (l, k).
+sideband -m are those of +m conjugated and permuted.  A mirrored call
+therefore passes only the block rows 0 .. n of ``diag`` (..., n + 1, B, B),
+down to the centre; rows n+1 .. R-1 are implied.  The master equation has
+a mirror whenever the couplings are Hermitian: the moments C_kl =
+<a_k^+ a_l> form a Hermitian matrix at every instant, so their Fourier
+coefficients obey C_-n = C_n^dagger, and P swaps each pair slot (k, l)
+with (l, k).
+
+Every solve is one elimination toward the centre block row, ending in the
+centre solve.  ``solve_centre`` returns that centre block alone;
+``solve_thomas`` carries it outward to every block row.
 """
 from __future__ import annotations
 
@@ -26,85 +32,119 @@ import numpy as np
 
 from .model import SingularBlockError
 
-__all__ = ["solve_thomas"]
+__all__ = ["solve_centre", "solve_thomas"]
 
 
-def solve_thomas(diag, upper, lower, rhs, mirror=None):
+def _eliminate(diag, upper, lower, rhs, mirror):
     """Block LU (Golub & Van Loan, Matrix Computations, 4.5) from both ends
     toward the centre block row: a matrix continued fraction.
 
     The top sweep eliminates rows 0 .. n-1 downward, the bottom sweep rows
-    R-1 .. n+1 upward, both stacked on one batch axis; then one block solve
-    gives the centre x[n], and the stored factors carry it outward.  The
-    stripes act as elementwise scalings.  Pivoting happens only inside
-    each block inversion, never across block rows: the master-equation
-    and Langevin operators are accretive (Hermitian part of every diagonal
-    block positive, stripes skew-Hermitian in pairs), so every Schur
-    complement of either sweep is nonsingular.  On those operators the
-    solution matches pivoted dense LU to 1.5e-15 relative (max norm) on the
-    four-resonator chain, on random N = 6 and N = 8 networks and at strong
-    drive (beta up to 0.5 omega_0, Omega = 0.02 omega_0, n_max = 64), where
-    the blocks are far from diagonally dominant.  Returns x shaped
-    (..., R, B, C).
+    R-1 .. n+1 upward, both stacked on one batch axis; one block solve then
+    gives the centre x[n].  Under a mirror only the top sweep runs: each
+    bottom Schur complement is P conj(top one) P, so it enters the centre
+    block as a gather.  Pivoting happens only inside each block inversion,
+    never across block rows: the master-equation and Langevin operators are
+    accretive (Hermitian part of every diagonal block positive, stripes
+    skew-Hermitian in pairs), so every Schur complement of either sweep is
+    nonsingular.
 
-    ``mirror`` is the permutation P of a system with the mirror of the
-    module docstring, as a (B,) index array: P v = v[mirror].  The caller
-    vouches for the contract; only the length of P is checked.  Only the
-    top sweep is then eliminated: each bottom factor is P conj(top
-    factor) P, so it enters the centre block as a gather, and the bottom
-    half of the solution is written as x[R-1-r] = P conj(x[r]).
+    Returns (x[n], inverses, out, sides, mirror) for ``_carry``: inverses[k]
+    = S_k^-1 of the Schur complements S_k of step k, out the negated
+    passing stripes and sides[k] the block rows that step k eliminates.
     """
     diag, rhs = np.asarray(diag), np.asarray(rhs)
-    *_, nblocks, b, _ = diag.shape
-    if nblocks % 2 == 0 or np.shape(upper) != (b,) or np.shape(lower) != (b,):
-        raise ValueError("need an odd number of block rows and (B,) stripes")
-    if rhs.ndim < 2 or rhs.shape[-2] != b:
-        raise ValueError("rhs must be the centre block row, (..., B, C)")
-    n = nblocks // 2
-    # the top sweep meets its eliminated neighbour through ``lower`` and
-    # passes on through ``upper``, the bottom sweep the other way round.
-    # factors[k] = -S_k^-1 diag(passing stripe) of the Schur complements
-    # S_k of both sweeps, or of the top one alone under a mirror, carries
-    # x one block row away from the centre.  sides[k] slices out the block
-    # rows that step k eliminates: k and R-1-k, or k alone.
-    sweeps = 2
+    *_, rows, b, _ = diag.shape
+    sweeps = 2 if mirror is None else 1
+    if ((sweeps == 2 and rows % 2 == 0) or np.shape(upper) != (b,)
+            or np.shape(lower) != (b,)):
+        raise ValueError("need an odd number of block rows (any number "
+                         "under a mirror) and (B,) stripes")
     if mirror is not None:
         mirror = np.asarray(mirror)
         if mirror.shape != (b,):
             raise ValueError("mirror must permute the B slots of a block")
-        sweeps = 1
+    if rhs.ndim < 2 or rhs.shape[-2] != b:
+        raise ValueError("rhs must be the centre block row, (..., B, C)")
+    n = rows // 2 if sweeps == 2 else rows - 1
+    # the top sweep meets its eliminated neighbour through ``lower`` and
+    # passes on through ``upper``, the bottom sweep the other way round:
+    # S_k+1 = diag[k+1] - diag(into) S_k^-1 diag(passing stripe), with the
+    # stripes' product into (x) out folded in once per step.
     into = np.array((lower, upper))[:sweeps, :, None]
-    out = -np.array((upper, lower))[:sweeps, None, :]
-    last = nblocks - 1
-    sides = [slice(k, last - k + 1 if sweeps == 2 else k + 1, last - 2 * k)
-             for k in range(n)]
-    factors = []
+    out = -np.array((upper, lower))[:sweeps, :, None]
+    into_out = into * out.swapaxes(-1, -2)
+    last = 2 * n
+    sides = [slice(k, last - k + 1, last - 2 * k) if sweeps == 2
+             else slice(k, k + 1) for k in range(n)]
+    inverses = []
     try:
         for k in range(n):
             s = diag[..., sides[k], :, :]
-            if factors:
-                s = s + into * factors[-1]
-            factors.append(np.linalg.inv(s) * out)
+            if inverses:
+                s = s + into_out * inverses[-1]
+            inverses.append(np.linalg.inv(s))
         centre = diag[..., n, :, :]
-        if factors:
-            fold = (into * factors[-1]).sum(axis=-3)
+        if inverses:
+            fold = (into_out * inverses[-1]).sum(axis=-3)
             if mirror is not None:
                 fold = fold + fold.take(mirror, -2).take(mirror, -1).conj()
             centre = centre + fold
         x_centre = np.linalg.solve(centre, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"singular block during elimination: {exc}") from exc
-    # each column is carried outward on its own, as (B, B) @ (B, 1)
-    # products, so it does not depend on the other columns of the rhs
+    return x_centre, inverses, out, sides, mirror
+
+
+def _check_finite(x):
+    if not np.isfinite(x).all():
+        raise SingularBlockError("non-finite solution from block elimination")
+    return x
+
+
+def _carry(x_centre, inverses, out, sides, mirror):
+    """Carry the centre block outward, x[k] = S_k^-1 diag(out) x[k+1] on
+    each side, and write the bottom half as x[R-1-r] = P conj(x[r]) under
+    a mirror.  Returns x shaped (..., R, B, C)."""
+    # each column is carried on its own, as (B, B) @ (B, 1) products, so
+    # it does not depend on the other columns of the rhs
     cols = x_centre.swapaxes(-1, -2)
-    x = np.empty(cols.shape[:-1] + (nblocks, b), dtype=complex)
+    n = len(inverses)
+    x = np.empty(cols.shape[:-1] + (2 * n + 1, cols.shape[-1]), dtype=complex)
     x[..., n, :] = cols
     side = cols[..., None, :, None]
     for k in range(n - 1, -1, -1):
-        side = factors[k][..., None, :, :, :] @ side
+        side = inverses[k][..., None, :, :, :] @ (out * side)
         x[..., sides[k], :] = side[..., 0]
     if mirror is not None:
         x[..., n + 1:, :] = x[..., :n, :][..., ::-1, :].take(mirror, -1).conj()
-    if not np.isfinite(x).all():
-        raise SingularBlockError("non-finite solution from block elimination")
-    return x.swapaxes(-3, -2).swapaxes(-2, -1)
+    return _check_finite(x).swapaxes(-3, -2).swapaxes(-2, -1)
+
+
+def solve_centre(diag, upper, lower, rhs, mirror=None):
+    """The centre block x[n] (..., B, C) of the solution, and nothing else:
+    the elimination of ``solve_thomas`` without its outward carry.
+
+    On the chain, on random networks and at strong drive it equals block
+    row n of ``solve_thomas`` to 2e-15 relative.
+    """
+    return _check_finite(_eliminate(diag, upper, lower, rhs, mirror)[0])
+
+
+def solve_thomas(diag, upper, lower, rhs, mirror=None):
+    """The whole solution x (..., R, B, C): the elimination toward the
+    centre block row, then the stored inverses carry x[n] outward.
+
+    The stripes act as elementwise scalings.  On the master-equation and
+    Langevin operators the solution matches pivoted dense LU to 1.5e-15
+    relative (max norm) on the four-resonator chain, on random N = 6 and
+    N = 8 networks and at strong drive (beta up to 0.5 omega_0, Omega =
+    0.02 omega_0, n_max = 64), where the blocks are far from diagonally
+    dominant.
+
+    ``mirror`` is the permutation P of a system with the mirror of the
+    module docstring, as a (B,) index array: P v = v[mirror]; ``diag`` then
+    holds block rows 0 .. n only.  The caller vouches for the contract;
+    only the length of P is checked.
+    """
+    return _carry(*_eliminate(diag, upper, lower, rhs, mirror))

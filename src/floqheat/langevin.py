@@ -30,7 +30,6 @@ import logging
 import numpy as np
 
 from . import blocktri
-from .master import shift_Mn
 from .model import (SI, QuadratureError, check_bath_index, check_n_max,
                     ensure_valid, occupation, sideband_order)
 
@@ -98,9 +97,9 @@ def _sideband_blocks(net, mod, omega, n_max):
     through the upper stripe (i beta / 2) diag(c*): each given by its
     diagonal.
     """
-    # A(omega + m Omega) = A(omega) - i m Omega I: the shift of master's M_n
-    diag = shift_Mn(assemble_A(net, omega)[:, None],
-                    np.arange(n_max, -n_max - 1, -1), mod.Omega)
+    # A(omega + m Omega) = A(omega) - i m Omega I
+    m = np.arange(n_max, -n_max - 1, -1)[:, None, None]
+    diag = assemble_A(net, omega)[:, None] - 1j * mod.Omega * m * np.eye(net.N)
     c = mod.phasor
     return diag, 0.5j * mod.beta * c.conj(), 0.5j * mod.beta * c
 

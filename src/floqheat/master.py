@@ -8,16 +8,21 @@ frequency integration is needed for cycle-averaged powers.
 The static block M_0 is a Kronecker sum of the bra and ket drift matrices
 permuted into MomentIndexMap order (``assemble_Mn``), and the sideband
 couplings G+- are diagonal in the drive contrasts (``contrast_vector``).
-The solve is block elimination (``blocktri.solve_thomas``) and nothing
-else: M_0 is assembled once per operating point, the sideband blocks
-M_n = M_0 - i n Omega I are shifted from it (``shift_Mn``), and every hot
-bath is one right-hand-side column of the same elimination.
+Every solve is one block elimination toward sideband 0
+(``blocktri``): M_0 is assembled once per operating point, the sideband
+blocks M_n = M_0 - i n Omega I are shifted from it (``shift_Mn``), and
+every hot bath is one right-hand-side column of the same elimination.
+Powers read the cycle averages <.>_0 alone, so ``power_matrix`` (and pert1
+and ``converged_power_matrix`` through it) stops at the centre solve
+(``blocktri.solve_centre``); only ``_solve_fourier_nvec``, which returns
+every sideband, carries it outward (``blocktri.solve_thomas``).
 
 When g is exactly Hermitian (every qme path: ``power_matrix``, pert1,
 ``converged_power_matrix``; the sources are real), the
 moments form a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the
 swap (k, l) <-> (l, k) of MomentIndexMap.  The elimination then runs the
-top sweep only and mirrors the bottom half (``_moment_mirror``); any
+top sweep only, reads sidebands +n_max .. 0 alone (``_sideband_blocks``
+builds no others) and mirrors the bottom half (``_moment_mirror``); any
 other g, including one a rounding error off Hermitian, runs both sweeps.
 """
 from __future__ import annotations
@@ -154,37 +159,49 @@ def shift_Mn(m0, n, Omega):
     return m0 - 1j * Omega * n[..., None, None] * np.eye(m0.shape[-1])
 
 
-def _sideband_blocks(net, mod, n_max):
-    diag = shift_Mn(assemble_Mn(net), np.arange(n_max, -n_max - 1, -1),
+def _sideband_blocks(net, mod, n_max, mirror=None):
+    """Diagonal blocks and stripes of the sideband system, as ``blocktri``
+    takes them: M_n from n = +n_max in the top block row down to -n_max,
+    or down to 0 alone under a mirror, whose kernel reads no others."""
+    lowest = 0 if mirror is not None else -n_max
+    diag = shift_Mn(assemble_Mn(net), np.arange(n_max, lowest - 1, -1),
                     mod.Omega)
     # The Fourier recursion couples <.>_n to <.>_{n+1} with -G+ and to
     # <.>_{n-1} with -G-, where G+ = (i beta/2) diag(eta) and
     # G- = (i beta/2) diag(conj(eta)); this sign keeps the reconstructed
     # time series in phase with the time-domain generator, and the opposite
     # one only remaps <.>_n -> (-1)^n <.>_n.  Blocks are stored from +n_max
-    # down to -n_max, so <.>_{n+1} sits one block row up (the "lower"
-    # stripe holds its coefficient) and <.>_{n-1} one down.  Both stripes
-    # are diagonals, the same in every block row.
+    # down, so <.>_{n+1} sits one block row up (the "lower" stripe holds
+    # its coefficient) and <.>_{n-1} one down.  Both stripes are diagonals,
+    # the same in every block row.
     eta = contrast_vector(mod)
     half = 0.5j * mod.beta
     return diag, -(half * eta.conj()), -(half * eta)
+
+
+def _moment_system(net, mod, n_max, nvecs):
+    """``blocktri`` arguments (diag, upper, lower, rhs, mirror) for the bath
+    occupation vectors ``nvecs`` (C, N): each is one rhs column, its
+    sources in sideband 0 only."""
+    N = net.N
+    rhs = np.zeros((N * N, len(nvecs)), dtype=complex)
+    rhs[:N] = (2.0 * net.kappa[:, None]) * nvecs.T
+    mirror = _moment_mirror(net)
+    return (*_sideband_blocks(net, mod, n_max, mirror), rhs, mirror)
 
 
 def _solve_fourier_nvec(net, mod, n_max, nvecs):
     """Solve the sideband system for explicit bath-occupation vectors.
 
     ``nvecs`` is one occupation vector (N,) or C of them as rows (C, N);
-    the sources enter sideband 0 only, and all C of them share one block
-    elimination.  Returns the coefficients shaped (2 n_max + 1, N^2), or
+    all C of them share one block elimination, carried out to every
+    sideband.  Returns the coefficients shaped (2 n_max + 1, N^2), or
     (C, 2 n_max + 1, N^2).
     """
-    N = net.N
     nvecs = np.asarray(nvecs, dtype=float)
-    cols = nvecs.reshape(-1, N)
-    rhs = np.zeros((N * N, cols.shape[0]), dtype=complex)
-    rhs[:N] = (2.0 * net.kappa[:, None]) * cols.T
-    coeffs = blocktri.solve_thomas(*_sideband_blocks(net, mod, n_max), rhs,
-                                   mirror=_moment_mirror(net)).transpose(2, 0, 1)
+    coeffs = blocktri.solve_thomas(
+        *_moment_system(net, mod, n_max, nvecs.reshape(-1, net.N))
+    ).transpose(2, 0, 1)
     return coeffs if nvecs.ndim == 2 else coeffs[0]
 
 
@@ -193,7 +210,8 @@ def power_matrix(net, mod, n_max):
 
     P[k, l] = hbar omega_k 2 kappa_l Re<a_l^+ a_l>_0 with bath k alone hot;
     every hot bath is one right-hand-side column of the same block
-    elimination.  Baths at 0 K contribute zero rows by linearity and are
+    elimination, which stops at the centre solve: only sideband 0 is
+    read.  Baths at 0 K contribute zero rows by linearity and are
     skipped.
     """
     ensure_valid(net, mod)
@@ -203,8 +221,8 @@ def power_matrix(net, mod, n_max):
     zeroth = ()
     if hot.size:
         # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
-        zeroth = _solve_fourier_nvec(net, mod, n_max,
-                                     np.diag(n_occ)[hot])[:, n_max, :net.N].real
+        zeroth = blocktri.solve_centre(
+            *_moment_system(net, mod, n_max, np.diag(n_occ)[hot]))[:net.N].real.T
     return _hot_bath_powers(net, n_occ, hot, zeroth)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -89,6 +90,25 @@ def random_network(rng, n):
         mask=rng.integers(0, 2, n),
     )
     return net, mod
+
+
+def centre_cases():
+    """(name, net, mod, n_max) for centre-read checks: the chain at its
+    drive order, random Hermitian N = 2-6 networks at theirs (the mirrored
+    elimination), a non-Hermitian g (both sweeps) and a strong drive."""
+    from floqheat.master import drive_order
+
+    rng = np.random.default_rng(24)
+    net, mod = chain(0.05, 0.5)
+    skewed = np.array(net.g)
+    skewed[0, 1] *= 1.5
+    cases = ([("chain", net, mod)]
+             + [(f"random N={n}", *random_network(rng, n))
+                for n in range(2, 7) for _ in range(2)]
+             + [("non-Hermitian g",
+                 dataclasses.replace(net, g=skewed, hermitian=False), mod)])
+    return ([(name, net, mod, drive_order(mod)) for name, net, mod in cases]
+            + [("strong drive", *chain(0.3, 0.5, drive_frac=0.02), 64)])
 
 
 def assemble_dense(diag, upper, lower):

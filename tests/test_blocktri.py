@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floqheat.blocktri import solve_thomas
+from floqheat.blocktri import solve_centre, solve_thomas
 from floqheat.langevin import _bath_weights, _sideband_blocks as qle_blocks
-from floqheat.master import (_moment_mirror, _sideband_blocks as qme_blocks,
-                             power_matrix)
+from floqheat.master import (_moment_mirror, _moment_system,
+                             _sideband_blocks as qme_blocks, power_matrix)
 from floqheat.model import SingularBlockError
 
-from conftest import KAPPA, OMEGA0, assemble_dense, chain, random_network
+from conftest import (KAPPA, OMEGA0, assemble_dense, centre_cases, chain,
+                      random_network)
 
 
 def cplx(rng, *shape):
@@ -221,7 +222,8 @@ def mirror_cases():
 
 def test_mirrored_solve_matches_dense_lu():
     # Hermitian g: the moment operator carries the pair-slot swap, so only
-    # the top sweep is eliminated and the bottom half is its mirror image
+    # block rows 0..n are passed, only the top sweep is eliminated and the
+    # bottom half is its mirror image
     rng = np.random.default_rng(22)
     for name, net, mod, n_max in mirror_cases():
         swap = _moment_mirror(net)
@@ -229,10 +231,49 @@ def test_mirrored_solve_matches_dense_lu():
         rhs = np.zeros((net.N ** 2, 2), dtype=complex)
         rhs[:net.N] = rng.uniform(0.0, 1.0, (net.N, 2))
         diag, upper, lower = qme_blocks(net, mod, n_max)
-        x = solve_thomas(diag, upper, lower, rhs, mirror=swap)
+        half = qme_blocks(net, mod, n_max, swap)[0]
+        assert np.array_equal(half, diag[:n_max + 1]), name
+        x = solve_thomas(half, upper, lower, rhs, mirror=swap)
         assert max_rel(x, dense_solution(diag, upper, lower, rhs)) <= 1.5e-15, name
         # x_-n = P conj(x_n), block row by block row
         assert max_rel(x[::-1, swap].conj(), x) <= 1e-15, name
+        # the same as the two-sided kernel on all 2n+1 block rows, and
+        # its centre is the centre read
+        assert max_rel(x, solve_thomas(diag, upper, lower, rhs)) <= 2e-15, name
+        assert np.array_equal(
+            solve_centre(half, upper, lower, rhs, mirror=swap), x[n_max]), name
+
+
+def test_centre_read_matches_full_solve():
+    # the centre block of the production system (mirrored for Hermitian g)
+    # against block row n of the two-sided kernel on all 2n+1 block rows
+    for name, net, mod, n_max in centre_cases():
+        hot = net.with_temperatures(np.full(net.N, 300.0))
+        args = _moment_system(hot, mod, n_max, np.diag(hot.occupations()))
+        assert (args[-1] is None) == (name == "non-Hermitian g"), name
+        centre = solve_centre(*args)
+        full = solve_thomas(*qme_blocks(hot, mod, n_max), args[3])
+        assert centre.shape == (net.N ** 2, net.N)
+        assert max_rel(centre, full[n_max]) <= 2e-15, name
+        # the carry starts from the same elimination: its row n is the
+        # centre read itself
+        assert np.array_equal(solve_thomas(*args)[n_max], centre), name
+
+
+def test_centre_read_checks_like_the_full_solve():
+    rng = np.random.default_rng(26)
+    diag, upper, lower, rhs = accretive_system(rng, 2, 3, ncols=2)
+    with pytest.raises(ValueError, match="odd number"):
+        solve_centre(diag[:4], upper, lower, rhs)
+    with pytest.raises(ValueError, match="centre block"):
+        solve_centre(diag, upper, lower, rhs[:-1])
+    with pytest.raises(ValueError, match="mirror"):
+        solve_centre(diag, upper, lower, rhs, mirror=np.arange(2))
+    with pytest.raises(SingularBlockError, match="non-finite"):
+        solve_centre(diag, upper, lower, np.full_like(rhs, np.nan))
+    diag[0] = 0.0
+    with pytest.raises(SingularBlockError, match="singular block"):
+        solve_centre(diag, upper, lower, rhs)
 
 
 def test_mirror_needs_exactly_hermitian_g(monkeypatch):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_sylvester
 
-from floqheat import (ModulationProtocol, ResonatorNetwork, SI, occupation)
-from floqheat.master import (assemble_Mn, contrast_vector, moment_index_map,
-                             power_matrix, shift_Mn, _sideband_blocks,
-                             _solve_fourier_nvec)
-from floqheat.model import ValidationError
+from floqheat import (ModulationProtocol, ResonatorNetwork, SI, blocktri,
+                      occupation)
+from floqheat.master import (assemble_Mn, contrast_vector, converged_power_matrix,
+                             moment_index_map, power_matrix, shift_Mn,
+                             _hot_bath_powers, _moment_mirror, _moment_system,
+                             _sideband_blocks, _solve_fourier_nvec)
+from floqheat.model import SingularBlockError, ValidationError
 
-from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, chain,
-                      periodic_expectations, random_network)
+from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, centre_cases,
+                      chain, periodic_expectations, random_network)
 
 
 def sylvester_static_occupations(net, nvec):
@@ -279,9 +281,54 @@ class TestPowerMatrix:
         assert p14 == pytest.approx(p41, rel=1e-10)
 
 
+class TestCentreRead:
+    """``power_matrix`` solves for sideband 0 alone (``blocktri.solve_centre``);
+    the full solve carries the same elimination to every sideband."""
+
+    def test_powers_match_full_two_sided_solve(self):
+        # sideband 0 of the two-sided kernel on every sideband, whatever g
+        for name, net, mod, n_max in centre_cases():
+            hot = net.with_temperatures(np.linspace(T_HOT, 0.0, net.N))
+            n_occ = hot.occupations()
+            sources = np.flatnonzero(n_occ)
+            rhs = _moment_system(hot, mod, n_max, np.diag(n_occ)[sources])[3]
+            full = blocktri.solve_thomas(*_sideband_blocks(hot, mod, n_max), rhs)
+            ref = _hot_bath_powers(hot, n_occ, sources,
+                                   full[n_max, :net.N].real.T)
+            pm = power_matrix(hot, mod, n_max)
+            scale = np.abs(ref.P).max()
+            assert np.abs(pm.P - ref.P).max() <= 2e-15 * scale, name
+            assert np.abs(pm.P_em - ref.P_em).max() <= 2e-15 * scale, name
+
+    def test_power_matrix_never_carries_outward(self, monkeypatch):
+        def carry(*args):
+            raise AssertionError("outward carry run")
+
+        monkeypatch.setattr(blocktri, "_carry", carry)
+        for name, net, mod, n_max in centre_cases():
+            hot = net.with_hot_bath(0, T_HOT)
+            power_matrix(hot, mod, n_max)
+            power_matrix(hot, mod, 1)       # pert1
+        converged_power_matrix(hot, mod)
+        with pytest.raises(AssertionError, match="outward carry"):
+            _solve_fourier_nvec(hot, mod, 2, hot.occupations())
+
+    def test_non_finite_centre_raises(self, monkeypatch):
+        net, mod = chain(0.05, 0.5)
+        hot = net.with_hot_bath(0, T_HOT)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full_like(solve(a, b), np.nan))
+        nets = {name: net for name, net, *_ in centre_cases()}
+        skewed = nets["non-Hermitian g"].with_hot_bath(0, T_HOT)
+        for net in (hot, skewed):
+            assert (_moment_mirror(net) is None) == (net is skewed)
+            with pytest.raises(SingularBlockError, match="non-finite"):
+                power_matrix(net, mod, 4)
+
+
 class TestConvergedPowerMatrix:
     def test_reaches_fixed_reference(self, chain_modulated):
-        from floqheat.master import converged_power_matrix
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
         pm, n_used = converged_power_matrix(hot, mod, rtol=1e-6)
@@ -290,7 +337,6 @@ class TestConvergedPowerMatrix:
         assert n_used <= 32
 
     def test_static_case_converges_immediately(self, chain_static):
-        from floqheat.master import converged_power_matrix
         net, mod = chain_static
         hot = net.with_hot_bath(0, T_HOT)
         pm, n_used = converged_power_matrix(hot, mod, n_max_start=1)
@@ -300,7 +346,6 @@ class TestConvergedPowerMatrix:
 
     def test_limit_hit_raises(self, chain_modulated):
         from floqheat import ConvergenceError
-        from floqheat.master import converged_power_matrix
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
         with pytest.raises(ConvergenceError):
