@@ -14,8 +14,11 @@ blocks M_n = M_0 - i n Omega I are shifted from it (``shift_Mn``), and
 every hot bath is one right-hand-side column of the same elimination.
 Powers read the cycle averages <.>_0 alone, so ``power_matrix`` (and pert1
 and ``converged_power_matrix`` through it) stops at the centre solve
-(``blocktri.solve_centre``); only ``_solve_fourier_nvec``, which returns
-every sideband, carries it outward (``blocktri.solve_thomas``).
+(``blocktri.solve_centre``), and no production path here carries the
+solve outward.  ``_solve_fourier_nvec`` returns every sideband
+(``blocktri.solve_thomas``) and serves only as the tests' reference for
+the Fourier coefficients; it is the one caller of the mirrored outward
+carry.
 
 When g is exactly Hermitian (every qme path: ``power_matrix``, pert1,
 ``converged_power_matrix``; the sources are real), the
@@ -196,7 +199,8 @@ def _solve_fourier_nvec(net, mod, n_max, nvecs):
     ``nvecs`` is one occupation vector (N,) or C of them as rows (C, N);
     all C of them share one block elimination, carried out to every
     sideband.  Returns the coefficients shaped (2 n_max + 1, N^2), or
-    (C, 2 n_max + 1, N^2).
+    (C, 2 n_max + 1, N^2).  No production path calls it: it is the
+    tests' reference for the Fourier coefficients.
     """
     nvecs = np.asarray(nvecs, dtype=float)
     coeffs = blocktri.solve_thomas(

@@ -35,7 +35,7 @@ def test_summary_counts_wins_and_parent_spread():
 def test_pairs_alternate_and_the_record_is_updated(tmp_path, monkeypatch):
     calls = []
 
-    def fake_run(tree, workload, seed, seconds):
+    def fake_run(tree, workload, seed):
         calls.append(tree.name)
         return bench_run(0.1 if tree.name == "parent" else 0.08)
 
@@ -44,7 +44,7 @@ def test_pairs_alternate_and_the_record_is_updated(tmp_path, monkeypatch):
     out.write_text(json.dumps({"what": "kept", "summary": {"other": 1}}))
     argv = ["--parent", str(tmp_path / "parent"), "--change",
             str(tmp_path / "change"), "--workload", "qme_sweep", "--seed", "2",
-            "--pairs", "3", "--seconds", "1", "--out", str(out)]
+            "--pairs", "3", "--out", str(out)]
     assert pair_bench.main(argv) == 0
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     record = json.loads(out.read_text())

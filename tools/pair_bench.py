@@ -1,11 +1,12 @@
 """Paired benchmark runs of two tree copies, recorded as one BENCH_<n>.json.
 
     python3 tools/pair_bench.py --parent ../parent --change . \
-        --workload qme_sweep --seed 1 --pairs 10 --seconds 40 --out BENCH_23.json
+        --workload qme_sweep --seed 1 --pairs 10 --out BENCH_23.json
 
-Each pair runs ``bench/run.py --trace 0`` once from each tree, one after
-the other, and the order alternates: odd pairs run the parent first, even
-pairs the change.  Every run's end-to-end metrics (``setup_s``, ``wall_s``,
+Each pair runs ``bench/run.py --trace 0`` once from each tree, for the
+benchmark's own ``run_seconds`` (``BENCHMARK.json``), one after the other,
+and the order alternates: odd pairs run the parent first, even pairs the
+change.  Every run's end-to-end metrics (``setup_s``, ``wall_s``,
 ``peak_rss_mb``), its gate result and its pass count go to ``runs``; the
 medians, the quartiles of both sides, the parent's interquartile range and
 the number of pairs in which the change reads lower go to ``summary``.
@@ -27,16 +28,18 @@ from pathlib import Path
 
 METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+                     .read_text())["run_seconds"]
 
 
-def run_bench(tree, workload, seed, seconds):
+def run_bench(tree, workload, seed):
     """One ``bench/run.py`` run from ``tree``: its last JSON line and the
     number of untraced passes from its record line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
-        timeout=seconds + 600)
+        timeout=SECONDS + 600)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     passes = None
@@ -85,7 +88,6 @@ def parse_args(argv):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=40)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -101,8 +103,7 @@ def main(argv=None):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
             run = {"pair": pair, "first": side == order[0]}
-            run.update(run_bench(trees[side], args.workload, args.seed,
-                                 args.seconds))
+            run.update(run_bench(trees[side], args.workload, args.seed))
             runs[side].append(run)
             print(f"pair {pair} {side}: " + ", ".join(
                 f"{m} {run[m]}" for m in METRICS), flush=True)
