@@ -4,7 +4,8 @@ Convention for command-line values: beta and Omega are given as fractions
 of the chain resonance omega_0, angles as multiples of pi.  Each subcommand
 takes only the flags it reads, and flag values are checked as they are
 parsed.  Exit codes: 0 success, 2 solver failure, 3 invalid configuration,
-inputs or usage.  Each distinct message of the ``floqheat`` logger (regime
+inputs or usage.  Every command, sweeps included, runs in this one
+process, and each distinct message of the ``floqheat`` logger (regime
 findings, clipped windows, an --nmax below the drive's sideband order) is
 printed once per run as ``warning: ...``.
 """
@@ -66,15 +67,13 @@ _FLAGS = {
     "quad-tol": dict(type=_checked(float, lambda t: 0.0 < t < math.inf,
                                    "quad_tol must be positive and finite"),
                      default=1e-6, help="relative quadrature tolerance (qle)"),
-    "parallel": dict(type=_checked(int, lambda k: k >= 1, "need at least one worker"),
-                     default=1, metavar="K", help="worker processes for sweeps"),
     "t-hot": dict(type=_checked(float, lambda t: 0.0 <= t < math.inf,
                                 "T_hot must be nonnegative and finite"),
                   default=DEFAULT_T_HOT, help="hot bath temperature [K]"),
     "out": dict(help="CSV output path"),
 }
 
-_SWEEP_FLAGS = "nmax quad-tol methods parallel t-hot out"
+_SWEEP_FLAGS = "nmax quad-tol methods t-hot out"
 
 # name: (help, flags, defaults); the fig* presets draw the paper's chain
 _SUBCOMMANDS = {
@@ -91,14 +90,14 @@ _SUBCOMMANDS = {
     "fig3a": ("normalized P14/P41 vs beta for theta = 0.1 pi and 0.5 pi",
               _SWEEP_FLAGS, {"methods": ("qme", "qle"), "out": "fig3a.csv"}),
     "fig3b": ("flux difference vs beta against perturbation estimates",
-              "nmax parallel t-hot out",
+              "nmax t-hot out",
               {"methods": ("qme", "pert1", "pert2", "closed"), "out": "fig3b.csv"}),
     "fig4": ("rectification vs theta for several beta",
              _SWEEP_FLAGS, {"methods": ("qme",), "out": "fig4.csv"}),
     "fig6": ("forward/backward spectra at beta = Omega = 0.05 omega_0",
              "nmax t-hot out", {"out": "fig6.csv"}),
     "fig7": ("P14 vs beta against both second-order approximations",
-             "nmax parallel t-hot out",
+             "nmax t-hot out",
              {"methods": ("qme", "pert1", "pert2"), "out": "fig7.csv"}),
 }
 
@@ -188,7 +187,7 @@ def _sweep(args, net, mod, parameter, values):
                          T_hot=args.t_hot)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    rows = sweep(spec, workers=args.parallel)
+    rows = sweep(spec)
     for r in rows:
         if r.status != "ok":
             print(f"  flagged {r.method} @ beta={r.beta:.3e}: {r.status}",

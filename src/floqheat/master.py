@@ -67,6 +67,13 @@ class MomentIndexMap:
         self.ket = np.concatenate([np.arange(N), np.column_stack([l, k]).ravel()])
         self._index = {(int(a), int(b)): i
                        for i, (a, b) in enumerate(zip(self.bra, self.ket))}
+        # coupling currents (_hot_bath_powers): each slot's (bra, ket) in a
+        # raveled N x N matrix, and the signs [bra == k] - [ket == k] of its
+        # term in the current out of k; complex, so that the product runs
+        # on the complex BLAS kernel the solves page in, not a real one too
+        self.pair = self.bra * N + self.ket
+        k_col = np.arange(N)[:, None]
+        self.outflow = (self.bra == k_col).astype(complex) - (self.ket == k_col)
         # Kronecker-sum gathers of assemble_Mn from the flat buffer
         # [L.ravel(), R.ravel(), 0]: slot (a, b) reads L[a, c] where its ket
         # matches that of (c, d), R[b, d] where the bras match, else the 0
@@ -222,28 +229,38 @@ def power_matrix(net, mod, n_max):
     check_n_max(n_max)
     n_occ = net.occupations()
     hot = np.flatnonzero(n_occ)
-    zeroth = ()
+    zeroth = np.zeros((net.N * net.N, 0))
     if hot.size:
-        # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
         zeroth = blocktri.solve_centre(
-            *_moment_system(net, mod, n_max, np.diag(n_occ)[hot]))[:net.N].real.T
-    return _hot_bath_powers(net, n_occ, hot, zeroth)
+            *_moment_system(net, mod, n_max, np.diag(n_occ)[hot]))
+    return _hot_bath_powers(net, hot, zeroth)
 
 
-def _hot_bath_powers(net, n_occ, hot, zeroth):
-    """PowerMatrix from the cycle-averaged occupations of each hot bath.
+def _hot_bath_powers(net, hot, zeroth):
+    """PowerMatrix from the cycle-averaged moments of each hot bath.
 
-    zeroth[i] holds <a_l^+ a_l>_0 for every l with bath hot[i] alone at
-    occupation n_occ[hot[i]]; rows of baths not in ``hot`` stay zero.
+    Column i of zeroth (N^2, len(hot)) holds every <a_k^+ a_l>_0, in
+    MomentIndexMap order, with bath hot[i] alone hot; rows of baths not in
+    ``hot`` stay zero.  P reads the occupations.  P_em[k] is the coupling
+    current out of k, hbar omega_k Re sum_j i (g_kj C_kj - g_jk C_jk) with
+    C_kj = <a_k^+ a_j>_0.  The k-th diagonal moment equation, which no
+    drive stripe reaches, equates it to 2 kappa_k (n_k - <a_k^+ a_k>_0)
+    but without that difference's cancellation, and it reads coherences,
+    so that the balance against sum_l P[k, l] compares distinct moments.
     """
     N = net.N
     P = np.zeros((N, N))
     P_em = np.zeros(N)
-    for k, occ in zip(hot, zeroth):
+    # sum_j (g_kj C_kj - g_jk C_jk) for every k and column, from
+    # g_ab C_ab on every slot (a, b); Re i z = -Im z
+    imap = moment_index_map(N)
+    current = (imap.outflow @ (net.g.take(imap.pair)[:, None] * zeroth)).imag
+    # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
+    for i, (k, occ) in enumerate(zip(hot, zeroth[:N].real.T)):
         pref = SI.hbar * net.omega[k]
         P[k] = pref * 2.0 * net.kappa * occ
         P[k, k] = 0.0
-        P_em[k] = pref * 2.0 * net.kappa[k] * (n_occ[k] - occ[k])
+        P_em[k] = -pref * current[k, i]
     return PowerMatrix(P=P, P_em=P_em)
 
 

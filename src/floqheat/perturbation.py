@@ -75,10 +75,9 @@ def power_second_order(net, mod):
     ninv = (np.eye(m0.shape[0]) - m0_inv @ (npert - m0)) @ m0_inv
     n_occ = net.occupations()
     hot = np.flatnonzero(n_occ)
-    # diagonal moments occupy the first N flat slots; the source of bath k
-    # is 2 kappa_k n_k on slot k
-    zeroth = (ninv[:net.N, hot] * 2.0 * net.kappa[hot] * n_occ[hot]).real.T
-    return _hot_bath_powers(net, n_occ, hot, zeroth)
+    # the source of bath k is 2 kappa_k n_k on the diagonal slot k
+    zeroth = ninv[:, hot] * 2.0 * net.kappa[hot] * n_occ[hot]
+    return _hot_bath_powers(net, hot, zeroth)
 
 
 def _an(kappa, Omega, n):

@@ -299,17 +299,14 @@ def sweep(spec, workers=1):
     Each value is one operating point: the swept parameter is applied, the
     network with both ends hot is built and its regime findings logged
     once, and every method runs on it; each row equals the
-    ``operating_point`` row of that value and method.  With workers > 1
-    the values are spread over that many processes, in the same order.
+    ``operating_point`` row of that value and method.  The values run one
+    after another in this process.  ``workers`` is kept for callers that
+    still pass workers=1; any other value raises ValueError.
     """
-    if workers <= 1:
-        per_value = [_sweep_value(spec, v) for v in spec.values]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_value = list(pool.map(_sweep_value, [spec] * len(spec.values),
-                                      spec.values))
-    return [row for rows in per_value for row in rows]
+    if workers != 1:
+        raise ValueError(f"workers = {workers!r}: the process pool was "
+                         "removed, sweeps run in one process")
+    return [row for v in spec.values for row in _sweep_value(spec, v)]
 
 
 def default_spectrum_grid(net, mod, n_max):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SI, ConvergenceError, ValidationError, check_bath_index,
-                    ensure_valid, occupation)
+                    ensure_valid)
 from .master import moment_index_map
 
 __all__ = [
@@ -326,7 +326,9 @@ def cycle_average_power(samples, net, source):
 
     Reads only the source bath's share of the cycle average (the
     PowerMatrix contract).  Same prefactors as the Fourier route, with the
-    zeroth coefficient replaced by the explicit period average.  Raises
+    zeroth coefficient replaced by the explicit period average: P_em is
+    the coupling current out of the source, hbar omega_s Re sum_l
+    i (g_sl C_sl - g_ls C_ls) with C_sl = <a_s^+ a_l>.  Raises
     ValidationError unless the samples hold one share per bath of net, and
     ValueError unless source is a bath index of net.
     """
@@ -338,11 +340,12 @@ def cycle_average_power(samples, net, source):
     check_bath_index(net, source)
     imap = moment_index_map(N)
     avg = samples.bath_averages[:, source]
-    n_src = occupation(net.T[source], net.omega[source])
     pref = SI.hbar * net.omega[source]
     row = np.zeros(N)
+    current = 0.0
     for l in range(N):
         if l != source:
             row[l] = pref * 2.0 * net.kappa[l] * avg[imap.index(l, l)].real
-    p_em = pref * 2.0 * net.kappa[source] * (n_src - avg[imap.index(source, source)].real)
-    return row, p_em
+            current += (net.g[source, l] * avg[imap.index(source, l)]
+                        - net.g[l, source] * avg[imap.index(l, source)])
+    return row, pref * (1j * current).real

@@ -199,9 +199,8 @@ def test_criterion_6_conservation(solver_grid):
     hot = net.with_hot_bath(0, T_HOT)
     samples = evolve_to_cycle(hot, mod)
     row, p_em = cycle_average_power(samples, hot, 0)
-    # the oracle's balance is judged at its natural power scale: P_em is a
-    # deep cancellation (deficit ~ 1e-5 of n), so the defect is bounded
-    # relative to hbar w 2 kappa n, not to P_em itself
+    # the oracle's balance is judged at its natural power scale
+    # hbar w 2 kappa n, about 2e4 P_em on the chain
     scale = SI.hbar * OMEGA0 * 2 * KAPPA * occupation(T_HOT, OMEGA0)
     records.append(("rk4", abs(p_em - row.sum()) / scale, 5e-7))
 

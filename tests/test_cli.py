@@ -196,23 +196,28 @@ def test_power_perturbation_methods(capsys):
     assert out.count("P14 =") == 3
 
 
-def test_regime_finding_printed_once_per_run(capsys):
-    # at the defaults hbar*Omega is above 0.1 kB T_hot; the three methods
-    # each solve that network, and the finding is printed once, by the CLI
+def test_regime_finding_printed_once_per_run(capsys, tmp_path, monkeypatch):
+    # at the defaults hbar*Omega is above 0.1 kB T_hot; the three methods,
+    # or the four swept values, each solve such a network, and the finding
+    # is printed once, by the CLI
+    monkeypatch.chdir(tmp_path)    # the sweep writes sweep.csv here
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["power", "--methods", "qme,pert1,pert2"]
-    proc = subprocess.run([sys.executable, "-m", "floqheat.cli", *argv],
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0
-    assert proc.stderr.count("white-noise regime questionable") == 1
-    assert proc.stderr.startswith("warning: white-noise regime questionable: "
-                                  "hbar*Omega")
-    assert "UserWarning" not in proc.stderr
-    for _ in range(2):    # and once again in the next run of the same process
-        code, _, err = run(capsys, *argv)
-        assert code == 0 and err.count("warning: white-noise regime") == 1
+    for argv in (["power", "--methods", "qme,pert1,pert2"],
+                 ["sweep", "--parameter", "beta",
+                  "--values", "0.01,0.02,0.03,0.04"]):
+        proc = subprocess.run([sys.executable, "-m", "floqheat.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0
+        assert proc.stderr.count("white-noise regime questionable") == 1
+        assert proc.stderr.startswith("warning: white-noise regime "
+                                      "questionable: hbar*Omega")
+        assert "UserWarning" not in proc.stderr
+        for _ in range(2):    # and once again in the next run of the process
+            code, _, err = run(capsys, *argv)
+            assert code == 0 and err.count("warning: white-noise regime") == 1
 
 
 def test_strong_drive_runs_at_the_drive_order(capsys):
@@ -315,9 +320,9 @@ SHIPPED_CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
     ("power", "--quad-tol", "inf"),
     ("compare", "--quad-tol", "0"),
     ("fig3a", "--quad-tol", "0"),
-    ("fig4", "--parallel", "0"),
-    ("fig4", "--parallel", "-1"),
-    ("sweep", "--parameter", "beta", "--values", "0", "--parallel", "0"),
+    ("fig4", "--parallel", "2"),
+    ("fig7", "--t-hot", "inf"),
+    ("sweep", "--parameter", "Omega", "--values", "0", "--t-hot", "nan"),
     ("power", "--nmax", "1.5"),
     ("power", "--nmax", "two"),
     ("fig6", "--nmax", "-1"),
@@ -341,8 +346,9 @@ SHIPPED_CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
     (),
 ])
 def test_usage_errors_exit_3(capsys, tmp_path, monkeypatch, argv):
-    # malformed values, unknown and removed flags: rejected before any
-    # solver (or worker process) starts, and nothing is written
+    # malformed values, unknown and removed flags (the process pool's
+    # worker count among them): rejected before any solver starts, and
+    # nothing is written
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 3
@@ -359,7 +365,7 @@ def test_help_exits_0(capsys):
 
 
 CHAIN = {"--config", "--beta", "--theta", "--drive"}
-SWEEP = {"--nmax", "--quad-tol", "--methods", "--parallel", "--t-hot", "--out"}
+SWEEP = {"--nmax", "--quad-tol", "--methods", "--t-hot", "--out"}
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
@@ -369,7 +375,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
                       if s not in ("-h", "--help")}
                for name, p in sub.choices.items()}
     assert options == {
-        "power": CHAIN | SWEEP - {"--parallel"},
+        "power": CHAIN | SWEEP,
         "spectrum": CHAIN | {"--nmax", "--t-hot", "--out"},
         "sweep": CHAIN | SWEEP | {"--parameter", "--values"},
         "compare": CHAIN | {"--nmax", "--quad-tol", "--t-hot"},
@@ -379,7 +385,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "fig6": {"--nmax", "--t-hot", "--out"},
         "fig7": SWEEP - {"--methods", "--quad-tol"},
     }
-    assert sum(map(len, options.values())) == 58
+    assert sum(map(len, options.values())) == 53
 
 
 def test_closed_form_logs_the_regime_finding(capsys):
@@ -478,8 +484,7 @@ def test_compare_without_hot_bath_passes(capsys):
 def test_fig4_preset_small(capsys, tmp_path, monkeypatch):
     # shrink the preset grid via nmax to keep the unit test fast
     out_csv = tmp_path / "fig4.csv"
-    code, _, _ = run(capsys, "fig4", "--methods", "pert1", "--parallel", "2",
-                     "--out", str(out_csv))
+    code, _, _ = run(capsys, "fig4", "--methods", "pert1", "--out", str(out_csv))
     assert code == 0
     with open(out_csv) as fh:
         rows = list(csv.DictReader(fh))

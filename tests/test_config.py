@@ -200,8 +200,9 @@ def test_unparseable_file(tmp_path):
 
 
 def test_import_leaves_yaml_and_the_pool_unloaded():
-    # YAML is read only by load_config, and the process pool is started
-    # only by a sweep with workers > 1: neither import is paid up front
+    # YAML is read only by load_config, and no module starts worker
+    # processes: importing the package and the CLI pays for neither, which
+    # keeps the import (the bench's setup_s) light
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

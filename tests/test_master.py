@@ -2,15 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_sylvester
 
 from floqheat import (ModulationProtocol, ResonatorNetwork, SI, blocktri,
                       occupation)
 from floqheat.master import (assemble_Mn, contrast_vector, converged_power_matrix,
-                             moment_index_map, power_matrix, shift_Mn,
-                             _hot_bath_powers, _moment_mirror, _moment_system,
-                             _sideband_blocks, _solve_fourier_nvec)
+                             drive_order, moment_index_map, power_matrix,
+                             shift_Mn, _hot_bath_powers, _moment_mirror,
+                             _moment_system, _sideband_blocks,
+                             _solve_fourier_nvec)
 from floqheat.model import SingularBlockError, ValidationError
+from floqheat.perturbation import power_second_order
 
 from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, centre_cases,
                       chain, periodic_expectations, random_network)
@@ -250,6 +253,19 @@ class TestPowerMatrix:
             pm = power_matrix(hot, mod, 15)
             assert pm.conservation_residual(source) <= 1e-9 * pm.P_em[source]
 
+    def test_balance_at_round_off_on_every_moment_path(self):
+        # P_em is the coupling current out of the source, not the
+        # occupation deficit 2 kappa (n - <n>_0), which is ~1e-5 of n;
+        # pert2 is negative at the strong drive, outside its range
+        for name, net, mod, n_max in centre_cases():
+            hot = net.with_temperatures(np.linspace(T_HOT, 0.0, net.N))
+            for method, pm in (("qme", power_matrix(hot, mod, n_max)),
+                               ("pert1", power_matrix(hot, mod, 1)),
+                               ("pert2", power_second_order(hot, mod))):
+                for k in np.flatnonzero(hot.occupations()):
+                    assert pm.conservation_residual(k) <= 1e-14 * abs(pm.P_em[k]), \
+                        (name, method, k)
+
     def test_hot_baths_share_one_elimination(self):
         # every hot bath is one right-hand-side column; each row must equal
         # the single-hot-bath solve
@@ -281,6 +297,27 @@ class TestPowerMatrix:
         assert p14 == pytest.approx(p41, rel=1e-10)
 
 
+def transfers(net, mod):
+    """R[k, l] = P[k, l] / (hbar omega_k n_k): qme at the drive's order,
+    per unit occupation of the source bath."""
+    P = power_matrix(net, mod, drive_order(mod)).P
+    return P / (SI.hbar * net.omega * net.occupations())[:, None]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
+def test_time_reversal(seed, n):
+    # Onsager-Casimir: reversing time flips the drive phases and conjugates
+    # g, so R(theta, g) = R(-theta, g*)^T; only the drive phases break
+    # reciprocity
+    net, mod = random_network(np.random.default_rng(seed), n)
+    net = net.with_temperatures(np.full(n, T_HOT))
+    R = transfers(net, mod)
+    back = transfers(dataclasses.replace(net, g=net.g.conj()),
+                     dataclasses.replace(mod, theta=-mod.theta))
+    assert np.abs(R - back.T).max() <= 1e-12 * np.abs(R).max()
+
+
 class TestCentreRead:
     """``power_matrix`` solves for sideband 0 alone (``blocktri.solve_centre``);
     the full solve carries the same elimination to every sideband."""
@@ -293,8 +330,7 @@ class TestCentreRead:
             sources = np.flatnonzero(n_occ)
             rhs = _moment_system(hot, mod, n_max, np.diag(n_occ)[sources])[3]
             full = blocktri.solve_thomas(*_sideband_blocks(hot, mod, n_max), rhs)
-            ref = _hot_bath_powers(hot, n_occ, sources,
-                                   full[n_max, :net.N].real.T)
+            ref = _hot_bath_powers(hot, sources, full[n_max])
             pm = power_matrix(hot, mod, n_max)
             scale = np.abs(ref.P).max()
             assert np.abs(pm.P - ref.P).max() <= 2e-15 * scale, name

@@ -115,19 +115,15 @@ class TestSweep:
         assert [(r.beta, r.method) for r in rows] == \
             [(v, m) for v in values for m in ("qme", "pert1")]
 
-    def test_parallel_equals_serial(self, chain_static):
-        # the pool maps whole values, so rows keep their order and values
+    def test_workers_other_than_one_raise(self, chain_static):
+        # sweeps run in one process; workers=1 alone is still accepted
         net, mod = chain_static
-        values = np.array([0.0, 0.02, -1.0, 0.04]) * OMEGA0
         spec = SweepSpec(network=net, modulation=mod, parameter="beta",
-                         values=values, methods=("qme", "pert2", "closed"))
-        serial = sweep(spec, workers=1)
-        parallel = sweep(spec, workers=2)
-        assert len(serial) == len(parallel) == 12
-        for a, b in zip(serial, parallel, strict=True):
-            assert _same_row(a, b)
-        assert [r.status for r in serial[6:9]] == \
-            ["error: beta must be nonnegative"] * 3
+                         values=[0.0], methods=("qme",))
+        assert _same_row(sweep(spec, workers=1)[0], sweep(spec)[0])
+        for workers in (2, 0):
+            with pytest.raises(ValueError, match="process pool was removed"):
+                sweep(spec, workers=workers)
 
     def test_failures_flag_rows_without_aborting(self, chain_static):
         net, mod = chain_static

@@ -380,9 +380,9 @@ class TestCycleAveragePower:
         assert row[0] == 0.0
 
     def test_conservation_at_emission_scale(self, chain_modulated):
-        # P_em is a deep cancellation (the occupation deficit is ~1e-5 of
-        # n), so the balance defect is bounded at the solver's natural
-        # power scale hbar omega 2 kappa n, not relative to P_em itself
+        # the balance defect at the solver's natural power scale
+        # hbar omega 2 kappa n (about 2e4 P_em), and relative to P_em,
+        # which the coupling current gives without cancellation
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
         samples = evolve_to_cycle(hot, mod)
@@ -390,6 +390,7 @@ class TestCycleAveragePower:
         n_src = occupation(T_HOT, OMEGA0)
         scale = SI.hbar * OMEGA0 * 2 * KAPPA * n_src
         assert abs(p_em - row.sum()) <= 5e-7 * scale
+        assert abs(p_em - row.sum()) <= 1e-12 * p_em
 
     @pytest.mark.parametrize("source", [3, 1])
     def test_samples_of_another_network_rejected(self, source):
