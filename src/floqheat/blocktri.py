@@ -22,9 +22,9 @@ a mirror whenever the couplings are Hermitian: the moments C_kl =
 coefficients obey C_-n = C_n^dagger, and P swaps each pair slot (k, l)
 with (l, k).
 
-Every solve is one elimination toward the centre block row, ending in the
-centre solve.  ``solve_centre`` returns that centre block alone;
-``solve_thomas`` carries it outward to every block row.
+Every call is one elimination toward the centre block row, ending in its
+Schur complement: ``schur_centre`` returns it, ``solve_centre`` solves it
+for x[n], and ``solve_thomas`` (two-sided only) also carries x[n] outward.
 """
 from __future__ import annotations
 
@@ -32,28 +32,28 @@ import numpy as np
 
 from .model import SingularBlockError
 
-__all__ = ["solve_centre", "solve_thomas"]
+__all__ = ["schur_centre", "solve_centre", "solve_thomas"]
 
 
-def _eliminate(diag, upper, lower, rhs, mirror):
+def _eliminate(diag, upper, lower, mirror):
     """Block LU (Golub & Van Loan, Matrix Computations, 4.5) from both ends
     toward the centre block row: a matrix continued fraction.
 
     The top sweep eliminates rows 0 .. n-1 downward, the bottom sweep rows
-    R-1 .. n+1 upward, both stacked on one batch axis; one block solve then
-    gives the centre x[n].  Under a mirror only the top sweep runs: each
-    bottom Schur complement is P conj(top one) P, so it enters the centre
-    block as a gather.  Pivoting happens only inside each block inversion,
-    never across block rows: the master-equation and Langevin operators are
-    accretive (Hermitian part of every diagonal block positive, stripes
-    skew-Hermitian in pairs), so every Schur complement of either sweep is
-    nonsingular.
+    R-1 .. n+1 upward, both stacked on one batch axis; what is left is the
+    Schur complement of the centre block.  Under a mirror only the top
+    sweep runs: each bottom Schur complement is P conj(top one) P, so it
+    enters the centre block as a gather.  Pivoting happens only inside each
+    block inversion, never across block rows: the master-equation and
+    Langevin operators are accretive (Hermitian part of every diagonal
+    block positive, stripes skew-Hermitian in pairs), so every Schur
+    complement of either sweep is nonsingular.
 
-    Returns (x[n], inverses, out, sides, mirror) for ``_carry``: inverses[k]
-    = S_k^-1 of the Schur complements S_k of step k, out the negated
+    Returns the centre Schur complement (..., B, B), then for ``_carry``
+    inverses[k] = S_k^-1 of step k's Schur complements S_k, out the negated
     passing stripes and sides[k] the block rows that step k eliminates.
     """
-    diag, rhs = np.asarray(diag), np.asarray(rhs)
+    diag = np.asarray(diag)
     *_, rows, b, _ = diag.shape
     sweeps = 2 if mirror is None else 1
     if ((sweeps == 2 and rows % 2 == 0) or np.shape(upper) != (b,)
@@ -64,8 +64,6 @@ def _eliminate(diag, upper, lower, rhs, mirror):
         mirror = np.asarray(mirror)
         if mirror.shape != (b,):
             raise ValueError("mirror must permute the B slots of a block")
-    if rhs.ndim < 2 or rhs.shape[-2] != b:
-        raise ValueError("rhs must be the centre block row, (..., B, C)")
     n = rows // 2 if sweeps == 2 else rows - 1
     # the top sweep meets its eliminated neighbour through ``lower`` and
     # passes on through ``upper``, the bottom sweep the other way round:
@@ -84,28 +82,33 @@ def _eliminate(diag, upper, lower, rhs, mirror):
             if inverses:
                 s = s + into_out * inverses[-1]
             inverses.append(np.linalg.inv(s))
-        centre = diag[..., n, :, :]
-        if inverses:
-            fold = (into_out * inverses[-1]).sum(axis=-3)
-            if mirror is not None:
-                fold = fold + fold.take(mirror, -2).take(mirror, -1).conj()
-            centre = centre + fold
-        x_centre = np.linalg.solve(centre, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"singular block during elimination: {exc}") from exc
-    return x_centre, inverses, out, sides, mirror
+    centre = diag[..., n, :, :]
+    if inverses:
+        fold = (into_out * inverses[-1]).sum(axis=-3)
+        if mirror is not None:
+            fold = fold + fold.take(mirror, -2).take(mirror, -1).conj()
+        centre = centre + fold
+    return centre, inverses, out, sides
 
 
-def _check_finite(x):
+def _solve(centre, rhs):
+    """x[n] (..., B, C) from the centre Schur complement; checks rhs and x."""
+    if np.ndim(rhs) < 2 or np.shape(rhs)[-2] != centre.shape[-1]:
+        raise ValueError("rhs must be the centre block row, (..., B, C)")
+    try:
+        x = np.linalg.solve(centre, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError(f"singular block during elimination: {exc}") from exc
     if not np.isfinite(x).all():
         raise SingularBlockError("non-finite solution from block elimination")
     return x
 
 
-def _carry(x_centre, inverses, out, sides, mirror):
-    """Carry the centre block outward, x[k] = S_k^-1 diag(out) x[k+1] on
-    each side, and write the bottom half as x[R-1-r] = P conj(x[r]) under
-    a mirror.  Returns x shaped (..., R, B, C)."""
+def _carry(x_centre, inverses, out, sides):
+    """Carry the centre block outward on both sides, x[k] = S_k^-1
+    diag(out) x[k+1].  Returns x shaped (..., R, B, C)."""
     # each column is carried on its own, as (B, B) @ (B, 1) products, so
     # it does not depend on the other columns of the rhs
     cols = x_centre.swapaxes(-1, -2)
@@ -116,24 +119,29 @@ def _carry(x_centre, inverses, out, sides, mirror):
     for k in range(n - 1, -1, -1):
         side = inverses[k][..., None, :, :, :] @ (out * side)
         x[..., sides[k], :] = side[..., 0]
-    if mirror is not None:
-        x[..., n + 1:, :] = x[..., :n, :][..., ::-1, :].take(mirror, -1).conj()
-    return _check_finite(x).swapaxes(-3, -2).swapaxes(-2, -1)
+    return x.swapaxes(-3, -2).swapaxes(-2, -1)
+
+
+def schur_centre(diag, upper, lower, mirror=None):
+    """The Schur complement (..., B, B) of the centre block row, which maps
+    x[n] to the centre block row of the rhs.  ``mirror`` is the P of the
+    module docstring's mirror as a (B,) index array, P v = v[mirror];
+    ``diag`` then holds block rows 0 .. n only.  The caller vouches for the
+    contract; only the length of P is checked."""
+    return _eliminate(diag, upper, lower, mirror)[0]
 
 
 def solve_centre(diag, upper, lower, rhs, mirror=None):
-    """The centre block x[n] (..., B, C) of the solution, and nothing else:
-    the elimination of ``solve_thomas`` without its outward carry.
-
-    On the chain, on random networks and at strong drive it equals block
-    row n of ``solve_thomas`` to 2e-15 relative.
-    """
-    return _check_finite(_eliminate(diag, upper, lower, rhs, mirror)[0])
+    """The centre block x[n] (..., B, C) alone, ``schur_centre`` solved: on
+    the chain, random networks and at strong drive it equals block row n of
+    ``solve_thomas`` to 2e-15 relative."""
+    return _solve(_eliminate(diag, upper, lower, mirror)[0], rhs)
 
 
-def solve_thomas(diag, upper, lower, rhs, mirror=None):
-    """The whole solution x (..., R, B, C): the elimination toward the
-    centre block row, then the stored inverses carry x[n] outward.
+def solve_thomas(diag, upper, lower, rhs):
+    """The whole solution x (..., R, B, C) of a system of all R = 2 n + 1
+    block rows: the centre solve, carried outward on both sides by the
+    stored inverses of the elimination.
 
     The stripes act as elementwise scalings.  On the master-equation and
     Langevin operators the solution matches pivoted dense LU to 1.5e-15
@@ -141,10 +149,6 @@ def solve_thomas(diag, upper, lower, rhs, mirror=None):
     N = 8 networks and at strong drive (beta up to 0.5 omega_0, Omega =
     0.02 omega_0, n_max = 64), where the blocks are far from diagonally
     dominant.
-
-    ``mirror`` is the permutation P of a system with the mirror of the
-    module docstring, as a (B,) index array: P v = v[mirror]; ``diag`` then
-    holds block rows 0 .. n only.  The caller vouches for the contract;
-    only the length of P is checked.
     """
-    return _carry(*_eliminate(diag, upper, lower, rhs, mirror))
+    centre, *factors = _eliminate(diag, upper, lower, None)
+    return _carry(_solve(centre, rhs), *factors)

@@ -212,7 +212,7 @@ def _normalized_rows(rows):
     """Attach P14/P41 normalized by each method's computed beta = 0 value."""
     baselines = {}
     for r in rows:
-        if r.status == "ok" and r.beta == 0.0 and np.isfinite(r.P14):
+        if r.status.startswith("ok") and r.beta == 0.0 and np.isfinite(r.P14):
             baselines.setdefault((r.method, round(r.theta, 12)), r.P14)
     out = []
     for r in rows:

@@ -199,6 +199,12 @@ def heat_flux_spectrum(net, mod, source, observer, grid, n_max):
     return spectra if np.ndim(source) else spectra[0]
 
 
+def _window_edges(net, mod, n_max):
+    """(lo, hi) of ``integration_window`` before clipping at omega = 0."""
+    margin = (n_max + 1) * mod.Omega + 30.0 * net.kappa.max()
+    return net.omega.min() - margin, net.omega.max() + margin
+
+
 def integration_window(net, mod, n_max):
     """Quadrature window and panel boundaries covering every expected peak.
 
@@ -208,9 +214,7 @@ def integration_window(net, mod, n_max):
     on the ``floqheat.langevin`` logger.
     """
     _check_indices(net, n_max)
-    margin = (n_max + 1) * mod.Omega + 30.0 * net.kappa.max()
-    lo = net.omega.min() - margin
-    hi = net.omega.max() + margin
+    lo, hi = _window_edges(net, mod, n_max)
     if lo <= 0.0:
         _log.warning("integration window clipped at omega = 0")
         lo = 0.0

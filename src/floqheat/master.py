@@ -8,25 +8,21 @@ frequency integration is needed for cycle-averaged powers.
 The static block M_0 is a Kronecker sum of the bra and ket drift matrices
 permuted into MomentIndexMap order (``assemble_Mn``), and the sideband
 couplings G+- are diagonal in the drive contrasts (``contrast_vector``).
-Every solve is one block elimination toward sideband 0
-(``blocktri``): M_0 is assembled once per operating point, the sideband
-blocks M_n = M_0 - i n Omega I are shifted from it (``shift_Mn``), and
-every hot bath is one right-hand-side column of the same elimination.
-Powers read the cycle averages <.>_0 alone, so ``power_matrix`` (and pert1
-and ``converged_power_matrix`` through it) stops at the centre solve
-(``blocktri.solve_centre``), and no production path here carries the
-solve outward.  ``_solve_fourier_nvec`` returns every sideband
-(``blocktri.solve_thomas``) and serves only as the tests' reference for
-the Fourier coefficients; it is the one caller of the mirrored outward
-carry.
+Every solve is one block elimination toward sideband 0 (``blocktri``)
+over the blocks M_n = M_0 - i n Omega I (``shift_Mn``), each hot bath one
+right-hand-side column.  Powers read the cycle averages <.>_0 alone, so
+``power_matrix`` (and pert1 and ``converged_power_matrix`` through it)
+stops at the centre solve (``blocktri.solve_centre``); only the tests'
+reference ``_solve_fourier_nvec`` solves all 2 n_max + 1 sidebands
+two-sided and carries the solve outward (``blocktri.solve_thomas``).
 
-When g is exactly Hermitian (every qme path: ``power_matrix``, pert1,
-``converged_power_matrix``; the sources are real), the
-moments form a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the
-swap (k, l) <-> (l, k) of MomentIndexMap.  The elimination then runs the
-top sweep only, reads sidebands +n_max .. 0 alone (``_sideband_blocks``
-builds no others) and mirrors the bottom half (``_moment_mirror``); any
-other g, including one a rounding error off Hermitian, runs both sweeps.
+When g is exactly Hermitian (``power_matrix`` and pert2's
+``perturbation.assemble_Npert``; the sources are real), the moments form
+a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the swap (k, l)
+<-> (l, k) of MomentIndexMap.  The elimination then runs the top sweep
+only over sidebands +n_max .. 0 (``_sideband_blocks`` builds no others)
+and gathers the bottom sweep from it (``_moment_mirror``); any other g,
+including one a rounding error off Hermitian, runs both sweeps.
 """
 from __future__ import annotations
 
@@ -189,25 +185,24 @@ def _sideband_blocks(net, mod, n_max, mirror=None):
     return diag, -(half * eta.conj()), -(half * eta)
 
 
-def _moment_system(net, mod, n_max, nvecs):
-    """``blocktri`` arguments (diag, upper, lower, rhs, mirror) for the bath
+def _moment_system(net, mod, n_max, nvecs, mirror=None):
+    """``blocktri`` arguments (diag, upper, lower, rhs) for the bath
     occupation vectors ``nvecs`` (C, N): each is one rhs column, its
     sources in sideband 0 only."""
     N = net.N
     rhs = np.zeros((N * N, len(nvecs)), dtype=complex)
     rhs[:N] = (2.0 * net.kappa[:, None]) * nvecs.T
-    mirror = _moment_mirror(net)
-    return (*_sideband_blocks(net, mod, n_max, mirror), rhs, mirror)
+    return (*_sideband_blocks(net, mod, n_max, mirror), rhs)
 
 
 def _solve_fourier_nvec(net, mod, n_max, nvecs):
     """Solve the sideband system for explicit bath-occupation vectors.
 
     ``nvecs`` is one occupation vector (N,) or C of them as rows (C, N);
-    all C of them share one block elimination, carried out to every
-    sideband.  Returns the coefficients shaped (2 n_max + 1, N^2), or
-    (C, 2 n_max + 1, N^2).  No production path calls it: it is the
-    tests' reference for the Fourier coefficients.
+    all C of them share one two-sided elimination over all 2 n_max + 1
+    sidebands, carried out to every one.  Returns the coefficients shaped
+    (2 n_max + 1, N^2), or (C, 2 n_max + 1, N^2).  No production path
+    calls it: it is the tests' reference for the Fourier coefficients.
     """
     nvecs = np.asarray(nvecs, dtype=float)
     coeffs = blocktri.solve_thomas(
@@ -231,8 +226,9 @@ def power_matrix(net, mod, n_max):
     hot = np.flatnonzero(n_occ)
     zeroth = np.zeros((net.N * net.N, 0))
     if hot.size:
-        zeroth = blocktri.solve_centre(
-            *_moment_system(net, mod, n_max, np.diag(n_occ)[hot]))
+        mirror = _moment_mirror(net)
+        zeroth = blocktri.solve_centre(*_moment_system(
+            net, mod, n_max, np.diag(n_occ)[hot], mirror), mirror)
     return _hot_bath_powers(net, hot, zeroth)
 
 

@@ -1,10 +1,10 @@
 """Second-order sideband elimination and weak-coupling closed forms.
 
 Eliminating the n = +-1 Fourier blocks leaves an effective zeroth-sideband
-matrix N = M_0 + D (``assemble_Npert``).  Its inverse is the Schur
-complement that block elimination forms in ``master.power_matrix`` at
-n_max = 1, so the "pert1" estimate is that call; ``power_second_order``
-keeps the inverse to first order in D ("pert2").  In the weak-coupling
+matrix N = M_0 + D (``assemble_Npert``), the Schur complement that
+``master.power_matrix`` forms and solves at n_max = 1: the "pert1"
+estimate is that call, and ``power_second_order`` keeps the inverse of N
+to first order in D ("pert2").  In the weak-coupling
 limit the forward/backward flux difference of the symmetric four-chain
 collapses to a closed expression proportional to sin(theta).
 """
@@ -14,10 +14,10 @@ import csv
 
 import numpy as np
 
-from .master import (_hot_bath_powers, _moment_mirror, assemble_Mn,
-                     contrast_vector, shift_Mn)
-from .model import (SI, SingularBlockError, ValidationError, ensure_valid,
-                    occupation)
+from .blocktri import schur_centre
+from .master import (_hot_bath_powers, _moment_mirror, _sideband_blocks,
+                     assemble_Mn)
+from .model import SI, ValidationError, ensure_valid, occupation
 
 __all__ = [
     "assemble_Npert",
@@ -35,29 +35,14 @@ def assemble_Npert(net, mod):
 
     N = M_0 + (beta^2/4) (Gt M_+1^-1 Gt* + Gt* M_-1^-1 Gt) with
     Gt = diag(eta) from ``master.contrast_vector``, so that G+ = (i beta/2)
-    Gt; blocks with |n| >= 2 are discarded.  For exactly Hermitian g,
-    M_-1^-1 is the mirror P conj(M_+1^-1) P of ``master._moment_mirror``
-    and only M_+1 is inverted.
+    Gt; blocks with |n| >= 2 are discarded.  That is the Schur complement
+    of sideband 0 in the moment system at n_max = 1, the one pert1 solves
+    (``blocktri.schur_centre``); for exactly Hermitian g only M_+1 is
+    inverted (the mirror of ``master._moment_mirror``).
     """
     ensure_valid(net, mod)
-    m0 = assemble_Mn(net)
-    if mod.beta == 0.0:
-        return m0
-    eta = contrast_vector(mod)
-    etas = eta.conj()
-    swap = _moment_mirror(net)
-    try:
-        if swap is None:
-            inv_p, inv_m = np.linalg.inv(
-                shift_Mn(m0, np.array([1, -1]), mod.Omega))
-        else:
-            # M_-1 = P conj(M_+1) P, and so are the inverses
-            inv_p = np.linalg.inv(shift_Mn(m0, 1, mod.Omega))
-            inv_m = inv_p.conj()[swap[:, None], swap]
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"singular first-sideband block: {exc}") from exc
-    return m0 + 0.25 * mod.beta**2 * (eta[:, None] * inv_p * etas
-                                      + etas[:, None] * inv_m * eta)
+    mirror = _moment_mirror(net)
+    return schur_centre(*_sideband_blocks(net, mod, 1, mirror), mirror)
 
 
 def power_second_order(net, mod):

@@ -24,7 +24,8 @@ qme and qle truncate at the drive's own sideband order unless given one:
 operating point.  A drive that needs more than ``MAX_SIDEBAND_ORDER``
 sidebands raises ValidationError before any block is built; an explicit
 order is used as given, and one below that of a driven protocol is logged
-to the same logger.
+to the same logger and flagged in the row's status, as is a qle window
+clipped at omega = 0 (whose notice ``langevin`` logs).
 """
 from __future__ import annotations
 
@@ -108,47 +109,51 @@ def _ends_hot(net, mod, T_hot):
 
 
 def _order(method, mod, n_max):
-    """Truncation order of a qme or qle solve: n_max as given, or the
-    drive's sideband order for None, which raises ValidationError above
-    MAX_SIDEBAND_ORDER before any block is built.  An explicit order below
-    the drive's is logged, unless beta = 0, where no sideband couples and
-    every order is exact."""
+    """Truncation order of a qme or qle solve and its status notes: n_max
+    as given, or the drive's sideband order for None, which raises
+    ValidationError above MAX_SIDEBAND_ORDER before any block is built.
+    An explicit order below the drive's is logged and noted, unless
+    beta = 0, where no sideband couples and every order is exact."""
     order = (master if method == "qme" else langevin).drive_order(mod)
     if n_max is None:
         if order > MAX_SIDEBAND_ORDER:
             raise ValidationError(
                 f"the drive needs {order} sidebands ({method}), more than "
                 f"{MAX_SIDEBAND_ORDER}; pass n_max to truncate explicitly")
-        return order
+        return order, ()
     check_n_max(n_max)
     if n_max < order and mod.beta > 0.0:
         _log.warning(f"n_max = {n_max} below the drive's sideband order "
                      f"{order} ({method})")
-    return n_max
+        return n_max, ("n_max below drive order",)
+    return n_max, ()
 
 
 def _powers(method, ends, both, mod, n_max, quad_tol):
-    """(P14, P41) of one method on ``both``, the network with both ends
-    hot, whose (first, last) resonators are ``ends``."""
+    """(P14, P41, status notes) of one method on ``both``, the network with
+    both ends hot, whose (first, last) resonators are ``ends``."""
     first, last = ends
-    if method == "qme":
-        P = master.power_matrix(both, mod, _order(method, mod, n_max)).P
-    elif method == "pert1":
-        P = master.power_matrix(both, mod, 1).P
+    order, notes = 1, ()                # pert1 is qme at order 1
+    if method in ("qme", "qle"):
+        order, notes = _order(method, mod, n_max)
+    if method in ("qme", "pert1"):
+        P = master.power_matrix(both, mod, order).P
     elif method == "pert2":
         P = perturbation.power_second_order(both, mod).P
     elif method == "qle":
-        return tuple(langevin.integrate_power(both, mod, (first, last),
-                                              (last, first),
-                                              _order(method, mod, n_max),
-                                              quad_tol))
+        if langevin._window_edges(both, mod, order)[0] <= 0.0:
+            notes += ("window clipped at omega = 0",)
+        return (*langevin.integrate_power(both, mod, (first, last),
+                                          (last, first), order, quad_tol),
+                notes)
     elif method == "oracle":
         samples = timedomain.evolve_to_cycle(both, mod)
         return (timedomain.cycle_average_power(samples, both, first)[0][last],
-                timedomain.cycle_average_power(samples, both, last)[0][first])
+                timedomain.cycle_average_power(samples, both, last)[0][first],
+                notes)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return P[first, last], P[last, first]
+    return P[first, last], P[last, first], notes
 
 
 def rectification(P14, P41):
@@ -233,14 +238,14 @@ def _row(method, ends, both, mod, n_max, quad_tol, T_hot):
     """SweepRow of one method on ``both``, the network with both ends hot."""
     nan = float("nan")
     if method == "closed":
-        p14 = p41 = nan
+        p14, p41, notes = nan, nan, ()
         dP = perturbation.closed_form_delta_power(both, mod, T_hot)
     else:
-        p14, p41 = _powers(method, ends, both, mod, n_max, quad_tol)
+        p14, p41, notes = _powers(method, ends, both, mod, n_max, quad_tol)
         dP = p14 - p41
     e = rectification(p14, p41) if p14 + p41 != 0.0 else nan
     return SweepRow(method, mod.beta, mod.Omega, _dephasing(mod),
-                    p14, p41, e, dP)
+                    p14, p41, e, dP, "; ".join(("ok",) + notes))
 
 
 def operating_point(net, mod, method="qme", n_max=None, quad_tol=1e-6,
@@ -336,7 +341,7 @@ def spectrum_run(net, mod, grid=None, n_max=None, T_hot=DEFAULT_T_HOT):
     elimination per frequency chunk.
     """
     (first, last), both = _ends_hot(net, mod, T_hot)
-    n_max = _order("qle", mod, n_max)
+    n_max = _order("qle", mod, n_max)[0]
     if grid is None:
         grid = default_spectrum_grid(net, mod, n_max)
     fwd, bwd = langevin.heat_flux_spectrum(both, mod, (first, last),
@@ -390,7 +395,7 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
         for method in methods:
             try:
                 powers[method] = _powers(method, ends, both, mod, n_max,
-                                         quad_tol)
+                                         quad_tol)[:2]
             except (FloqheatError, ValueError) as exc:
                 powers[method] = str(exc)
 

@@ -177,35 +177,39 @@ def _step_map_coefficients(gen0, src, mod, imap, dt, basis):
     return coef
 
 
-def _step_maps(coef, steps, s, out=None):
-    """Increments A_s - I, in x, of the RK4 steps s of a period of
-    ``steps``: one product of the rows [1, cos j phi_s, sin j phi_s],
-    phi_s = 2 pi s / steps, with ``coef``.  ``out`` (len(s), width**2)
-    may take them; returns (len(s), width, width).
-    """
+def _step_phases(steps):
+    """Rows [1, cos j phi_s, sin j phi_s], j = 1..4, phi_s = 2 pi s / steps,
+    of the steps s of a period, (steps, 9), shared by both periods."""
+    angle = _angles(np.arange(steps), np.arange(1, 5), steps)
+    return np.hstack([np.ones((steps, 1)), np.cos(angle), np.sin(angle)])
+
+
+def _step_maps(coef, phases, out=None):
+    """Increments A_s - I, in x, of the steps s whose ``_step_phases`` rows
+    are ``phases``, as their product with ``coef``; ``out`` (S, width**2)
+    may take them.  Returns (S, width, width)."""
     width = coef.shape[-1]
-    angle = _angles(s, np.arange(1, 5), steps)
-    phase = np.hstack([np.ones((len(s), 1)), np.cos(angle), np.sin(angle)])
-    return np.matmul(phase, coef.reshape(9, -1), out=out).reshape(-1, width, width)
+    return np.matmul(phases, coef.reshape(9, -1), out=out).reshape(-1, width, width)
 
 
-def _chunk_steps(coef, steps, z):
+def _chunk_steps(coef, phases, z):
     """Step all chunks of one RK4 period side by side, in place.
 
     z (chunks, width, k) holds one state per chunk in x, in the dtype of
     ``coef``.  Round j adds (A_s - I) z for the j-th step s of every chunk,
-    as the RK4 stages add their increment, which keeps the rounding of z to
-    one addition per step.  Yields j and the chunks that stepped.
+    from its row of ``phases``, as the RK4 stages add their increment,
+    which keeps the rounding of z to one addition per step.  Yields j and
+    the chunks that stepped.
     """
     buf = np.empty((len(z), coef[0].size), dtype=coef.dtype)
     for j in range(_CHUNK):
-        s = np.arange(j, steps, _CHUNK)
-        live = z[:len(s)]
-        live += _step_maps(coef, steps, s, buf[:len(s)]) @ live
+        rows = phases[j::_CHUNK]
+        live = z[:len(rows)]
+        live += _step_maps(coef, rows, buf[:len(rows)]) @ live
         yield j, live
 
 
-def _rk4_period(coef, steps, width):
+def _rk4_period(coef, phases, width):
     """Map z = [[Y, y], [0, I]] of one RK4 period from z = I, in x.
 
     Each chunk steps its own map from I and sums it; the chunk maps and
@@ -213,10 +217,10 @@ def _rk4_period(coef, steps, width):
     mean.  Returns those and z at every chunk's start (chunks, width,
     width).
     """
-    chunks = -(-steps // _CHUNK)
+    chunks = -(-len(phases) // _CHUNK)
     maps = np.tile(np.eye(width, dtype=coef.dtype), (chunks, 1, 1))
     sums = np.zeros_like(maps)
-    for _, live in _chunk_steps(coef, steps, maps):
+    for _, live in _chunk_steps(coef, phases, maps):
         sums[:len(live)] += live
     starts = np.empty_like(maps)
     z = np.eye(width, dtype=coef.dtype)
@@ -225,10 +229,10 @@ def _rk4_period(coef, steps, width):
         starts[c] = z
         total += sums[c] @ z
         z = maps[c] @ z
-    return z, (total - 0.5 * z) / steps, starts
+    return z, (total - 0.5 * z) / len(phases), starts
 
 
-def _sample_period(coef, steps, x, to_moments, store):
+def _sample_period(coef, phases, x, to_moments, store):
     """store[s] = ``to_moments`` @ x after s steps of one RK4 period.
 
     x (chunks, width) holds [x; 1, ..., 1] at every chunk's start; under
@@ -236,7 +240,7 @@ def _sample_period(coef, steps, x, to_moments, store):
     """
     n = len(to_moments)
     store[0] = to_moments @ x[0, :n]
-    for j, live in _chunk_steps(coef, steps, x[..., None]):
+    for j, live in _chunk_steps(coef, phases, x[..., None]):
         np.matmul(live[:, :n, 0], to_moments.T, out=store[j + 1::_CHUNK])
 
 
@@ -285,8 +289,9 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
     coef = _step_map_coefficients(
         gen0, np.diag(src)[:, [imap.index(k, k) for k in hot]], mod, imap, dt,
         basis)
+    phases = _step_phases(steps_per_period)
     # the augmented period starts from [[Y, y_k], [0, I]] = I, in x as in y
-    z, mean, starts = _rk4_period(coef, steps_per_period, n + len(hot))
+    z, mean, starts = _rk4_period(coef, phases, n + len(hot))
     if not np.all(np.isfinite(z)):
         raise ConvergenceError("monodromy matrix is not finite after one period")
     # the period's map and its mean, back in the moment basis
@@ -308,7 +313,7 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
     if not np.iscomplexobj(coef):
         x0 = x0.real    # y0 is Hermitian up to round-off
     traj = np.empty((steps_per_period + 1, n), dtype=complex)
-    _sample_period(coef, steps_per_period, starts @ x0, t[:n, :n], traj)
+    _sample_period(coef, phases, starts @ x0, t[:n, :n], traj)
     times = period + np.arange(steps_per_period + 1) * dt
     return MomentSamples(t=times, y=traj, periods_used=2,
                          floquet_multiplier=multiplier, bath_averages=shares)

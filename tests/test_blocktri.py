@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floqheat.blocktri import solve_centre, solve_thomas
+from floqheat.blocktri import schur_centre, solve_centre, solve_thomas
 from floqheat.langevin import _bath_weights, _sideband_blocks as qle_blocks
 from floqheat.master import (_moment_mirror, _moment_system,
                              _sideband_blocks as qme_blocks, power_matrix)
@@ -32,16 +32,34 @@ def accretive_system(rng, n_max, b, batch=(), ncols=1):
     return diag, upper, -upper.conj(), cplx(rng, b, ncols)
 
 
+def dense_system(diag, upper, lower):
+    """Dense matrix of one system with (B,) stripes."""
+    stripes = [np.diag(upper)] * (len(diag) - 1), [np.diag(lower)] * (len(diag) - 1)
+    return assemble_dense(diag, *stripes)
+
+
 def dense_solution(diag, upper, lower, rhs):
     """Pivoted dense LU of one system, the rhs padded with zero blocks
     around the centre block row; returns (R, B, C) like solve_thomas."""
     nblocks, b = diag.shape[0], diag.shape[-1]
-    stripes = [np.diag(upper)] * (nblocks - 1), [np.diag(lower)] * (nblocks - 1)
     full_rhs = np.zeros((nblocks, b, rhs.shape[-1]), dtype=complex)
     full_rhs[nblocks // 2] = rhs
-    x = np.linalg.solve(assemble_dense(diag, *stripes),
+    x = np.linalg.solve(dense_system(diag, upper, lower),
                         full_rhs.reshape(nblocks * b, -1))
     return x.reshape(full_rhs.shape)
+
+
+def dense_schur(diag, upper, lower):
+    """Schur complement A_cc - A_co A_oo^-1 A_oc of the centre block row c
+    of one system, from its dense matrix and dense LU of the rest o."""
+    nblocks, b = diag.shape[0], diag.shape[-1]
+    full = dense_system(diag, upper, lower)
+    c = np.arange(b) + nblocks // 2 * b
+    o = np.setdiff1d(np.arange(nblocks * b), c)
+    if not o.size:
+        return full
+    return (full[np.ix_(c, c)] - full[np.ix_(c, o)]
+            @ np.linalg.solve(full[np.ix_(o, o)], full[np.ix_(o, c)]))
 
 
 def max_rel(a, b):
@@ -222,8 +240,7 @@ def mirror_cases():
 
 def test_mirrored_solve_matches_dense_lu():
     # Hermitian g: the moment operator carries the pair-slot swap, so only
-    # block rows 0..n are passed, only the top sweep is eliminated and the
-    # bottom half is its mirror image
+    # block rows 0..n are passed and only the top sweep is eliminated
     rng = np.random.default_rng(22)
     for name, net, mod, n_max in mirror_cases():
         swap = _moment_mirror(net)
@@ -233,15 +250,53 @@ def test_mirrored_solve_matches_dense_lu():
         diag, upper, lower = qme_blocks(net, mod, n_max)
         half = qme_blocks(net, mod, n_max, swap)[0]
         assert np.array_equal(half, diag[:n_max + 1]), name
-        x = solve_thomas(half, upper, lower, rhs, mirror=swap)
-        assert max_rel(x, dense_solution(diag, upper, lower, rhs)) <= 1.5e-15, name
-        # x_-n = P conj(x_n), block row by block row
-        assert max_rel(x[::-1, swap].conj(), x) <= 1e-15, name
-        # the same as the two-sided kernel on all 2n+1 block rows, and
-        # its centre is the centre read
-        assert max_rel(x, solve_thomas(diag, upper, lower, rhs)) <= 2e-15, name
+        dense = dense_solution(diag, upper, lower, rhs)
+        # the mirror that the elimination relies on: x_-n = P conj(x_n),
+        # block row by block row
+        assert max_rel(dense[::-1, swap].conj(), dense) <= 1e-15, name
+        x = solve_centre(half, upper, lower, rhs, mirror=swap)
+        assert max_rel(x, dense[n_max]) <= 1.5e-15, name
+        # the same as the two-sided kernel on all 2n+1 block rows, and the
+        # solve of the mirrored Schur complement
+        assert max_rel(x, solve_thomas(diag, upper, lower, rhs)[n_max]) <= 2e-15, name
         assert np.array_equal(
-            solve_centre(half, upper, lower, rhs, mirror=swap), x[n_max]), name
+            np.linalg.solve(schur_centre(half, upper, lower, swap), rhs), x), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6),
+       n_max=st.integers(0, 6),
+       batch=st.lists(st.integers(1, 3), min_size=0, max_size=2))
+def test_schur_centre_matches_dense_schur(seed, b, n_max, batch):
+    # batched random systems: what the elimination adds to the centre
+    # block against the dense Schur complement's, member by member
+    rng = np.random.default_rng(seed)
+    batch = tuple(batch)
+    diag, upper, lower, _ = accretive_system(rng, n_max, b, batch)
+    schur = schur_centre(diag, upper, lower)
+    assert schur.shape == batch + (b, b)
+    for idx in np.ndindex(batch):
+        centre = diag[idx][n_max]
+        fold = dense_schur(diag[idx], upper, lower) - centre
+        assert np.abs(schur[idx] - centre - fold).max() <= \
+            1e-14 * np.abs(fold).max()
+
+
+def test_schur_centre_of_moment_systems_matches_dense_schur():
+    # the moment operators, two-sided on all 2n+1 block rows and, for
+    # Hermitian g, mirrored on rows 0..n
+    for name, net, mod, n_max in centre_cases():
+        diag, upper, lower = qme_blocks(net, mod, n_max)
+        centre = diag[n_max]
+        fold = dense_schur(diag, upper, lower) - centre
+        schurs = [schur_centre(diag, upper, lower)]
+        swap = _moment_mirror(net)
+        if swap is not None:
+            schurs.append(schur_centre(diag[:n_max + 1], upper, lower, swap))
+        assert len(schurs) == (1 if name == "non-Hermitian g" else 2), name
+        for schur in schurs:
+            assert np.abs(schur - centre - fold).max() <= \
+                1e-14 * np.abs(fold).max(), name
 
 
 def test_centre_read_matches_full_solve():
@@ -249,15 +304,18 @@ def test_centre_read_matches_full_solve():
     # against block row n of the two-sided kernel on all 2n+1 block rows
     for name, net, mod, n_max in centre_cases():
         hot = net.with_temperatures(np.full(net.N, 300.0))
-        args = _moment_system(hot, mod, n_max, np.diag(hot.occupations()))
-        assert (args[-1] is None) == (name == "non-Hermitian g"), name
-        centre = solve_centre(*args)
-        full = solve_thomas(*qme_blocks(hot, mod, n_max), args[3])
+        swap = _moment_mirror(hot)
+        assert (swap is None) == (name == "non-Hermitian g"), name
+        nvecs = np.diag(hot.occupations())
+        centre = solve_centre(*_moment_system(hot, mod, n_max, nvecs, swap),
+                              swap)
+        two_sided = _moment_system(hot, mod, n_max, nvecs)
+        full = solve_thomas(*two_sided)
         assert centre.shape == (net.N ** 2, net.N)
         assert max_rel(centre, full[n_max]) <= 2e-15, name
         # the carry starts from the same elimination: its row n is the
-        # centre read itself
-        assert np.array_equal(solve_thomas(*args)[n_max], centre), name
+        # centre read of the two-sided system itself
+        assert np.array_equal(solve_centre(*two_sided), full[n_max]), name
 
 
 def test_centre_read_checks_like_the_full_solve():
@@ -311,6 +369,9 @@ def test_mirror_length_checked():
     rng = np.random.default_rng(23)
     diag, upper, lower, rhs = accretive_system(rng, 2, 4)
     with pytest.raises(ValueError, match="mirror"):
-        solve_thomas(diag, upper, lower, rhs, mirror=np.arange(3))
+        solve_centre(diag, upper, lower, rhs, mirror=np.arange(3))
     with pytest.raises(ValueError, match="mirror"):
-        solve_thomas(diag, upper, lower, rhs, mirror=np.arange(16).reshape(4, 4))
+        schur_centre(diag, upper, lower, mirror=np.arange(16).reshape(4, 4))
+    # the outward carry is two-sided only
+    with pytest.raises(TypeError, match="mirror"):
+        solve_thomas(diag, upper, lower, rhs, mirror=np.arange(4))

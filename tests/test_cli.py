@@ -517,6 +517,22 @@ def test_fig3a_preset_normalized(capsys, tmp_path):
             assert float(r["P14_norm"]) < 1.0
 
 
+def test_flagged_rows_normalize_but_errors_do_not():
+    # a row flagged "ok; ..." holds a computed power and may be the beta = 0
+    # baseline; an error row holds none
+    from floqheat.cli import _normalized_rows
+    from floqheat.scenarios import SweepRow
+    nan = float("nan")
+    clipped = "ok; window clipped at omega = 0"
+    rows = [SweepRow("qle", 0.0, DRIVE, 0.5, 2.0, 4.0, nan, nan, clipped),
+            SweepRow("qle", 1e12, DRIVE, 0.5, 1.0, 1.0, nan, nan, clipped),
+            SweepRow("qme", 0.0, DRIVE, 0.5, nan, nan, nan, nan, "error: x"),
+            SweepRow("qme", 1e12, DRIVE, 0.5, 1.0, 1.0, nan, nan)]
+    norms = [(n14, n41) for _, n14, n41 in _normalized_rows(rows)]
+    assert norms[:2] == [(1.0, 2.0), (0.5, 0.5)]
+    assert np.isnan(norms[2:]).all()
+
+
 def test_fig7_preset(capsys, tmp_path):
     out_csv = tmp_path / "fig7.csv"
     code, _, _ = run(capsys, "fig7", "--out", str(out_csv))

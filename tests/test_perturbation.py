@@ -3,8 +3,8 @@ import pytest
 
 from floqheat import (SI, ModulationProtocol, ResonatorNetwork, ValidationError,
                       occupation)
-from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
-                             _solve_fourier_nvec)
+from floqheat.master import (assemble_Mn, contrast_vector, moment_index_map,
+                             power_matrix, shift_Mn, _solve_fourier_nvec)
 from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
                                    closed_form_delta_power,
                                    delta_n14_closed_form, delta_n14_general,
@@ -12,8 +12,8 @@ from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
                                    write_perturbation_csv)
 from floqheat.scenarios import operating_point
 
-from conftest import (COUPLING, DRIVE, KAPPA, OMEGA0, T_HOT, chain,
-                      random_network)
+from conftest import (COUPLING, DRIVE, KAPPA, OMEGA0, T_HOT, centre_cases,
+                      chain, random_network)
 
 
 def chain_contrasts(mod):
@@ -30,10 +30,28 @@ def exact_delta(beta_frac, theta_pi, n_max=15):
     return p14, p41
 
 
+def first_sideband_formula(net, mod):
+    """N = M_0 + (beta^2/4) (Gt M_+1^-1 Gt* + Gt* M_-1^-1 Gt), Gt =
+    diag(eta), with both first-sideband blocks inverted on their own."""
+    m0 = assemble_Mn(net)
+    eta = contrast_vector(mod)
+    inv_p, inv_m = np.linalg.inv(shift_Mn(m0, np.array([1, -1]), mod.Omega))
+    return m0 + 0.25 * mod.beta**2 * (eta[:, None] * inv_p * eta.conj()
+                                      + eta.conj()[:, None] * inv_m * eta)
+
+
 class TestAssembleNpert:
     def test_zero_drive_reduces_to_static_block(self):
         net, mod = chain(0.0)
         assert np.array_equal(assemble_Npert(net, mod), assemble_Mn(net))
+
+    def test_equals_the_first_sideband_formula(self):
+        # the kernel's Schur complement at n_max = 1, mirrored for Hermitian
+        # g and two-sided for the non-Hermitian case, against the formula
+        for name, net, mod, _ in centre_cases() + [("beta = 0", *chain(0.0), 1)]:
+            want = first_sideband_formula(net, mod)
+            got = assemble_Npert(net, mod)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
 
     def test_real_contrasts_keep_reciprocity(self):
         imap = moment_index_map(4)
@@ -125,9 +143,10 @@ def _explicit_inverse_moments(net, mod, k):
 
 
 class TestFirstSidebandElimination:
-    # pert1 is the moment solver at n_max = 1: block elimination forms the
-    # Schur complement N = M_0 + (beta^2/4)(...) that assemble_Npert builds
-    # by hand, so both give the same zeroth-sideband moments
+    # pert1 is the moment solver at n_max = 1: its block elimination forms
+    # the Schur complement N = M_0 + (beta^2/4)(...) that assemble_Npert
+    # returns, so the carried solve and the inverse of N give the same
+    # zeroth-sideband moments
     @pytest.mark.parametrize("case", ["chain", "network6", "network8", "strong"])
     def test_moments_equal_the_explicit_inverse(self, case):
         net, mod = {

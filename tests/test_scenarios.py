@@ -221,7 +221,11 @@ class TestSweep:
                 swept = scenarios._apply_parameter(mod, parameter, value)
                 for row, method in zip(rows[i * len(methods):], methods):
                     direct = operating_point(net, swept, method, quad_tol=1e-4)
-                    assert row.status == "ok" and _same_row(row, direct)
+                    assert _same_row(row, direct)
+                    clipped = (method == "qle" and parameter == "Omega"
+                               and value == 0.08 * OMEGA0)
+                    assert row.status == ("ok; window clipped at omega = 0"
+                                          if clipped else "ok")
 
     def test_operating_point_raises_and_flags_zero_total(self):
         net, mod = build_chain4(OMEGA0, 0.0, KAPPA, 0.02 * OMEGA0, DRIVE, 0.5)
@@ -422,6 +426,39 @@ class TestDriveOrder:
         assert notices == ["n_max = 8 below the drive's sideband order 34 (qme)",
                            "n_max = 2 below the drive's sideband order 27 (qle)"]
         assert {r.name for r in caplog.records} == {"floqheat.scenarios"}
+
+    def test_order_below_the_drive_sets_the_status(self):
+        # the row keeps its powers and says that its order is short; at
+        # the drive's order, at beta = 0 (no sideband couples) and for
+        # pert1 (order 1 is the method) it is plain ok
+        net, mod = chain(0.05, 0.5)
+        below = "ok; n_max below drive order"
+        for method in ("qme", "qle"):
+            row = operating_point(net, mod, method, 3, quad_tol=1e-4)
+            assert row.status == below, method
+            assert np.isfinite([row.P14, row.P41]).all()
+            assert operating_point(net, mod, method, quad_tol=1e-4).status == "ok"
+            assert operating_point(*chain(0.0), method, 1,
+                                   quad_tol=1e-4).status == "ok"
+        assert operating_point(net, mod, "pert1").status == "ok"
+        rows = sweep(SweepSpec(network=net, modulation=mod, parameter="beta",
+                               values=[0.0, mod.beta],
+                               methods=("qme", "pert1"), n_max=3))
+        assert [r.status for r in rows] == ["ok", "ok", below, "ok"]
+
+    @pytest.mark.clips_window("the clipped window is the subject; qle at "
+                              "n_max 12 on the chain drops 3.1e-14 of "
+                              "P14/P41 below omega = 0")
+    def test_clipped_window_sets_the_qle_status(self, caplog):
+        # n_max 12 is above the drive's order 8, and its window reaches
+        # past omega = 0; the notice is still logged, and qme has no window
+        net, mod = chain(0.05, 0.5)
+        with caplog.at_level("WARNING", "floqheat"):
+            row = operating_point(net, mod, "qle", 12, quad_tol=1e-4)
+        assert row.status == "ok; window clipped at omega = 0"
+        assert np.isfinite([row.P14, row.P41]).all()
+        assert "integration window clipped at omega = 0" in caplog.messages
+        assert operating_point(net, mod, "qme", 12).status == "ok"
 
     def test_unbounded_drive_order_is_refused(self, monkeypatch):
         # at Omega = 1e-6 omega_0 the chain's drive needs 70839 moment and

@@ -10,7 +10,7 @@ from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
 from floqheat import timedomain
 from floqheat.timedomain import (_drive_diagonal, _hermitian_basis,
                                  _static_generator, _step_map_coefficients,
-                                 _step_maps, cycle_average_power,
+                                 _step_maps, _step_phases, cycle_average_power,
                                  cycle_averaged_moments, evolve_to_cycle)
 
 from conftest import (KAPPA, OMEGA0, T_HOT, chain, periodic_expectations,
@@ -298,7 +298,7 @@ class TestStepMaps:
         dt = 2.0 * np.pi / mod.Omega / steps
         basis = _hermitian_basis(imap, m)
         inc = _step_maps(_step_map_coefficients(gen0, cols, mod, imap, dt, basis),
-                         steps, np.arange(steps))
+                         _step_phases(steps))
         # the maps in the real basis x, back in the moment basis
         t, t_inv = basis
         inc = t @ inc @ t_inv
@@ -323,9 +323,9 @@ class TestStepMaps:
         dtypes = []
         steps_of = timedomain._chunk_steps
 
-        def spy(coef, steps, z):
+        def spy(coef, phases, z):
             dtypes.append((coef.dtype, z.dtype))
-            return steps_of(coef, steps, z)
+            return steps_of(coef, phases, z)
 
         monkeypatch.setattr(timedomain, "_chunk_steps", spy)
         samples = evolve_to_cycle(net, mod, steps_per_period=steps)
