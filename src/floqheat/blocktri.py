@@ -1,23 +1,27 @@
 """Block-tridiagonal sideband systems with one source block row.
 
-Row convention for R = 2 n + 1 block rows of size B:
+A system of order n has R = 2 n + 1 block rows of size B; row r holds
+sideband m = n - r, whose diagonal block is the one static block shifted
+by -i m Omega I (Risken, The Fokker-Planck Equation, ch. 9):
 
-    diag(lower) x[r-1] + diag[r] @ x[r] + diag(upper) x[r+1] = rhs[r]
+    diag(lower) x[r-1] + (static - i m Omega I) @ x[r] + diag(upper) x[r+1]
+        = rhs[r]
 
+Callers pass (static, Omega, n); only the kernel forms the shifted blocks.
 The coupling stripes are diagonal and the same in every block row, so
 ``upper`` and ``lower`` are (B,) vectors, and the rhs is zero except in
 the centre block row r = n (sideband 0), given as its (..., B, C) block.
-Leading axes of ``diag`` (..., R, B, B) in front of the block axis are
-batch axes and broadcast, numpy-style, with those of the rhs.
+Leading axes of ``static`` are batch axes and broadcast, numpy-style, with
+those of the rhs.
 
 A system may carry a mirror: an involutive permutation P of the B slots
-of a block with P conj(diag[r]) P = diag[R-1-r], P conj(lower) P = upper
-(as diagonals) and P conj(rhs) = rhs.  Then x' with x'[R-1-r] =
+of a block with P conj(static) P = static, which maps the block of
+sideband m to that of -m, P conj(lower) P = upper (as diagonals) and
+P conj(rhs) = rhs.  Then x' with x'[R-1-r] =
 P conj(x[r]) solves the system too, and so equals x: the block rows of
-sideband -m are those of +m conjugated and permuted.  A mirrored call
-therefore passes only the block rows 0 .. n of ``diag`` (..., n + 1, B, B),
-down to the centre; rows n+1 .. R-1 are implied.  The master equation has
-a mirror whenever the couplings are Hermitian: the moments C_kl =
+sideband -m are those of +m conjugated and permuted, and a mirrored call
+forms and eliminates sidebands n .. 0 alone.  The master equation has a
+mirror whenever the couplings are Hermitian: the moments C_kl =
 <a_k^+ a_l> form a Hermitian matrix at every instant, so their Fourier
 coefficients obey C_-n = C_n^dagger, and P swaps each pair slot (k, l)
 with (l, k).
@@ -30,41 +34,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SingularBlockError
+from .model import SingularBlockError, check_n_max
 
 __all__ = ["schur_centre", "solve_centre", "solve_thomas"]
 
 
-def _eliminate(diag, upper, lower, mirror):
+def _eliminate(static, Omega, n, upper, lower, mirror):
     """Block LU (Golub & Van Loan, Matrix Computations, 4.5) from both ends
     toward the centre block row: a matrix continued fraction.
 
-    The top sweep eliminates rows 0 .. n-1 downward, the bottom sweep rows
-    R-1 .. n+1 upward, both stacked on one batch axis; what is left is the
-    Schur complement of the centre block.  Under a mirror only the top
-    sweep runs: each bottom Schur complement is P conj(top one) P, so it
-    enters the centre block as a gather.  Pivoting happens only inside each
-    block inversion, never across block rows: the master-equation and
-    Langevin operators are accretive (Hermitian part of every diagonal
-    block positive, stripes skew-Hermitian in pairs), so every Schur
-    complement of either sweep is nonsingular.
+    The block rows are formed in one expression, m = n .. -n, or n .. 0
+    under a mirror.  The top sweep eliminates rows 0 .. n-1 downward, the
+    bottom sweep rows R-1 .. n+1 upward, both stacked on one batch axis;
+    what is left is the Schur complement of the centre block.  Under a
+    mirror only the top sweep runs: each bottom Schur complement is
+    P conj(top one) P, so it enters the centre block as a gather.
+    Pivoting happens only inside each block inversion, never across block
+    rows: the master-equation and Langevin operators are accretive
+    (Hermitian part of every diagonal block positive, stripes
+    skew-Hermitian in pairs), so every Schur complement of either sweep is
+    nonsingular.
 
     Returns the centre Schur complement (..., B, B), then for ``_carry``
     inverses[k] = S_k^-1 of step k's Schur complements S_k, out the negated
     passing stripes and sides[k] the block rows that step k eliminates.
     """
-    diag = np.asarray(diag)
-    *_, rows, b, _ = diag.shape
+    check_n_max(n)
+    static = np.asarray(static)
+    b = static.shape[-1]
+    if np.shape(upper) != (b,) or np.shape(lower) != (b,):
+        raise ValueError("need (B,) stripes")
     sweeps = 2 if mirror is None else 1
-    if ((sweeps == 2 and rows % 2 == 0) or np.shape(upper) != (b,)
-            or np.shape(lower) != (b,)):
-        raise ValueError("need an odd number of block rows (any number "
-                         "under a mirror) and (B,) stripes")
     if mirror is not None:
         mirror = np.asarray(mirror)
         if mirror.shape != (b,):
             raise ValueError("mirror must permute the B slots of a block")
-    n = rows // 2 if sweeps == 2 else rows - 1
+    lowest = -n if mirror is None else 0
+    m = np.arange(n, lowest - 1, -1)
+    diag = static[..., None, :, :] - (1j * Omega * m[:, None, None]) * np.eye(b)
     # the top sweep meets its eliminated neighbour through ``lower`` and
     # passes on through ``upper``, the bottom sweep the other way round:
     # S_k+1 = diag[k+1] - diag(into) S_k^-1 diag(passing stripe), with the
@@ -122,23 +129,23 @@ def _carry(x_centre, inverses, out, sides):
     return x.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
-def schur_centre(diag, upper, lower, mirror=None):
-    """The Schur complement (..., B, B) of the centre block row, which maps
-    x[n] to the centre block row of the rhs.  ``mirror`` is the P of the
-    module docstring's mirror as a (B,) index array, P v = v[mirror];
-    ``diag`` then holds block rows 0 .. n only.  The caller vouches for the
+def schur_centre(static, Omega, n, upper, lower, mirror=None):
+    """The Schur complement (..., B, B) of the centre block row of the
+    order-n system on ``static``, which maps x[n] to the centre block row
+    of the rhs.  ``mirror`` is the P of the module docstring's mirror as a
+    (B,) index array, P v = v[mirror].  The caller vouches for the
     contract; only the length of P is checked."""
-    return _eliminate(diag, upper, lower, mirror)[0]
+    return _eliminate(static, Omega, n, upper, lower, mirror)[0]
 
 
-def solve_centre(diag, upper, lower, rhs, mirror=None):
+def solve_centre(static, Omega, n, upper, lower, rhs, mirror=None):
     """The centre block x[n] (..., B, C) alone, ``schur_centre`` solved: on
     the chain, random networks and at strong drive it equals block row n of
     ``solve_thomas`` to 2e-15 relative."""
-    return _solve(_eliminate(diag, upper, lower, mirror)[0], rhs)
+    return _solve(_eliminate(static, Omega, n, upper, lower, mirror)[0], rhs)
 
 
-def solve_thomas(diag, upper, lower, rhs):
+def solve_thomas(static, Omega, n, upper, lower, rhs):
     """The whole solution x (..., R, B, C) of a system of all R = 2 n + 1
     block rows: the centre solve, carried outward on both sides by the
     stored inverses of the elimination.
@@ -150,5 +157,5 @@ def solve_thomas(diag, upper, lower, rhs):
     0.02 omega_0, n_max = 64), where the blocks are far from diagonally
     dominant.
     """
-    centre, *factors = _eliminate(diag, upper, lower, None)
+    centre, *factors = _eliminate(static, Omega, n, upper, lower, None)
     return _carry(_solve(centre, rhs), *factors)

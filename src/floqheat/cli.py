@@ -144,6 +144,8 @@ def cmd_power(args):
                                       args.t_hot)
         print(f"{method:>7}: P14 = {r.P14:.6e} W   P41 = {r.P41:.6e} W   "
               f"dP = {r.dP:.6e} W   E = {r.E:+.4f}")
+        if r.status != "ok":
+            print(f"  flagged {method}: {r.status}", file=sys.stderr)
         rows.append(r)
     if args.out:
         scenarios.write_sweep_csv(args.out, rows)

@@ -4,8 +4,8 @@ The modulation couples each resonator amplitude a_k(omega) to its sidebands
 a_k(omega +- Omega); truncating at |m| <= n_max turns the steady state into
 one linear system per frequency, block-tridiagonal over the sidebands.  Its
 diagonal blocks A(omega + m Omega) = A(omega) - i m Omega I are shifted from
-one drift matrix; its coupling stripes are the same at every frequency and
-sideband.  Spectra and powers come from rows of the inverse operator.  An
+one drift matrix by ``blocktri``; its stripes are the same at every frequency
+and sideband.  Spectra and powers come from rows of the inverse operator.  An
 observer row's source sits in sideband 0, so block elimination from both
 ends toward that block (``blocktri.solve_thomas``) gives every observer
 row of a call for a whole chunk of frequencies at once: on the chain at
@@ -89,19 +89,15 @@ def _check_frequencies(omega, ndim):
 
 
 def _sideband_blocks(net, mod, omega, n_max):
-    """Blocks of the sideband operator at the frequencies ``omega`` (F,).
-
-    Diagonal (F, 2 n_max + 1, N, N): A(omega + m Omega), m = n_max in the
-    top block row down to -n_max.  Sideband m couples to m + 1, one block
-    row up, through the lower stripe (i beta / 2) diag(c), and to m - 1
-    through the upper stripe (i beta / 2) diag(c*): each given by its
-    diagonal.
+    """The sideband operator at the frequencies ``omega`` (F,), as
+    ``blocktri`` takes it: (A(omega) (F, N, N), Omega, n_max, upper, lower).
+    Sideband m couples to m + 1, one block row up, through the lower stripe
+    (i beta / 2) diag(c), and to m - 1 through the upper stripe
+    (i beta / 2) diag(c*): each given by its diagonal.
     """
-    # A(omega + m Omega) = A(omega) - i m Omega I
-    m = np.arange(n_max, -n_max - 1, -1)[:, None, None]
-    diag = assemble_A(net, omega)[:, None] - 1j * mod.Omega * m * np.eye(net.N)
     c = mod.phasor
-    return diag, 0.5j * mod.beta * c.conj(), 0.5j * mod.beta * c
+    return (assemble_A(net, omega), mod.Omega, n_max, 0.5j * mod.beta * c.conj(),
+            0.5j * mod.beta * c)
 
 
 def drive_order(mod):
@@ -120,9 +116,10 @@ def _response_rows(net, mod, omega, n_max, observers):
     and the stripes are diagonal, so every row at every frequency comes
     from one batched elimination.
     """
-    diag, upper, lower = _sideband_blocks(net, mod, omega, n_max)
+    static, Omega, n, upper, lower = _sideband_blocks(net, mod, omega, n_max)
     rhs = np.eye(net.N)[:, observers]
-    x = blocktri.solve_thomas(diag.swapaxes(-1, -2), lower, upper, rhs)
+    x = blocktri.solve_thomas(static.swapaxes(-1, -2), Omega, n, lower, upper,
+                              rhs)
     return np.moveaxis(x, -1, 1)
 
 

@@ -8,8 +8,8 @@ frequency integration is needed for cycle-averaged powers.
 The static block M_0 is a Kronecker sum of the bra and ket drift matrices
 permuted into MomentIndexMap order (``assemble_Mn``), and the sideband
 couplings G+- are diagonal in the drive contrasts (``contrast_vector``).
-Every solve is one block elimination toward sideband 0 (``blocktri``)
-over the blocks M_n = M_0 - i n Omega I (``shift_Mn``), each hot bath one
+Every solve is one block elimination toward sideband 0 (``blocktri``),
+which forms the blocks M_n = M_0 - i n Omega I from M_0, each hot bath one
 right-hand-side column.  Powers read the cycle averages <.>_0 alone, so
 ``power_matrix`` (and pert1 and ``converged_power_matrix`` through it)
 stops at the centre solve (``blocktri.solve_centre``); only the tests'
@@ -19,10 +19,10 @@ two-sided and carries the solve outward (``blocktri.solve_thomas``).
 When g is exactly Hermitian (``power_matrix`` and pert2's
 ``perturbation.assemble_Npert``; the sources are real), the moments form
 a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the swap (k, l)
-<-> (l, k) of MomentIndexMap.  The elimination then runs the top sweep
-only over sidebands +n_max .. 0 (``_sideband_blocks`` builds no others)
-and gathers the bottom sweep from it (``_moment_mirror``); any other g,
-including one a rounding error off Hermitian, runs both sweeps.
+<-> (l, k) of MomentIndexMap (``_moment_mirror``).  Given P, the kernel
+forms and eliminates sidebands +n_max .. 0 alone and gathers the bottom
+sweep from the top one; any other g, including one a rounding error off
+Hermitian, runs both sweeps.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ __all__ = [
     "assemble_Mn",
     "contrast_vector",
     "drive_order",
-    "shift_Mn",
     "power_matrix",
     "converged_power_matrix",
 ]
@@ -121,7 +120,7 @@ def assemble_Mn(net):
     depend only on N and live in the cached MomentIndexMap.  The bra side
     carries g^T, which is conj(g) only for Hermitian g; non-Hermitian g
     follows the same convention as the time-domain generator.  The
-    diagonal of g is ignored; sideband blocks come from ``shift_Mn``.
+    diagonal of g is ignored; ``blocktri`` shifts M_0 into each sideband.
     """
     N = net.N
     imap = moment_index_map(N)
@@ -153,25 +152,9 @@ def drive_order(mod):
     return sideband_order(mod.beta * np.abs(contrast_vector(mod)).max() / mod.Omega)
 
 
-def shift_Mn(m0, n, Omega):
-    """Sideband blocks M_n = M_0 - i n Omega I from the static block M_0.
-
-    ``n`` may be one sideband index or an array of them; an array gives the
-    blocks stacked along a leading axis, and leading axes of ``m0``
-    broadcast against it.  This is the only way sideband blocks are formed;
-    ``assemble_Mn`` builds M_0 alone.
-    """
-    n = np.asarray(n)
-    return m0 - 1j * Omega * n[..., None, None] * np.eye(m0.shape[-1])
-
-
-def _sideband_blocks(net, mod, n_max, mirror=None):
-    """Diagonal blocks and stripes of the sideband system, as ``blocktri``
-    takes them: M_n from n = +n_max in the top block row down to -n_max,
-    or down to 0 alone under a mirror, whose kernel reads no others."""
-    lowest = 0 if mirror is not None else -n_max
-    diag = shift_Mn(assemble_Mn(net), np.arange(n_max, lowest - 1, -1),
-                    mod.Omega)
+def _sideband_blocks(net, mod, n_max):
+    """The sideband system as ``blocktri`` takes it: (M_0, Omega, n_max,
+    upper, lower), M_0 the static block of every sideband."""
     # The Fourier recursion couples <.>_n to <.>_{n+1} with -G+ and to
     # <.>_{n-1} with -G-, where G+ = (i beta/2) diag(eta) and
     # G- = (i beta/2) diag(conj(eta)); this sign keeps the reconstructed
@@ -182,17 +165,18 @@ def _sideband_blocks(net, mod, n_max, mirror=None):
     # the same in every block row.
     eta = contrast_vector(mod)
     half = 0.5j * mod.beta
-    return diag, -(half * eta.conj()), -(half * eta)
+    return (assemble_Mn(net), mod.Omega, n_max, -(half * eta.conj()),
+            -(half * eta))
 
 
-def _moment_system(net, mod, n_max, nvecs, mirror=None):
-    """``blocktri`` arguments (diag, upper, lower, rhs) for the bath
-    occupation vectors ``nvecs`` (C, N): each is one rhs column, its
-    sources in sideband 0 only."""
+def _moment_system(net, mod, n_max, nvecs):
+    """``blocktri`` arguments (static, Omega, n_max, upper, lower, rhs) for
+    the bath occupation vectors ``nvecs`` (C, N): each is one rhs column,
+    its sources in sideband 0 only."""
     N = net.N
     rhs = np.zeros((N * N, len(nvecs)), dtype=complex)
     rhs[:N] = (2.0 * net.kappa[:, None]) * nvecs.T
-    return (*_sideband_blocks(net, mod, n_max, mirror), rhs)
+    return (*_sideband_blocks(net, mod, n_max), rhs)
 
 
 def _solve_fourier_nvec(net, mod, n_max, nvecs):
@@ -226,9 +210,8 @@ def power_matrix(net, mod, n_max):
     hot = np.flatnonzero(n_occ)
     zeroth = np.zeros((net.N * net.N, 0))
     if hot.size:
-        mirror = _moment_mirror(net)
         zeroth = blocktri.solve_centre(*_moment_system(
-            net, mod, n_max, np.diag(n_occ)[hot], mirror), mirror)
+            net, mod, n_max, np.diag(n_occ)[hot]), _moment_mirror(net))
     return _hot_bath_powers(net, hot, zeroth)
 
 

@@ -41,8 +41,7 @@ def assemble_Npert(net, mod):
     inverted (the mirror of ``master._moment_mirror``).
     """
     ensure_valid(net, mod)
-    mirror = _moment_mirror(net)
-    return schur_centre(*_sideband_blocks(net, mod, 1, mirror), mirror)
+    return schur_centre(*_sideband_blocks(net, mod, 1), _moment_mirror(net))
 
 
 def power_second_order(net, mod):

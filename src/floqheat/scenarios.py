@@ -356,6 +356,7 @@ class MethodComparison:
     powers: dict                   # method -> (P14, P41) or error string
     deviations: dict               # pair label -> max relative deviation
     passed: bool
+    notes: dict = dataclasses.field(default_factory=dict)  # method -> status notes
 
     def lines(self):
         out = []
@@ -364,6 +365,9 @@ class MethodComparison:
                 out.append(f"{method:>7}: FAILED ({val})")
             else:
                 out.append(f"{method:>7}: P14 = {val[0]:.6e} W   P41 = {val[1]:.6e} W")
+            if self.notes.get(method):
+                out.append(f"  flagged {method}: "
+                           + "; ".join(("ok",) + self.notes[method]))
         for label, dev in self.deviations.items():
             out.append(f"{label}: max rel deviation {dev:.3e}")
         out.append("cross-validation " + ("PASS" if self.passed else "FAIL"))
@@ -382,10 +386,12 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
     A network without two distinct ends raises ValidationError; solver
     failures are reported per method.  The network with both ends hot is
     built and its regime findings logged once, and all three methods run
-    on it; a failure to build it is reported for all three.
+    on it; a failure to build it is reported for all three.  Each method's
+    status notes, as a sweep row carries them, go to ``notes``.
     """
     _ends(net)
     methods = ("qme", "qle", "oracle")
+    notes = {}
     try:
         ends, both = _ends_hot(net, mod, T_hot)
     except (FloqheatError, ValueError) as exc:
@@ -394,8 +400,9 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
         powers = {}
         for method in methods:
             try:
-                powers[method] = _powers(method, ends, both, mod, n_max,
-                                         quad_tol)[:2]
+                *pair, notes[method] = _powers(method, ends, both, mod, n_max,
+                                               quad_tol)
+                powers[method] = tuple(pair)
             except (FloqheatError, ValueError) as exc:
                 powers[method] = str(exc)
 
@@ -411,7 +418,8 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
             label = f"qme-vs-{other}"
             deviations[label] = rel_dev(powers["qme"], powers[other])
             passed = passed and deviations[label] <= tol
-    return MethodComparison(powers=powers, deviations=deviations, passed=passed)
+    return MethodComparison(powers=powers, deviations=deviations, passed=passed,
+                            notes=notes)
 
 
 def write_sweep_csv(path, rows):

@@ -125,6 +125,16 @@ def assemble_dense(diag, upper, lower):
     return full
 
 
+def sideband_ladder(static, Omega, n):
+    """Diagonal blocks (..., 2 n + 1, B, B) of the order-n sideband system
+    on the static block (..., B, B), from the definition: the block of
+    sideband m is static - i m Omega I, m = n in the top block row down to
+    -n, each formed on its own."""
+    eye = np.eye(np.shape(static)[-1])
+    return np.stack([static - 1j * m * Omega * eye
+                     for m in range(n, -n - 1, -1)], axis=-3)
+
+
 def periodic_expectations(coeffs, Omega, t):
     """Moment vector at time t from Fourier coefficients (2 n_max + 1, N^2)
     whose row n_max - n holds sideband n.

@@ -251,6 +251,15 @@ def test_order_below_the_drive_printed_once_per_run(capsys, tmp_path):
     assert err.count("below the drive's sideband order") == 1 and notice in err
 
 
+def test_power_prints_each_flagged_status(capsys):
+    # each row below the drive's order carries its status, as a sweep's do
+    code, out, err = run(capsys, "power", "--methods", "qme,qle", "--nmax", "3")
+    assert code == 0
+    assert out.count("P14 = ") == 2
+    for method in ("qme", "qle"):
+        assert f"  flagged {method}: ok; n_max below drive order\n" in err
+
+
 def test_unknown_config_key_exits_3(capsys, tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("network: {omega: [1.0], kappa: [0.1], typo: 1}\n"
@@ -472,6 +481,16 @@ def test_compare_command(capsys):
     code, out, _ = run(capsys, "compare", "--beta", "0.02", "--theta", "0.5")
     assert code == 0
     assert "cross-validation PASS" in out
+
+
+@pytest.mark.clips_window("the flag of the clipped window is the subject; "
+                           "qle at n_max 12 on the chain reaches past omega = 0")
+def test_compare_prints_each_flagged_status(capsys):
+    code, out, _ = run(capsys, "compare", "--nmax", "12")
+    assert code == 0
+    assert "  flagged qle: ok; window clipped at omega = 0\n" in out
+    assert "flagged qme" not in out and "flagged oracle" not in out
+    assert out.endswith("cross-validation PASS\n")
 
 
 def test_compare_without_hot_bath_passes(capsys):

@@ -21,7 +21,7 @@ from floqheat.master import power_matrix
 from floqheat.model import ValidationError
 
 from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, chain,
-                      random_network)
+                      random_network, sideband_ladder)
 
 
 def solo_resonator(T=T_HOT):
@@ -75,13 +75,13 @@ def reference_operator(net, mod, omega, n_max):
 
 def batched_operators(net, mod, omega, n_max):
     """Dense sideband operators at the frequencies omega, written out from
-    the frequency-stacked blocks and the two diagonal stripes that the
-    batched elimination works on."""
-    diag, upper, lower = _sideband_blocks(net, mod, np.asarray(omega, float),
-                                          n_max)
-    return [assemble_dense(d, [np.diag(upper)] * (2 * n_max),
-                           [np.diag(lower)] * (2 * n_max))
-            for d in diag]
+    the frequency-stacked static blocks and the two diagonal stripes that
+    the batched elimination works on."""
+    static, Omega, n, upper, lower = _sideband_blocks(
+        net, mod, np.asarray(omega, float), n_max)
+    return [assemble_dense(sideband_ladder(s, Omega, n),
+                           [np.diag(upper)] * (2 * n), [np.diag(lower)] * (2 * n))
+            for s in static]
 
 
 def max_rel(a, b):

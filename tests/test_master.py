@@ -9,7 +9,7 @@ from floqheat import (ModulationProtocol, ResonatorNetwork, SI, blocktri,
                       occupation)
 from floqheat.master import (assemble_Mn, contrast_vector, converged_power_matrix,
                              drive_order, moment_index_map, power_matrix,
-                             shift_Mn, _hot_bath_powers, _moment_mirror,
+                             _hot_bath_powers, _moment_mirror,
                              _moment_system, _sideband_blocks,
                              _solve_fourier_nvec)
 from floqheat.model import SingularBlockError, ValidationError
@@ -32,7 +32,7 @@ def stripes(mod):
     """Sideband stripes (upper, lower) = (-G-, -G+) as their diagonals, for
     a protocol of four resonators."""
     net, _ = chain(0.0)
-    _, upper, lower = _sideband_blocks(net, mod, 1)
+    *_, upper, lower = _sideband_blocks(net, mod, 1)
     return upper, lower
 
 
@@ -88,23 +88,6 @@ class TestAssembly:
                     row = imap.index(k, l)
                     expected = -(1j * (omega[k] - omega[l]) - kappa[k] - kappa[l])
                     assert m[row, row] == pytest.approx(expected)
-
-    def test_sideband_shift(self):
-        net, mod = chain(0.02)
-        m0 = assemble_Mn(net)
-        m2 = shift_Mn(m0, 2, mod.Omega)
-        assert np.allclose(m2, m0 - 2j * mod.Omega * np.eye(16))
-
-    def test_shifted_blocks_equal_assembled(self, chain_modulated):
-        net, mod = chain_modulated
-        m0 = assemble_Mn(net)
-        ns = np.arange(3, -4, -1)
-        stacked = shift_Mn(m0, ns, mod.Omega)
-        assert stacked.shape == (7, 16, 16)
-        for n, block in zip(ns, stacked):
-            expected = m0 - 1j * mod.Omega * n * np.eye(16)
-            assert np.array_equal(block, expected)
-            assert np.array_equal(shift_Mn(m0, n, mod.Omega), expected)
 
     def test_coupling_matrices_vanish_without_drive(self):
         _, mod = chain(0.0)
@@ -328,8 +311,8 @@ class TestCentreRead:
             hot = net.with_temperatures(np.linspace(T_HOT, 0.0, net.N))
             n_occ = hot.occupations()
             sources = np.flatnonzero(n_occ)
-            rhs = _moment_system(hot, mod, n_max, np.diag(n_occ)[sources])[3]
-            full = blocktri.solve_thomas(*_sideband_blocks(hot, mod, n_max), rhs)
+            full = blocktri.solve_thomas(
+                *_moment_system(hot, mod, n_max, np.diag(n_occ)[sources]))
             ref = _hot_bath_powers(hot, sources, full[n_max])
             pm = power_matrix(hot, mod, n_max)
             scale = np.abs(ref.P).max()

@@ -32,6 +32,27 @@ def test_summary_counts_wins_and_parent_spread():
     assert not pair_bench.summarize(runs)["all_correct"]
 
 
+def test_no_regression_checked_against_each_bound(monkeypatch):
+    # wall_s and setup_s may rise by 25 %, peak_rss_mb by 10 %
+    runs = {"parent": [bench_run(w) for w in (0.10, 0.12, 0.11, 0.13)],
+            "change": [bench_run(w, setup=0.124) for w in (0.14, 0.15, 0.14, 0.15)]}
+    summary = pair_bench.summarize(runs)
+    assert summary["wall_s"]["bound"] == 0.25
+    assert summary["peak_rss_mb"]["bound"] == 0.1
+    # 0.145 against 0.115 * 1.25 = 0.14375; 0.124 against 0.1 * 1.25
+    assert not summary["wall_s"]["within_bound"]
+    assert summary["setup_s"]["within_bound"]
+    assert summary["peak_rss_mb"]["within_bound"]
+    for r in runs["change"]:
+        r["peak_rss_mb"] = 44.1
+    assert not pair_bench.summarize(runs)["peak_rss_mb"]["within_bound"]
+    # a metric that is better higher is checked the other way round
+    monkeypatch.setitem(pair_bench.END_TO_END, "wall_s",
+                        {"name": "wall_s", "better": "higher", "bound": 0.25})
+    assert pair_bench.within_bound("wall_s", 0.1, 0.08)
+    assert not pair_bench.within_bound("wall_s", 0.1, 0.07)
+
+
 def test_pairs_alternate_and_the_record_is_updated(tmp_path, monkeypatch):
     calls = []
 
@@ -50,6 +71,7 @@ def test_pairs_alternate_and_the_record_is_updated(tmp_path, monkeypatch):
     record = json.loads(out.read_text())
     assert record["what"] == "kept" and record["summary"]["other"] == 1
     assert record["summary"]["qme_sweep_seed2"]["wall_s"]["change_wins"] == "3/3"
+    assert record["must_not_move"] == {"qme_sweep_seed2": True}
     change = record["runs"]["qme_sweep_seed2"]["change"]
     assert [r["pair"] for r in change] == [1, 2, 3]
     assert [r["first"] for r in change] == [False, True, False]

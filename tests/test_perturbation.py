@@ -4,7 +4,7 @@ import pytest
 from floqheat import (SI, ModulationProtocol, ResonatorNetwork, ValidationError,
                       occupation)
 from floqheat.master import (assemble_Mn, contrast_vector, moment_index_map,
-                             power_matrix, shift_Mn, _solve_fourier_nvec)
+                             power_matrix, _solve_fourier_nvec)
 from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
                                    closed_form_delta_power,
                                    delta_n14_closed_form, delta_n14_general,
@@ -35,7 +35,8 @@ def first_sideband_formula(net, mod):
     diag(eta), with both first-sideband blocks inverted on their own."""
     m0 = assemble_Mn(net)
     eta = contrast_vector(mod)
-    inv_p, inv_m = np.linalg.inv(shift_Mn(m0, np.array([1, -1]), mod.Omega))
+    shift = 1j * mod.Omega * np.eye(m0.shape[0])
+    inv_p, inv_m = np.linalg.inv(m0 - shift), np.linalg.inv(m0 + shift)
     return m0 + 0.25 * mod.beta**2 * (eta[:, None] * inv_p * eta.conj()
                                       + eta.conj()[:, None] * inv_m * eta)
 

@@ -674,7 +674,7 @@ class TestCompareMethods:
     def test_nonzero_against_zero_qme_fails(self, chain_modulated, monkeypatch):
         fake = {"qme": (0.0, 0.0), "qle": (1e-20, 0.0), "oracle": (0.0, 0.0)}
         monkeypatch.setattr(scenarios, "_powers",
-                            lambda method, *args: fake[method])
+                            lambda method, *args: (*fake[method], ()))
         report = compare_methods(*chain_modulated)
         assert report.deviations == {"qme-vs-qle": math.inf, "qme-vs-oracle": 0.0}
         assert not report.passed

@@ -8,12 +8,14 @@ benchmark's own ``run_seconds`` (``BENCHMARK.json``), one after the other,
 and the order alternates: odd pairs run the parent first, even pairs the
 change.  Every run's end-to-end metrics (``setup_s``, ``wall_s``,
 ``peak_rss_mb``), its gate result and its pass count go to ``runs``; the
-medians, the quartiles of both sides, the parent's interquartile range and
-the number of pairs in which the change reads lower go to ``summary``.
-Both are keyed ``<workload>_seed<seed>``.  An existing ``--out`` file is
-updated in place: other keys, and other series, are kept, so one file can
-collect several workloads and seeds and the prose fields written around
-them.
+medians, the quartiles of both sides, the parent's interquartile range,
+the number of pairs in which the change reads lower and the no-regression
+check against the metric's ``bound`` in ``BENCHMARK.json`` go to
+``summary``, and whether every metric held its bound with every run
+correct goes to ``must_not_move``.  All three are keyed
+``<workload>_seed<seed>``.  An existing ``--out`` file is updated in
+place: other keys, and other series, are kept, so one file can collect
+several workloads and seeds and the prose fields written around them.
 
 Make a tree copy of a commit with ``git archive <rev> | tar -x -C <dir>``.
 """
@@ -26,10 +28,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("setup_s", "wall_s", "peak_rss_mb")
 SIDES = ("parent", "change")
-SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
-                     .read_text())["run_seconds"]
+_SPEC = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+                   .read_text())
+SECONDS = _SPEC["run_seconds"]
+# end-to-end metric name -> its declaration: unit, better, bound
+END_TO_END = {m["name"]: m for m in _SPEC["end_to_end"]}
+METRICS = tuple(END_TO_END)
 
 
 def run_bench(tree, workload, seed):
@@ -53,10 +58,19 @@ def run_bench(tree, workload, seed):
     return run
 
 
+def within_bound(metric, parent_median, change_median):
+    """The benchmark's no-regression check: the change's median is worse
+    than the parent's by at most the metric's relative ``bound``."""
+    decl = END_TO_END[metric]
+    if decl["better"] == "lower":
+        return change_median <= parent_median * (1.0 + decl["bound"])
+    return change_median >= parent_median * (1.0 - decl["bound"])
+
+
 def summarize(runs):
-    """Per metric: medians, quartiles, the parent's IQR and the change's
-    wins (pairs where it reads lower) from ``{"parent": [...], "change":
-    [...]}``, the two lists in pair order."""
+    """Per metric: medians, quartiles, the parent's IQR, the change's wins
+    (pairs where it reads lower) and the no-regression check from
+    ``{"parent": [...], "change": [...]}``, the two lists in pair order."""
     summary = {}
     for metric in METRICS:
         values = {side: [r[metric] for r in runs[side]] for side in SIDES}
@@ -71,6 +85,9 @@ def summarize(runs):
             100.0 * (row["change_median"] / row["parent_median"] - 1.0), 1)
         wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
         row["change_wins"] = f"{wins}/{len(values['change'])}"
+        row["bound"] = END_TO_END[metric]["bound"]
+        row["within_bound"] = within_bound(
+            metric, *(statistics.median(values[side]) for side in SIDES))
         for side in SIDES:
             row[f"{side}_runs"] = values[side]
         summary[metric] = row
@@ -109,14 +126,18 @@ def main(argv=None):
                 f"{m} {run[m]}" for m in METRICS), flush=True)
     key = f"{args.workload}_seed{args.seed}"
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("summary", {})[key] = summarize(runs)
+    summary = summarize(runs)
+    record.setdefault("summary", {})[key] = summary
     record.setdefault("runs", {})[key] = runs
+    record.setdefault("must_not_move", {})[key] = summary["all_correct"] and all(
+        summary[m]["within_bound"] for m in METRICS)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     wall = record["summary"][key]["wall_s"]
     print(f"{key} wall_s: parent {wall['parent_median']} -> change "
           f"{wall['change_median']} ({wall['median_change_pct']:+.1f} %), "
           f"change lower in {wall['change_wins']}, parent IQR "
-          f"{wall['parent_iqr']}")
+          f"{wall['parent_iqr']}; every metric within its bound and every "
+          f"run correct: {record['must_not_move'][key]}")
     return 0
 
 
