@@ -6,8 +6,10 @@ takes only the flags it reads, and flag values are checked as they are
 parsed.  Exit codes: 0 success, 2 solver failure, 3 invalid configuration,
 inputs or usage.  Every command, sweeps included, runs in this one
 process, and each distinct message of the ``floqheat`` logger (regime
-findings, clipped windows, an --nmax below the drive's sideband order) is
-printed once per run as ``warning: ...``.
+findings, an --nmax below the drive's sideband order, a negative pert2
+power) is printed once per run as ``warning: ...``.  A row whose status is
+not plain "ok" is printed as ``flagged <method>: <status>``, in sweeps
+with ``@ <parameter>=<swept value>`` after the method.
 """
 from __future__ import annotations
 
@@ -190,10 +192,10 @@ def _sweep(args, net, mod, parameter, values):
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     rows = sweep(spec)
-    for r in rows:
+    for r, value in zip(rows, np.repeat(spec.values, len(spec.methods))):
         if r.status != "ok":
-            print(f"  flagged {r.method} @ beta={r.beta:.3e}: {r.status}",
-                  file=sys.stderr)
+            print(f"  flagged {r.method} @ {parameter}={value:.3e}: "
+                  f"{r.status}", file=sys.stderr)
     return rows
 
 

@@ -13,19 +13,19 @@ n_max = 10 (2-vCPU Xeon VM, one OpenBLAS thread) about 26 us per frequency
 for one observer row and 28 us for two, each response weight within 1e-14
 of pivoted dense LU relative to itself, down to weights 1e-21 below the
 largest.  Powers come from an adaptive Gauss-Kronrod 7/15 rule (``_quad``)
-that evaluates all panels of a round in one batch, with an error estimate
-from the integrand's known poles (``_gk15``): on the chain at quad_tol =
-1e-6 the first round's peak-aligned panels usually suffice, 270-390 nodes
-for both directions.  Both directions of the forward/backward protocol,
-as (source, observer) pairs, share one elimination per frequency chunk
-and, for powers, one panel tree: the forward and backward spectra equal
-their one-pair computations to 1e-15 of their maximum, and each power
-meets quad_tol against its own value.
+over the whole of ``integration_window``, below omega = 0 too where it
+reaches there.  It evaluates all panels of a round in one batch, with an
+error estimate from the integrand's known poles (``_gk15``): on the chain
+at quad_tol = 1e-6 the first round's peak-aligned panels usually suffice,
+270-390 nodes for both directions.  Both directions of the
+forward/backward protocol, as (source, observer) pairs, share one
+elimination per frequency chunk and, for powers, one panel tree: the
+forward and backward spectra equal their one-pair computations to 1e-15
+of their maximum, and each power meets quad_tol against its own value.
 """
 from __future__ import annotations
 
 import csv
-import logging
 
 import numpy as np
 
@@ -43,8 +43,6 @@ __all__ = [
     "emitted_power",
     "write_spectrum_csv",
 ]
-
-_log = logging.getLogger(__name__)
 
 # frequencies per batched elimination; bounds the memory of its factors
 _CHUNK = 128
@@ -75,8 +73,9 @@ def _check_indices(net, n_max, *baths):
 def _check_frequencies(omega, ndim):
     """Observation frequencies as a float array of the given rank.
 
-    Non-finite and negative frequencies are rejected; omega = 0 stays legal
-    because clipped integration windows start there.
+    Non-finite and negative frequencies are rejected; omega = 0 is legal.
+    The quadrature of powers does not come through here: its window may
+    reach below omega = 0.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != ndim:
@@ -196,30 +195,22 @@ def heat_flux_spectrum(net, mod, source, observer, grid, n_max):
     return spectra if np.ndim(source) else spectra[0]
 
 
-def _window_edges(net, mod, n_max):
-    """(lo, hi) of ``integration_window`` before clipping at omega = 0."""
-    margin = (n_max + 1) * mod.Omega + 30.0 * net.kappa.max()
-    return net.omega.min() - margin, net.omega.max() + margin
-
-
 def integration_window(net, mod, n_max):
     """Quadrature window and panel boundaries covering every expected peak.
 
     The window spans all resonances plus (n_max + 1) sidebands plus 30
-    linewidths; panels split at each omega_k + m Omega so no Lorentzian is
-    straddled unresolved.  Windows are clipped at omega = 0, with a notice
-    on the ``floqheat.langevin`` logger.
+    linewidths, and reaches below omega = 0 where that margin does: with
+    white-noise baths the flux spectrum integrated over the whole line is
+    the master-equation power.  Panels split at every omega_k + m Omega,
+    |m| <= n_max, all of which lie inside, so no Lorentzian is straddled
+    unresolved.
     """
     _check_indices(net, n_max)
-    lo, hi = _window_edges(net, mod, n_max)
-    if lo <= 0.0:
-        _log.warning("integration window clipped at omega = 0")
-        lo = 0.0
+    margin = (n_max + 1) * mod.Omega + 30.0 * net.kappa.max()
     points = np.unique(np.concatenate(
         [net.omega + m * mod.Omega for m in range(-n_max, n_max + 1)]
     ))
-    points = points[(points > lo) & (points < hi)]
-    return lo, hi, points
+    return net.omega.min() - margin, net.omega.max() + margin, points
 
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15): 15 Kronrod nodes in

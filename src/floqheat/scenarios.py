@@ -24,8 +24,9 @@ qme and qle truncate at the drive's own sideband order unless given one:
 operating point.  A drive that needs more than ``MAX_SIDEBAND_ORDER``
 sidebands raises ValidationError before any block is built; an explicit
 order is used as given, and one below that of a driven protocol is logged
-to the same logger and flagged in the row's status, as is a qle window
-clipped at omega = 0 (whose notice ``langevin`` logs).
+to the same logger and flagged in the row's status.  A negative pert2
+transfer power is logged there too (beta beyond the Neumann expansion's
+range), and its row stays "ok".
 """
 from __future__ import annotations
 
@@ -140,9 +141,10 @@ def _powers(method, ends, both, mod, n_max, quad_tol):
         P = master.power_matrix(both, mod, order).P
     elif method == "pert2":
         P = perturbation.power_second_order(both, mod).P
+        if P[first, last] < 0.0 or P[last, first] < 0.0:
+            _log.warning("pert2 transfer power negative: beta is beyond the "
+                         "Neumann expansion's range")
     elif method == "qle":
-        if langevin._window_edges(both, mod, order)[0] <= 0.0:
-            notes += ("window clipped at omega = 0",)
         return (*langevin.integrate_power(both, mod, (first, last),
                                           (last, first), order, quad_tol),
                 notes)
@@ -317,10 +319,12 @@ def sweep(spec, workers=1):
 def default_spectrum_grid(net, mod, n_max):
     """Frequency grid resolving each expected peak plus a coarse background.
 
-    The point counts and the peak half-width are the module constants
-    above.
+    It covers qle's integration window above omega = 0, where spectra are
+    defined, and the peaks there.  The point counts and the peak
+    half-width are the module constants above.
     """
     lo, hi, peaks = langevin.integration_window(net, mod, n_max)
+    lo, peaks = max(lo, 0.0), peaks[peaks > 0.0]
     width = _PEAK_HALFWIDTH * net.kappa.max()
     pieces = [np.linspace(lo, hi, _BACKGROUND_POINTS)]
     for p in peaks:

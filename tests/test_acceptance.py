@@ -210,8 +210,6 @@ def test_criterion_6_conservation(solver_grid):
     report(6, ok, "energy balance per solver: " + detail)
 
 
-@pytest.mark.clips_window("qle at n_max 12 on the chain reaches past "
-                           "omega = 0; the mass below it is 3.1e-14 of P14/P41")
 def test_criterion_7_property_suite():
     checks = {}
 

@@ -196,6 +196,20 @@ def test_power_perturbation_methods(capsys):
     assert out.count("P14 =") == 3
 
 
+def test_pert2_out_of_range_noted_once_per_run(capsys, tmp_path):
+    # beta >= 0.04 omega_0 is beyond the Neumann expansion: a pert2 P14 or
+    # P41 turns negative; the rows stay "ok", and the notice is printed once
+    notice = ("warning: pert2 transfer power negative: beta is beyond the "
+              "Neumann expansion's range\n")
+    for argv in (["power", "--methods", "pert2"],
+                 ["sweep", "--parameter", "beta", "--values", "0.045,0.05",
+                  "--methods", "pert2", "--out", str(tmp_path / "sweep.csv")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err.count(notice) == 1 and "flagged" not in err
+    code, _, err = run(capsys, "power", "--methods", "pert2", "--beta", "0.02")
+    assert code == 0 and "pert2 transfer power negative" not in err
+
+
 def test_regime_finding_printed_once_per_run(capsys, tmp_path, monkeypatch):
     # at the defaults hbar*Omega is above 0.1 kB T_hot; the three methods,
     # or the four swept values, each solve such a network, and the finding
@@ -249,6 +263,18 @@ def test_order_below_the_drive_printed_once_per_run(capsys, tmp_path):
     assert code == 0
     notice = "warning: n_max = 8 below the drive's sideband order 34 (qme)\n"
     assert err.count("below the drive's sideband order") == 1 and notice in err
+
+
+def test_sweep_flag_lines_name_the_swept_value(capsys, tmp_path):
+    # each flagged row says at which value of the swept parameter it sits
+    code, _, err = run(capsys, "sweep", "--parameter", "theta",
+                       "--values", "0.1,0.5", "--nmax", "3",
+                       "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    for theta in (0.1 * np.pi, 0.5 * np.pi):
+        assert (f"  flagged qme @ theta={theta:.3e}: ok; n_max below drive "
+                "order\n") in err
+    assert "@ beta=" not in err
 
 
 def test_power_prints_each_flagged_status(capsys):
@@ -483,13 +509,12 @@ def test_compare_command(capsys):
     assert "cross-validation PASS" in out
 
 
-@pytest.mark.clips_window("the flag of the clipped window is the subject; "
-                           "qle at n_max 12 on the chain reaches past omega = 0")
 def test_compare_prints_each_flagged_status(capsys):
-    code, out, _ = run(capsys, "compare", "--nmax", "12")
+    code, out, _ = run(capsys, "compare", "--beta", "0.02", "--nmax", "6")
     assert code == 0
-    assert "  flagged qle: ok; window clipped at omega = 0\n" in out
-    assert "flagged qme" not in out and "flagged oracle" not in out
+    for method in ("qme", "qle"):
+        assert f"  flagged {method}: ok; n_max below drive order\n" in out
+    assert "flagged oracle" not in out
     assert out.endswith("cross-validation PASS\n")
 
 
@@ -542,9 +567,9 @@ def test_flagged_rows_normalize_but_errors_do_not():
     from floqheat.cli import _normalized_rows
     from floqheat.scenarios import SweepRow
     nan = float("nan")
-    clipped = "ok; window clipped at omega = 0"
-    rows = [SweepRow("qle", 0.0, DRIVE, 0.5, 2.0, 4.0, nan, nan, clipped),
-            SweepRow("qle", 1e12, DRIVE, 0.5, 1.0, 1.0, nan, nan, clipped),
+    short = "ok; n_max below drive order"
+    rows = [SweepRow("qle", 0.0, DRIVE, 0.5, 2.0, 4.0, nan, nan, short),
+            SweepRow("qle", 1e12, DRIVE, 0.5, 1.0, 1.0, nan, nan, short),
             SweepRow("qme", 0.0, DRIVE, 0.5, nan, nan, nan, nan, "error: x"),
             SweepRow("qme", 1e12, DRIVE, 0.5, 1.0, 1.0, nan, nan)]
     norms = [(n14, n41) for _, n14, n41 in _normalized_rows(rows)]

@@ -203,8 +203,6 @@ class TestSweep:
                                  values=[-1.0], methods=("closed",)))
         assert bad.status.startswith("error:") and np.isnan(bad.dP)
 
-    @pytest.mark.clips_window("qle at Omega = 0.08 omega_0 reaches past "
-                               "omega = 0; the mass below it is 1.2e-14 of P14/P41")
     def test_sweep_rows_are_operating_points(self, chain_modulated):
         # every method of a swept value reads the one network that the
         # value prepares, and gets the row that operating_point gives
@@ -222,10 +220,7 @@ class TestSweep:
                 for row, method in zip(rows[i * len(methods):], methods):
                     direct = operating_point(net, swept, method, quad_tol=1e-4)
                     assert _same_row(row, direct)
-                    clipped = (method == "qle" and parameter == "Omega"
-                               and value == 0.08 * OMEGA0)
-                    assert row.status == ("ok; window clipped at omega = 0"
-                                          if clipped else "ok")
+                    assert row.status == "ok"
 
     def test_operating_point_raises_and_flags_zero_total(self):
         net, mod = build_chain4(OMEGA0, 0.0, KAPPA, 0.02 * OMEGA0, DRIVE, 0.5)
@@ -446,20 +441,6 @@ class TestDriveOrder:
                                methods=("qme", "pert1"), n_max=3))
         assert [r.status for r in rows] == ["ok", "ok", below, "ok"]
 
-    @pytest.mark.clips_window("the clipped window is the subject; qle at "
-                              "n_max 12 on the chain drops 3.1e-14 of "
-                              "P14/P41 below omega = 0")
-    def test_clipped_window_sets_the_qle_status(self, caplog):
-        # n_max 12 is above the drive's order 8, and its window reaches
-        # past omega = 0; the notice is still logged, and qme has no window
-        net, mod = chain(0.05, 0.5)
-        with caplog.at_level("WARNING", "floqheat"):
-            row = operating_point(net, mod, "qle", 12, quad_tol=1e-4)
-        assert row.status == "ok; window clipped at omega = 0"
-        assert np.isfinite([row.P14, row.P41]).all()
-        assert "integration window clipped at omega = 0" in caplog.messages
-        assert operating_point(net, mod, "qme", 12).status == "ok"
-
     def test_unbounded_drive_order_is_refused(self, monkeypatch):
         # at Omega = 1e-6 omega_0 the chain's drive needs 70839 moment and
         # 50115 amplitude sidebands; n_max None refuses before any block
@@ -623,6 +604,16 @@ class TestSpectrumRun:
         for values, src, obs in ((fwd, 0, 3), (bwd, 3, 0)):
             alone = heat_flux_spectrum(both, mod, src, obs, grid, 10)
             assert np.max(np.abs(values - alone)) <= 1e-15 * alone.max()
+
+    def test_default_grid_starts_at_zero(self, chain_modulated):
+        # at n_max 14 qle's window reaches below omega = 0; the default
+        # grid keeps the part at omega >= 0, where spectra are defined
+        net, mod = chain_modulated
+        assert langevin.integration_window(net, mod, 14)[0] < 0.0
+        grid = scenarios.default_spectrum_grid(net, mod, 14)
+        assert grid[0] == 0.0 and np.all(np.diff(grid) > 0.0)
+        _, fwd, bwd = spectrum_run(net, mod, n_max=14)
+        assert np.all(np.isfinite(fwd)) and np.all(np.isfinite(bwd))
 
     def test_integrals_consistent_with_powers(self, chain_modulated):
         from floqheat.scenarios import default_spectrum_grid
