@@ -22,7 +22,7 @@ for line in report.lines():
 # the same agreement holds resonator by resonator, not just end to end
 hot = net.with_hot_bath(0, DEFAULT_T_HOT)
 samples = evolve_to_cycle(hot, mod)
-rk4, _ = cycle_average_power(samples, hot, 0)
+rk4 = cycle_average_power(samples, hot).P[0]
 fourier = power_matrix(hot, mod, 15).P[0]
 
 print(f"\nlargest Floquet multiplier of one drive period: "

@@ -47,11 +47,11 @@ def _checked(convert, ok, requirement):
 
 _FLAGS = {
     "config": dict(help="YAML system description"),
-    "beta": dict(type=float, default=0.05,
-                 help="modulation amplitude as a fraction of omega_0"),
-    "theta": dict(type=float, default=0.5, help="dephasing in multiples of pi"),
-    "drive": dict(type=float, default=0.05,
-                  help="drive frequency as a fraction of omega_0"),
+    "beta": dict(type=float,
+                 help="modulation amplitude as a fraction of omega_0 (0.05)"),
+    "theta": dict(type=float, help="dephasing in multiples of pi (0.5)"),
+    "drive": dict(type=float,
+                  help="drive frequency as a fraction of omega_0 (0.05)"),
     "parameter": dict(required=True, choices=("beta", "theta", "Omega")),
     "values": dict(required=True,
                    type=_checked(lambda s: [float(v) for v in s.split(",")],
@@ -132,10 +132,15 @@ def _chain(beta_frac, theta_pi, drive_frac=0.05):
 
 
 def _system_from(args):
-    """(net, mod): from --config if given, else the chain flags."""
+    """(net, mod) from --config, which takes no chain flag, or the flags."""
+    chain = (args.beta, args.theta, args.drive)
     if args.config:
+        if any(v is not None for v in chain):
+            raise ConfigError("--config sets the system; it takes no --beta, "
+                              "--theta or --drive")
         return load_config(args.config)
-    return _chain(args.beta, args.theta, args.drive)
+    return _chain(*(d if v is None else v
+                    for v, d in zip(chain, (0.05, 0.5, 0.05))))
 
 
 def cmd_power(args):

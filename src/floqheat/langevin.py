@@ -31,7 +31,7 @@ import numpy as np
 
 from . import blocktri
 from .model import (SI, QuadratureError, check_bath_index, check_n_max,
-                    ensure_valid, occupation, sideband_order)
+                    ensure_valid, sideband_order)
 
 __all__ = [
     "assemble_A",
@@ -170,10 +170,6 @@ def spectral_correlations(net, mod, omega, n_max):
     return _bath_weights(net, mod, omega[None], n_max, range(net.N))[0] * noise
 
 
-def _source_occupations(net, sources):
-    return np.array([occupation(net.T[k], net.omega[k]) for k in sources])
-
-
 def heat_flux_spectrum(net, mod, source, observer, grid, n_max):
     """Spectral power density P_{source->observer, omega}, in grid order.
 
@@ -187,7 +183,7 @@ def heat_flux_spectrum(net, mod, source, observer, grid, n_max):
     """
     sources, observers = _pairs(net, n_max, source, observer)
     ensure_valid(net, mod)
-    noise = 2.0 * net.kappa[sources] * _source_occupations(net, sources)
+    noise = 2.0 * net.kappa[sources] * net.occupations()[sources]
     pref = SI.hbar * net.omega[sources] * 2.0 * net.kappa[observers]
     weights = _bath_weights(net, mod, _check_frequencies(grid, 1), n_max,
                             observers)
@@ -407,7 +403,7 @@ def integrate_power(net, mod, source, observer, n_max, quad_tol=1e-6):
     sources, observers = _pairs(net, n_max, source, observer)
     ensure_valid(net, mod)
     pref = (SI.hbar * net.omega[sources] * 2.0 * net.kappa[observers]
-            * 2.0 * net.kappa[sources] * _source_occupations(net, sources)
+            * 2.0 * net.kappa[sources] * net.occupations()[sources]
             / (2.0 * np.pi))
     pairs = np.arange(sources.size)
 
@@ -431,7 +427,7 @@ def emitted_power(net, mod, source, n_max, quad_tol=1e-6):
     _check_quad_tol(quad_tol)
     _check_indices(net, n_max, source)
     ensure_valid(net, mod)
-    n_src = occupation(net.T[source], net.omega[source])
+    n_src = net.occupations()[source]
     if n_src == 0.0:
         return 0.0
     pref = (SI.hbar * net.omega[source] * 2.0 * net.kappa[source]

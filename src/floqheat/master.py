@@ -10,11 +10,14 @@ permuted into MomentIndexMap order (``assemble_Mn``), and the sideband
 couplings G+- are diagonal in the drive contrasts (``contrast_vector``).
 Every solve is one block elimination toward sideband 0 (``blocktri``),
 which forms the blocks M_n = M_0 - i n Omega I from M_0, each hot bath one
-right-hand-side column.  Powers read the cycle averages <.>_0 alone, so
-``power_matrix`` (and pert1 and ``converged_power_matrix`` through it)
-stops at the centre solve (``blocktri.solve_centre``); only the tests'
-reference ``_solve_fourier_nvec`` solves all 2 n_max + 1 sidebands
-two-sided and carries the solve outward (``blocktri.solve_thomas``).
+right-hand-side column laid out by ``_sources`` alone; ``_powers_from``
+turns a solve of those sources into the PowerMatrix of qme, pert1 and
+pert2 (pert2 passes its Neumann step as the solve).  Powers read the
+cycle averages <.>_0 alone, so ``power_matrix`` (and pert1 and
+``converged_power_matrix`` through it) stops at the centre solve
+(``blocktri.solve_centre``); only the tests' reference
+``_solve_fourier_nvec`` solves all 2 n_max + 1 sidebands two-sided and
+carries the solve outward (``blocktri.solve_thomas``).
 
 When g is exactly Hermitian (``power_matrix`` and pert2's
 ``perturbation.assemble_Npert``; the sources are real), the moments form
@@ -62,7 +65,7 @@ class MomentIndexMap:
         self.ket = np.concatenate([np.arange(N), np.column_stack([l, k]).ravel()])
         self._index = {(int(a), int(b)): i
                        for i, (a, b) in enumerate(zip(self.bra, self.ket))}
-        # coupling currents (_hot_bath_powers): each slot's (bra, ket) in a
+        # coupling currents (_powers_from): each slot's (bra, ket) in a
         # raveled N x N matrix, and the signs [bra == k] - [ket == k] of its
         # term in the current out of k; complex, so that the product runs
         # on the complex BLAS kernel the solves page in, not a real one too
@@ -169,14 +172,13 @@ def _sideband_blocks(net, mod, n_max):
             -(half * eta))
 
 
-def _moment_system(net, mod, n_max, nvecs):
-    """``blocktri`` arguments (static, Omega, n_max, upper, lower, rhs) for
-    the bath occupation vectors ``nvecs`` (C, N): each is one rhs column,
-    its sources in sideband 0 only."""
-    N = net.N
-    rhs = np.zeros((N * N, len(nvecs)), dtype=complex)
-    rhs[:N] = (2.0 * net.kappa[:, None]) * nvecs.T
-    return (*_sideband_blocks(net, mod, n_max), rhs)
+def _sources(net, nvecs):
+    """Source block (N^2, C) of the bath occupation vectors ``nvecs``
+    (C, N), one column each: 2 kappa_k n_k on the diagonal slot k of
+    sideband 0, zero elsewhere."""
+    rhs = np.zeros((net.N ** 2, len(nvecs)), dtype=complex)
+    rhs[:net.N] = (2.0 * net.kappa[:, None]) * nvecs.T
+    return rhs
 
 
 def _solve_fourier_nvec(net, mod, n_max, nvecs):
@@ -190,8 +192,8 @@ def _solve_fourier_nvec(net, mod, n_max, nvecs):
     """
     nvecs = np.asarray(nvecs, dtype=float)
     coeffs = blocktri.solve_thomas(
-        *_moment_system(net, mod, n_max, nvecs.reshape(-1, net.N))
-    ).transpose(2, 0, 1)
+        *_sideband_blocks(net, mod, n_max),
+        _sources(net, nvecs.reshape(-1, net.N))).transpose(2, 0, 1)
     return coeffs if nvecs.ndim == 2 else coeffs[0]
 
 
@@ -200,34 +202,33 @@ def power_matrix(net, mod, n_max):
 
     P[k, l] = hbar omega_k 2 kappa_l Re<a_l^+ a_l>_0 with bath k alone hot;
     every hot bath is one right-hand-side column of the same block
-    elimination, which stops at the centre solve: only sideband 0 is
-    read.  Baths at 0 K contribute zero rows by linearity and are
-    skipped.
+    elimination, which stops at the centre solve: only sideband 0 is read.
     """
     ensure_valid(net, mod)
     check_n_max(n_max)
-    n_occ = net.occupations()
-    hot = np.flatnonzero(n_occ)
-    zeroth = np.zeros((net.N * net.N, 0))
-    if hot.size:
-        zeroth = blocktri.solve_centre(*_moment_system(
-            net, mod, n_max, np.diag(n_occ)[hot]), _moment_mirror(net))
-    return _hot_bath_powers(net, hot, zeroth)
+    return _powers_from(net, lambda rhs: blocktri.solve_centre(
+        *_sideband_blocks(net, mod, n_max), rhs, _moment_mirror(net)))
 
 
-def _hot_bath_powers(net, hot, zeroth):
-    """PowerMatrix from the cycle-averaged moments of each hot bath.
+def _powers_from(net, solve):
+    """PowerMatrix of the hot baths of ``net``: ``solve`` maps their
+    sources (``_sources``, one column each) to the moments <.>_0 (N^2,
+    columns) in MomentIndexMap order.  Baths at 0 K have zero rows by
+    linearity and no column; with none hot, ``solve`` is not called.
 
-    Column i of zeroth (N^2, len(hot)) holds every <a_k^+ a_l>_0, in
-    MomentIndexMap order, with bath hot[i] alone hot; rows of baths not in
-    ``hot`` stay zero.  P reads the occupations.  P_em[k] is the coupling
-    current out of k, hbar omega_k Re sum_j i (g_kj C_kj - g_jk C_jk) with
-    C_kj = <a_k^+ a_j>_0.  The k-th diagonal moment equation, which no
-    drive stripe reaches, equates it to 2 kappa_k (n_k - <a_k^+ a_k>_0)
-    but without that difference's cancellation, and it reads coherences,
-    so that the balance against sum_l P[k, l] compares distinct moments.
+    P[k, l] reads the occupation of l with bath k alone hot; P[k, k] = 0.
+    P_em[k] is the coupling current out of k, hbar omega_k Re sum_j
+    i (g_kj C_kj - g_jk C_jk) with C_kj = <a_k^+ a_j>_0.  The k-th
+    diagonal moment equation, which no drive stripe reaches, equates it to
+    2 kappa_k (n_k - <a_k^+ a_k>_0) but without that difference's
+    cancellation, and it reads coherences, so that the balance against
+    sum_l P[k, l] compares distinct moments.
     """
     N = net.N
+    n_occ = net.occupations()
+    hot = np.flatnonzero(n_occ)
+    zeroth = (solve(_sources(net, np.diag(n_occ)[hot])) if hot.size
+              else np.zeros((N * N, 0)))
     P = np.zeros((N, N))
     P_em = np.zeros(N)
     # sum_j (g_kj C_kj - g_jk C_jk) for every k and column, from

@@ -15,7 +15,7 @@ import csv
 import numpy as np
 
 from .blocktri import schur_centre
-from .master import (_hot_bath_powers, _moment_mirror, _sideband_blocks,
+from .master import (_moment_mirror, _powers_from, _sideband_blocks,
                      assemble_Mn)
 from .model import SI, ValidationError, ensure_valid, occupation
 
@@ -47,21 +47,17 @@ def assemble_Npert(net, mod):
 def power_second_order(net, mod):
     """Neumann-expanded second-order powers, as a PowerMatrix.
 
-    Inverts N = M_0 + D from ``assemble_Npert`` to first order in D,
-    [1 - M_0^-1 D] M_0^-1: cheaper than the full elimination but valid over
-    a smaller modulation range.  Same contract as ``master.power_matrix``:
-    one row per hot bath of ``net``, P[k, k] = 0, and the same P and P_em
-    prefactors.
+    Applies N = M_0 + D from ``assemble_Npert``, inverted to first order
+    in D as [1 - M_0^-1 D] M_0^-1, to master's sources of the hot baths:
+    cheaper than the full elimination but valid over a smaller modulation
+    range.  Same contract and read-out as ``master.power_matrix``: one row
+    per hot bath of ``net``, P[k, k] = 0, and the same prefactors.
     """
     npert = assemble_Npert(net, mod)
     m0 = assemble_Mn(net)
     m0_inv = np.linalg.inv(m0)
     ninv = (np.eye(m0.shape[0]) - m0_inv @ (npert - m0)) @ m0_inv
-    n_occ = net.occupations()
-    hot = np.flatnonzero(n_occ)
-    # the source of bath k is 2 kappa_k n_k on the diagonal slot k
-    zeroth = ninv[:, hot] * 2.0 * net.kappa[hot] * n_occ[hot]
-    return _hot_bath_powers(net, hot, zeroth)
+    return _powers_from(net, lambda rhs: ninv @ rhs)
 
 
 def _an(kappa, Omega, n):

@@ -78,12 +78,11 @@ _PEAK_HALFWIDTH = 8.0             # in units of the largest linewidth
 _BACKGROUND_POINTS = 600          # evenly over the whole window
 
 
-def default_chain(beta=0.0, theta=0.5 * math.pi, Omega=None, omega0=DEFAULT_OMEGA0):
+def default_chain(beta=0.0, theta=0.5 * math.pi,
+                  Omega=DEFAULT_DRIVE_FRAC * DEFAULT_OMEGA0):
     """Standard four-resonator chain; beta/theta set the synthetic fields."""
-    kappa = DEFAULT_KAPPA_FRAC * omega0
-    if Omega is None:
-        Omega = DEFAULT_DRIVE_FRAC * omega0
-    return build_chain4(omega0, DEFAULT_COUPLING_FRAC * kappa, kappa,
+    kappa = DEFAULT_KAPPA_FRAC * DEFAULT_OMEGA0
+    return build_chain4(DEFAULT_OMEGA0, DEFAULT_COUPLING_FRAC * kappa, kappa,
                         beta, Omega, theta)
 
 
@@ -138,24 +137,23 @@ def _powers(method, ends, both, mod, n_max, quad_tol):
     if method in ("qme", "qle"):
         order, notes = _order(method, mod, n_max)
     if method in ("qme", "pert1"):
-        P = master.power_matrix(both, mod, order).P
+        pm = master.power_matrix(both, mod, order)
     elif method == "pert2":
-        P = perturbation.power_second_order(both, mod).P
-        if P[first, last] < 0.0 or P[last, first] < 0.0:
-            _log.warning("pert2 transfer power negative: beta is beyond the "
-                         "Neumann expansion's range")
+        pm = perturbation.power_second_order(both, mod)
+    elif method == "oracle":
+        pm = timedomain.cycle_average_power(
+            timedomain.evolve_to_cycle(both, mod), both)
     elif method == "qle":
         return (*langevin.integrate_power(both, mod, (first, last),
                                           (last, first), order, quad_tol),
                 notes)
-    elif method == "oracle":
-        samples = timedomain.evolve_to_cycle(both, mod)
-        return (timedomain.cycle_average_power(samples, both, first)[0][last],
-                timedomain.cycle_average_power(samples, both, last)[0][first],
-                notes)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return P[first, last], P[last, first], notes
+    p14, p41 = pm.P[first, last], pm.P[last, first]
+    if method == "pert2" and (p14 < 0.0 or p41 < 0.0):
+        _log.warning("pert2 transfer power negative: beta is beyond the "
+                     "Neumann expansion's range")
+    return p14, p41, notes
 
 
 def rectification(P14, P41):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SI, ConvergenceError, ValidationError, check_bath_index,
+from .model import (SI, ConvergenceError, PowerMatrix, ValidationError,
                     ensure_valid)
 from .master import moment_index_map
 
@@ -326,31 +326,34 @@ def cycle_averaged_moments(samples):
     return np.trapezoid(samples.y, axis=0) / (len(samples.t) - 1)
 
 
-def cycle_average_power(samples, net, source):
-    """Powers of the source bath alone: returns (row P_{source->l}, P_em).
+def cycle_average_power(samples, net):
+    """PowerMatrix of every bath of net from its share of the cycle average.
 
-    Reads only the source bath's share of the cycle average (the
-    PowerMatrix contract).  Same prefactors as the Fourier route, with the
-    zeroth coefficient replaced by the explicit period average: P_em is
-    the coupling current out of the source, hbar omega_s Re sum_l
-    i (g_sl C_sl - g_ls C_ls) with C_sl = <a_s^+ a_l>.  Raises
-    ValidationError unless the samples hold one share per bath of net, and
-    ValueError unless source is a bath index of net.
+    Row k reads only bath k's share, column k of ``bath_averages``, so a
+    bath at 0 K has a zero row and P_em; P[k, k] = 0.  Same prefactors as
+    the Fourier route, with the zeroth coefficient replaced by the
+    explicit period average: P[k, l] = hbar omega_k 2 kappa_l
+    Re<a_l^+ a_l>, and P_em[k] is the coupling current out of k,
+    hbar omega_k Re sum_l i (g_kl C_kl - g_lk C_lk) with C_kl =
+    <a_k^+ a_l>.  Raises ValidationError unless the samples hold one share
+    per bath of net.
     """
     N = net.N
     if samples.bath_averages.shape != (N * N, N):
         raise ValidationError(
             f"samples hold bath shares of shape {samples.bath_averages.shape}, "
             f"not ({N * N}, {N}) for a network of {N} resonators")
-    check_bath_index(net, source)
     imap = moment_index_map(N)
-    avg = samples.bath_averages[:, source]
-    pref = SI.hbar * net.omega[source]
-    row = np.zeros(N)
-    current = 0.0
-    for l in range(N):
-        if l != source:
-            row[l] = pref * 2.0 * net.kappa[l] * avg[imap.index(l, l)].real
-            current += (net.g[source, l] * avg[imap.index(source, l)]
-                        - net.g[l, source] * avg[imap.index(l, source)])
-    return row, pref * (1j * current).real
+    # slot[k, l] of <a_k^+ a_l>; share[k, l] and back[k, l] are bath k's
+    # shares of <a_k^+ a_l> and <a_l^+ a_k>, occ[k, l] of <a_l^+ a_l>
+    slot = np.array([[imap.index(k, l) for l in range(N)] for k in range(N)])
+    bath = np.arange(N)[:, None]
+    avg = samples.bath_averages
+    share, back = avg[slot, bath], avg[slot.T, bath]
+    occ = avg[np.diag(slot)].T.real
+    pref = SI.hbar * net.omega
+    P = pref[:, None] * 2.0 * net.kappa * occ
+    np.fill_diagonal(P, 0.0)
+    # the l = k term, g_kk C_kk - g_kk C_kk, is exactly 0
+    current = (net.g * share - net.g.T * back).sum(axis=1)
+    return PowerMatrix(P=P, P_em=pref * (1j * current).real)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from floqheat.blocktri import schur_centre, solve_centre, solve_thomas
 from floqheat.langevin import _bath_weights, _sideband_blocks as qle_blocks
-from floqheat.master import (_moment_mirror, _moment_system,
-                             _sideband_blocks as qme_blocks, power_matrix)
+from floqheat.master import (_moment_mirror, _sideband_blocks as qme_blocks,
+                             _sources, power_matrix)
 from floqheat.model import SingularBlockError
 
 from conftest import (KAPPA, OMEGA0, assemble_dense, centre_cases, chain,
@@ -339,7 +339,8 @@ def test_centre_read_matches_full_solve():
         hot = net.with_temperatures(np.full(net.N, 300.0))
         swap = _moment_mirror(hot)
         assert (swap is None) == (name == "non-Hermitian g"), name
-        system = _moment_system(hot, mod, n_max, np.diag(hot.occupations()))
+        system = (*qme_blocks(hot, mod, n_max),
+                  _sources(hot, np.diag(hot.occupations())))
         centre = solve_centre(*system, swap)
         full = solve_thomas(*system)
         assert centre.shape == (net.N ** 2, net.N)

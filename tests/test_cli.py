@@ -114,6 +114,28 @@ def test_sweep_config_rows_equal_power_rows(capsys, tmp_path):
     assert csv_rows(sweep_csv) == csv_rows(power_csv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("power", "--beta", "0.01"),
+    ("spectrum", "--theta", "0.2"),
+    ("sweep", "--drive", "0.04", "--parameter", "beta", "--values", "0.01"),
+    ("compare", "--beta", "0.05", "--theta", "0.5"),
+])
+def test_config_with_chain_flags_exits_3(capsys, tmp_path, monkeypatch, argv):
+    # a config sets the whole system: a chain flag beside it is refused,
+    # not silently dropped, and nothing runs or is written
+    monkeypatch.chdir(tmp_path)
+    cfg = chain_config(tmp_path)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == ("invalid input: --config sets the system; it takes no "
+                   "--beta, --theta or --drive\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+    # sweeping beta itself is still a config command
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--parameter",
+                     "beta", "--values", "0.01", "--out", "beta.csv")
+    assert code == 0 and len(csv_rows(tmp_path / "beta.csv")) == 1
+
+
 def test_constants_config_exits_3(capsys, tmp_path):
     cfg = chain_config(tmp_path)
     doc = yaml.safe_load(cfg.read_text())

@@ -9,8 +9,7 @@ from floqheat import (ModulationProtocol, ResonatorNetwork, SI, blocktri,
                       occupation)
 from floqheat.master import (assemble_Mn, contrast_vector, converged_power_matrix,
                              drive_order, moment_index_map, power_matrix,
-                             _hot_bath_powers, _moment_mirror,
-                             _moment_system, _sideband_blocks,
+                             _moment_mirror, _powers_from, _sideband_blocks,
                              _solve_fourier_nvec)
 from floqheat.model import SingularBlockError, ValidationError
 from floqheat.perturbation import power_second_order
@@ -309,11 +308,8 @@ class TestCentreRead:
         # sideband 0 of the two-sided kernel on every sideband, whatever g
         for name, net, mod, n_max in centre_cases():
             hot = net.with_temperatures(np.linspace(T_HOT, 0.0, net.N))
-            n_occ = hot.occupations()
-            sources = np.flatnonzero(n_occ)
-            full = blocktri.solve_thomas(
-                *_moment_system(hot, mod, n_max, np.diag(n_occ)[sources]))
-            ref = _hot_bath_powers(hot, sources, full[n_max])
+            ref = _powers_from(hot, lambda rhs: blocktri.solve_thomas(
+                *_sideband_blocks(hot, mod, n_max), rhs)[n_max])
             pm = power_matrix(hot, mod, n_max)
             scale = np.abs(ref.P).max()
             assert np.abs(pm.P - ref.P).max() <= 2e-15 * scale, name
@@ -331,6 +327,21 @@ class TestCentreRead:
         converged_power_matrix(hot, mod)
         with pytest.raises(AssertionError, match="outward carry"):
             _solve_fourier_nvec(hot, mod, 2, hot.occupations())
+
+    def test_no_hot_bath_solves_nothing(self, monkeypatch):
+        # the read-out keeps the hot-bath bookkeeping for qme, pert1 and
+        # pert2: with every bath at 0 K no source is solved for, and every
+        # power is exactly zero
+        def solve(*args):
+            raise AssertionError("solve of no sources")
+
+        monkeypatch.setattr(blocktri, "solve_centre", solve)
+        net, mod = chain(0.05, 0.5)
+        assert not net.occupations().any()
+        for pm in (power_matrix(net, mod, 4), power_matrix(net, mod, 1),
+                   power_second_order(net, mod),
+                   _powers_from(net, solve)):
+            assert np.all(pm.P == 0.0) and np.all(pm.P_em == 0.0)
 
     def test_non_finite_centre_raises(self, monkeypatch):
         net, mod = chain(0.05, 0.5)

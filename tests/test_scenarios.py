@@ -47,6 +47,34 @@ class TestRunForwardBackward:
         assert np.sign(pert1.P14 - pert1.P41) == np.sign(qme.P14 - qme.P41)
         assert pert1.P14 == pytest.approx(qme.P14, rel=0.5)
 
+    @pytest.mark.parametrize("method", ["qme", "pert1", "pert2", "oracle"])
+    def test_rows_read_the_solvers_power_matrix(self, method, monkeypatch):
+        # each moment-type solver answers with one PowerMatrix of the
+        # network with both ends hot; the row holds its two end entries
+        # exactly, and the oracle's is read once
+        solvers = {
+            "qme": lambda both, mod: master.power_matrix(
+                both, mod, master.drive_order(mod)),
+            "pert1": lambda both, mod: master.power_matrix(both, mod, 1),
+            "pert2": perturbation.power_second_order,
+            "oracle": lambda both, mod: timedomain.cycle_average_power(
+                timedomain.evolve_to_cycle(both, mod), both),
+        }
+        read = timedomain.cycle_average_power
+        reads = []
+        monkeypatch.setattr(timedomain, "cycle_average_power",
+                            lambda *a: reads.append(a) or read(*a))
+        for net, mod in (chain(0.05, 0.5),
+                         random_network(np.random.default_rng(8), 4)):
+            reads.clear()
+            row = operating_point(net, mod, method)
+            assert len(reads) == (method == "oracle")
+            last = net.N - 1
+            temps = np.zeros(net.N)
+            temps[[0, last]] = T_HOT
+            pm = solvers[method](net.with_temperatures(temps), mod)
+            assert row.P14 == pm.P[0, last] and row.P41 == pm.P[last, 0]
+
     def test_unknown_method(self, chain_static):
         net, mod = chain_static
         with pytest.raises(ValueError):

@@ -353,15 +353,17 @@ class TestBathShares:
         temps[cold] = 0.0
         net = net.with_temperatures(temps)
         samples = evolve_to_cycle(net, mod, steps_per_period=2048)
+        pm = cycle_average_power(samples, net)
         for k in range(3):
-            row, p_em = cycle_average_power(samples, net, k)
+            row, p_em = pm.P[k], pm.P_em[k]
             if k == cold:
                 assert np.all(samples.bath_averages[:, k] == 0.0)
                 assert np.all(row == 0.0) and p_em == 0.0
                 continue
             alone = net.with_hot_bath(k, temps[k])
-            row1, p_em1 = cycle_average_power(
-                evolve_to_cycle(alone, mod, steps_per_period=2048), alone, k)
+            pm1 = cycle_average_power(
+                evolve_to_cycle(alone, mod, steps_per_period=2048), alone)
+            row1, p_em1 = pm1.P[k], pm1.P_em[k]
             assert np.max(np.abs(row - row1)) <= 1e-12 * np.abs(row1).max()
             assert abs(p_em - p_em1) <= 1e-12 * abs(p_em1)
         total = cycle_averaged_moments(samples)
@@ -369,12 +371,55 @@ class TestBathShares:
             <= 1e-11 * np.abs(total).max()
 
 
+def per_source_powers(samples, net, source):
+    """Scalar reference of the oracle's read-out: bath ``source``'s row of
+    P and its P_em, one moment at a time from its share of the average."""
+    imap = moment_index_map(net.N)
+    avg = samples.bath_averages[:, source]
+    pref = SI.hbar * net.omega[source]
+    row = np.zeros(net.N)
+    current = 0.0
+    for l in range(net.N):
+        if l != source:
+            row[l] = pref * 2.0 * net.kappa[l] * avg[imap.index(l, l)].real
+            current += (net.g[source, l] * avg[imap.index(source, l)]
+                        - net.g[l, source] * avg[imap.index(l, source)])
+    return row, pref * (1j * current).real
+
+
+def warm_networks():
+    """The chain and random N = 2-4 networks, every bath warm but one."""
+    rng = np.random.default_rng(28)
+    cases = [chain(0.05, 0.5)] + [random_network(rng, n) for n in (2, 3, 4)]
+    for net, mod in cases:
+        temps = rng.uniform(50.0, 400.0, net.N)
+        temps[rng.integers(0, net.N)] = 0.0
+        yield net.with_temperatures(temps), mod
+
+
 class TestCycleAveragePower:
+    def test_matches_per_source_reference(self):
+        # every bath's row from its own share: rows exactly as the scalar
+        # loop gives them, P_em to rounding, a cold bath's row and P_em 0,
+        # and each warm bath in balance at criterion 6's tolerance
+        for net, mod in warm_networks():
+            samples = evolve_to_cycle(net, mod)
+            pm = cycle_average_power(samples, net)
+            for k in range(net.N):
+                row, p_em = per_source_powers(samples, net, k)
+                assert np.array_equal(pm.P[k], row)
+                assert abs(pm.P_em[k] - p_em) <= 1e-15 * abs(p_em)
+                n_k = occupation(net.T[k], net.omega[k])
+                if n_k == 0.0:
+                    assert np.all(pm.P[k] == 0.0) and pm.P_em[k] == 0.0
+                scale = SI.hbar * net.omega[k] * 2.0 * net.kappa[k] * n_k
+                assert pm.conservation_residual(k) <= 5e-7 * scale
+
     def test_static_limit_matches_fourier_power(self, chain_static):
         net, mod = chain_static
         hot = net.with_hot_bath(0, T_HOT)
         samples = evolve_to_cycle(hot, mod)
-        row, p_em = cycle_average_power(samples, hot, 0)
+        row = cycle_average_power(samples, hot).P[0]
         pm = power_matrix(hot, mod, 4)
         assert row[3] == pytest.approx(pm.P[0, 3], rel=1e-6)
         assert row[0] == 0.0
@@ -386,22 +431,24 @@ class TestCycleAveragePower:
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
         samples = evolve_to_cycle(hot, mod)
-        row, p_em = cycle_average_power(samples, hot, 0)
+        pm = cycle_average_power(samples, hot)
+        row, p_em = pm.P[0], pm.P_em[0]
         n_src = occupation(T_HOT, OMEGA0)
         scale = SI.hbar * OMEGA0 * 2 * KAPPA * n_src
         assert abs(p_em - row.sum()) <= 5e-7 * scale
         assert abs(p_em - row.sum()) <= 1e-12 * p_em
 
-    @pytest.mark.parametrize("source", [3, 1])
-    def test_samples_of_another_network_rejected(self, source):
-        # three-resonator samples read with the four-resonator chain: source
-        # 3 has no share, and source 1 would read the wrong moment slots
-        net, mod = random_three()
-        samples = evolve_to_cycle(net.with_temperatures([T_HOT] * 3), mod,
+    @pytest.mark.parametrize("n", [3, 1])
+    def test_samples_of_another_network_rejected(self, n):
+        # samples of a three- or one-resonator network read with the
+        # four-resonator chain: their bath shares would fill the wrong slots
+        net, mod = random_network(np.random.default_rng(5), n)
+        samples = evolve_to_cycle(net.with_temperatures([T_HOT] * n), mod,
                                   steps_per_period=2048)
         hot, _ = both_ends_hot(0.5, 0.05)
-        with pytest.raises(ValidationError, match=r"\(9, 3\).*\(16, 4\)"):
-            cycle_average_power(samples, hot, source)
+        with pytest.raises(ValidationError,
+                           match=rf"\({n * n}, {n}\).*\(16, 4\)"):
+            cycle_average_power(samples, hot)
 
 
 class TestBathIndex:
@@ -410,21 +457,12 @@ class TestBathIndex:
         (4, "bath index 4 outside 0..3"), (-1, "bath index -1 outside 0..3"),
         (1.5, "bath index 1.5 is not an integer")])
     def test_bad_source_rejected_like_every_solver(self, k, message):
-        # the oracle, qle and with_hot_bath share one bath-index check
+        # qle and with_hot_bath share one bath-index check
         net, mod = both_ends_hot(0.5, 0.05)
-        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
-        for call in (lambda: cycle_average_power(samples, net, k),
-                     lambda: emitted_power(net, mod, k, 4),
+        for call in (lambda: emitted_power(net, mod, k, 4),
                      lambda: net.with_hot_bath(k, T_HOT)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 call()
-
-    def test_numpy_integer_source_accepted(self):
-        net, mod = both_ends_hot(0.5, 0.05)
-        samples = evolve_to_cycle(net, mod, steps_per_period=2048)
-        row, p_em = cycle_average_power(samples, net, np.int64(3))
-        row3, p_em3 = cycle_average_power(samples, net, 3)
-        assert np.array_equal(row, row3) and p_em == p_em3
 
 
 class TestOracleEquivalence:
