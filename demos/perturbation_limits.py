@@ -8,8 +8,8 @@ as beta -> 0; pert1 survives to the largest drive.
 """
 import numpy as np
 
-from floqheat.perturbation import write_perturbation_csv
-from floqheat.scenarios import DEFAULT_OMEGA0, default_chain, operating_point
+from floqheat.scenarios import (DEFAULT_OMEGA0, default_chain, operating_point,
+                                write_perturbation_csv)
 
 theta = 0.5 * np.pi
 methods = ("qme", "pert1", "pert2", "closed")

@@ -7,9 +7,9 @@ over d omega / 2 pi recovers the net transferred powers.
 """
 import numpy as np
 
-from floqheat.langevin import write_spectrum_csv
 from floqheat.scenarios import (DEFAULT_OMEGA0, default_chain,
-                                default_spectrum_grid, spectrum_run)
+                                default_spectrum_grid, spectrum_run,
+                                write_spectrum_csv)
 
 net, mod = default_chain(beta=0.05 * DEFAULT_OMEGA0, theta=0.5 * np.pi)
 n_max = 10

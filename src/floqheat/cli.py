@@ -14,16 +14,15 @@ with ``@ <parameter>=<swept value>`` after the method.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import sys
 
 import numpy as np
 
-from . import langevin, perturbation, scenarios
+from . import scenarios
 from .config import ConfigError, load_config
-from .model import FloqheatError, ValidationError
+from .model import MAX_SIDEBAND_ORDER, FloqheatError, ValidationError
 from .scenarios import (DEFAULT_OMEGA0, DEFAULT_T_HOT, SweepSpec,
                         default_chain, sweep)
 
@@ -63,7 +62,9 @@ _FLAGS = {
                                   lambda ms: ms and set(ms) <= set(scenarios.METHODS),
                                   "methods must be a nonempty list of known methods"),
                     help="comma list from: " + ",".join(scenarios.METHODS)),
-    "nmax": dict(type=_checked(int, lambda n: n >= 0, "n_max must be nonnegative"),
+    "nmax": dict(type=_checked(int, lambda n: 0 <= n <= MAX_SIDEBAND_ORDER,
+                               "n_max must be nonnegative and at most "
+                               f"{MAX_SIDEBAND_ORDER}"),
                  help="truncation order of qme and qle; overrides the "
                       "drive's order"),
     "quad-tol": dict(type=_checked(float, lambda t: 0.0 < t < math.inf,
@@ -164,7 +165,7 @@ def _spectrum(args, net, mod):
     grid, fwd, bwd = scenarios.spectrum_run(net, mod, n_max=args.nmax,
                                             T_hot=args.t_hot)
     first, last = 0, net.N - 1
-    langevin.write_spectrum_csv(args.out, grid, {(first, last): fwd, (last, first): bwd})
+    scenarios.write_spectrum_csv(args.out, grid, {(first, last): fwd, (last, first): bwd})
     print(f"{grid.size} grid points, forward peak {fwd.max():.4e}, "
           f"backward peak {bwd.max():.4e} W s/rad")
     print(f"wrote {args.out}")
@@ -217,42 +218,13 @@ def cmd_sweep(args):
     return _write(args.out, scenarios.write_sweep_csv, rows)
 
 
-def _normalized_rows(rows):
-    """Attach P14/P41 normalized by each method's computed beta = 0 value."""
-    baselines = {}
-    for r in rows:
-        if r.status.startswith("ok") and r.beta == 0.0 and np.isfinite(r.P14):
-            baselines.setdefault((r.method, round(r.theta, 12)), r.P14)
-    out = []
-    for r in rows:
-        base = baselines.get((r.method, round(r.theta, 12)))
-        if base:
-            out.append((r, r.P14 / base, r.P41 / base))
-        else:
-            out.append((r, float("nan"), float("nan")))
-    return out
-
-
-def _write_norm_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "beta_rad_s", "Omega_rad_s", "theta_rad",
-                    "P14_W", "P41_W", "E", "dP_W", "P14_norm", "P41_norm",
-                    "status"])
-        for r, n14, n41 in _normalized_rows(rows):
-            w.writerow([r.method, f"{r.beta:.10e}", f"{r.Omega:.10e}",
-                        f"{r.theta:.10e}", f"{r.P14:.12e}", f"{r.P41:.12e}",
-                        f"{r.E:.12e}", f"{r.dP:.12e}", f"{n14:.8f}",
-                        f"{n41:.8f}", r.status])
-
-
 _BETAS = np.linspace(0.0, 0.06, 13) * DEFAULT_OMEGA0
 
 
 def cmd_fig3a(args):
     rows = [r for theta_pi in (0.1, 0.5)
             for r in _sweep(args, *_chain(0.0, theta_pi), "beta", _BETAS)]
-    return _write(args.out, _write_norm_csv, rows)
+    return _write(args.out, scenarios.write_normalized_csv, rows)
 
 
 def cmd_fig3b(args):
@@ -263,7 +235,7 @@ def cmd_fig3b(args):
         rows = _sweep(args, *_chain(0.0, theta_pi), "beta", _BETAS)
         records += [(rows[i].beta, theta_pi * math.pi, *(r.dP for r in rows[i:i + k]))
                     for i in range(0, len(rows), k)]
-    return _write(args.out, perturbation.write_perturbation_csv, records)
+    return _write(args.out, scenarios.write_perturbation_csv, records)
 
 
 def cmd_fig4(args):
@@ -275,7 +247,7 @@ def cmd_fig4(args):
 
 def cmd_fig7(args):
     rows = _sweep(args, *_chain(0.0, 0.5), "beta", _BETAS)
-    return _write(args.out, _write_norm_csv, rows)
+    return _write(args.out, scenarios.write_normalized_csv, rows)
 
 
 _COMMANDS = {

@@ -25,8 +25,6 @@ of their maximum, and each power meets quad_tol against its own value.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from . import blocktri
@@ -41,7 +39,6 @@ __all__ = [
     "integration_window",
     "integrate_power",
     "emitted_power",
-    "write_spectrum_csv",
 ]
 
 # frequencies per batched elimination; bounds the memory of its factors
@@ -440,17 +437,3 @@ def emitted_power(net, mod, source, n_max, quad_tol=1e-6):
         return pref * (reach[:, others] @ weights)
 
     return float(_quad(integrand, net, mod, n_max, quad_tol))
-
-
-def write_spectrum_csv(path, grid, slices):
-    """Spectrum export; ``slices`` maps (source, observer) 0-based pairs to
-    per-grid-point spectral power densities.  Labels in the file are 1-based.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega_rad_s", "source_bath", "observer",
-                    "spectral_power_W_per_rad_s"])
-        for (source, observer), values in slices.items():
-            for wval, sval in zip(grid, values):
-                w.writerow([f"{wval:.10e}", source + 1, observer + 1,
-                            f"{sval:.12e}"])

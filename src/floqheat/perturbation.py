@@ -10,8 +10,6 @@ collapses to a closed expression proportional to sin(theta).
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .blocktri import schur_centre
@@ -26,7 +24,6 @@ __all__ = [
     "delta_n14_closed_form",
     "delta_power_weak_coupling",
     "closed_form_delta_power",
-    "write_perturbation_csv",
 ]
 
 
@@ -158,14 +155,3 @@ def closed_form_delta_power(net, mod, T_hot=300.0):
         net.omega[0], n_occ, net.g[0, 1].real, net.kappa[0],
         mod.beta, mod.Omega, mod.theta[2] - mod.theta[1],
     )
-
-
-def write_perturbation_csv(path, rows):
-    """rows: iterables of (beta, theta, dP_exact, dP_pa1, dP_pa2, dP_closed)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["beta", "theta", "dP_exact_W", "dP_pa1_W",
-                    "dP_pa2_W", "dP_closed_W"])
-        for beta, theta, d_exact, d_pa1, d_pa2, d_closed in rows:
-            w.writerow([f"{beta:.10e}", f"{theta:.10e}", f"{d_exact:.12e}",
-                        f"{d_pa1:.12e}", f"{d_pa2:.12e}", f"{d_closed:.12e}"])

@@ -1,4 +1,4 @@
-"""Forward/backward drivers: operating points, sweeps, spectra, method checks.
+"""Forward/backward runs, method checks, and every CSV the package writes.
 
 The measurement protocol keeps the modulation fixed and moves only the hot
 bath: forward puts the first resonator at T_hot, backward the last one
@@ -27,6 +27,10 @@ order is used as given, and one below that of a driven protocol is logged
 to the same logger and flagged in the row's status.  A negative pert2
 transfer power is logged there too (beta beyond the Neumann expansion's
 range), and its row stays "ok".
+
+Each file format is a header plus a row formatter through one
+``_write_csv``: sweeps, sweeps normalized by their beta = 0 rows, spectra
+and perturbation tables.
 """
 from __future__ import annotations
 
@@ -56,6 +60,9 @@ __all__ = [
     "MethodComparison",
     "compare_methods",
     "write_sweep_csv",
+    "write_normalized_csv",
+    "write_spectrum_csv",
+    "write_perturbation_csv",
 ]
 
 _log = logging.getLogger(__name__)
@@ -424,13 +431,64 @@ def compare_methods(net, mod, n_max=None, quad_tol=1e-6, T_hot=DEFAULT_T_HOT):
                             notes=notes)
 
 
-def write_sweep_csv(path, rows):
-    """Long-format sweep export, one row per point per method."""
+def _write_csv(path, header, rows):
+    """Write ``header`` and then each row of ``rows`` to ``path`` as CSV."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["method", "beta_rad_s", "Omega_rad_s", "theta_rad",
-                    "P14_W", "P41_W", "E", "dP_W", "status"])
-        for r in rows:
-            w.writerow([r.method, f"{r.beta:.10e}", f"{r.Omega:.10e}",
-                        f"{r.theta:.10e}", f"{r.P14:.12e}", f"{r.P41:.12e}",
-                        f"{r.E:.12e}", f"{r.dP:.12e}", r.status])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+# inputs are written to 10 digits after the point, outputs to 12
+_SWEEP_HEADER = ["method", "beta_rad_s", "Omega_rad_s", "theta_rad",
+                 "P14_W", "P41_W", "E", "dP_W"]
+
+
+def _sweep_fields(r):
+    return [r.method, f"{r.beta:.10e}", f"{r.Omega:.10e}", f"{r.theta:.10e}",
+            f"{r.P14:.12e}", f"{r.P41:.12e}", f"{r.E:.12e}", f"{r.dP:.12e}"]
+
+
+def write_sweep_csv(path, rows):
+    """Long-format sweep export, one row per point per method."""
+    _write_csv(path, _SWEEP_HEADER + ["status"],
+               (_sweep_fields(r) + [r.status] for r in rows))
+
+
+def write_normalized_csv(path, rows):
+    """Sweep export with P14 and P41 normalized by the P14 of the same
+    method's computed beta = 0 row ("ok" or "ok; ...") at the same theta;
+    NaN where there is none."""
+    baselines = {}
+    for r in rows:
+        if r.status.startswith("ok") and r.beta == 0.0 and np.isfinite(r.P14):
+            baselines.setdefault((r.method, round(r.theta, 12)), r.P14)
+
+    def fields(r):
+        base = baselines.get((r.method, round(r.theta, 12)))
+        n14, n41 = (r.P14 / base, r.P41 / base) if base else (math.nan,) * 2
+        return _sweep_fields(r) + [f"{n14:.8f}", f"{n41:.8f}", r.status]
+
+    _write_csv(path, _SWEEP_HEADER + ["P14_norm", "P41_norm", "status"],
+               map(fields, rows))
+
+
+def write_spectrum_csv(path, grid, slices):
+    """Spectrum export; ``slices`` maps (source, observer) 0-based pairs to
+    per-grid-point spectral power densities.  Labels in the file are 1-based.
+    """
+    _write_csv(path, ["omega_rad_s", "source_bath", "observer",
+                      "spectral_power_W_per_rad_s"],
+               ([f"{w:.10e}", source + 1, observer + 1, f"{s:.12e}"]
+                for (source, observer), values in slices.items()
+                for w, s in zip(grid, values)))
+
+
+def write_perturbation_csv(path, rows):
+    """rows: iterables of (beta, theta, dP_exact, dP_pa1, dP_pa2, dP_closed)."""
+    def fields(beta, theta, d_exact, d_pa1, d_pa2, d_closed):
+        return [f"{beta:.10e}", f"{theta:.10e}", f"{d_exact:.12e}",
+                f"{d_pa1:.12e}", f"{d_pa2:.12e}", f"{d_closed:.12e}"]
+
+    _write_csv(path, ["beta", "theta", "dP_exact_W", "dP_pa1_W", "dP_pa2_W",
+                      "dP_closed_W"], (fields(*r) for r in rows))

@@ -361,6 +361,15 @@ def test_negative_nmax_exits_3(capsys, command):
     assert "invalid input" in err and "n_max must be nonnegative" in err
 
 
+def test_nmax_bounded_by_the_sideband_limit(capsys):
+    # an explicit order meets the rule's limit at parse time, before any
+    # block is built
+    assert build_parser().parse_args(["power", "--nmax", "256"]).nmax == 256
+    code, _, err = run(capsys, "power", "--nmax", "257")
+    assert code == 3
+    assert "n_max must be nonnegative and at most 256, got '257'" in err
+
+
 def test_unknown_method_exits_3(capsys):
     code, _, err = run(capsys, "power", "--methods", "sorcery")
     assert code == 3
@@ -401,6 +410,9 @@ SHIPPED_CONFIG = str(pathlib.Path(__file__).resolve().parent.parent
     ("fig7", "--quad-tol", "1e-6"),
     ("no-such-command",),
     (),
+    ("power", "--methods", "qme", "--nmax", "257"),
+    ("sweep", "--parameter", "beta", "--values", "0.01", "--methods", "qme",
+     "--nmax", "257"),
 ])
 def test_usage_errors_exit_3(capsys, tmp_path, monkeypatch, argv):
     # malformed values, unknown and removed flags (the process pool's
@@ -583,18 +595,21 @@ def test_fig3a_preset_normalized(capsys, tmp_path):
             assert float(r["P14_norm"]) < 1.0
 
 
-def test_flagged_rows_normalize_but_errors_do_not():
+def test_flagged_rows_normalize_but_errors_do_not(tmp_path):
     # a row flagged "ok; ..." holds a computed power and may be the beta = 0
     # baseline; an error row holds none
-    from floqheat.cli import _normalized_rows
-    from floqheat.scenarios import SweepRow
+    from floqheat.scenarios import SweepRow, write_normalized_csv
     nan = float("nan")
     short = "ok; n_max below drive order"
     rows = [SweepRow("qle", 0.0, DRIVE, 0.5, 2.0, 4.0, nan, nan, short),
             SweepRow("qle", 1e12, DRIVE, 0.5, 1.0, 1.0, nan, nan, short),
             SweepRow("qme", 0.0, DRIVE, 0.5, nan, nan, nan, nan, "error: x"),
             SweepRow("qme", 1e12, DRIVE, 0.5, 1.0, 1.0, nan, nan)]
-    norms = [(n14, n41) for _, n14, n41 in _normalized_rows(rows)]
+    path = tmp_path / "norm.csv"
+    write_normalized_csv(path, rows)
+    with open(path) as fh:
+        norms = [(float(r["P14_norm"]), float(r["P41_norm"]))
+                 for r in csv.DictReader(fh)]
     assert norms[:2] == [(1.0, 2.0), (0.5, 0.5)]
     assert np.isnan(norms[2:]).all()
 

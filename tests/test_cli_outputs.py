@@ -40,3 +40,30 @@ def test_copies_match_and_a_changed_file_does_not(tmp_path, monkeypatch,
     assert capsys.readouterr().out == (
         "fig0 --out a.csv: exit code same, stdout same, stderr same, "
         "a.csv DIFFERS\noutputs differ\n")
+
+
+def test_demos_compared_and_one_in_a_single_tree_differs(tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.setattr(cli_outputs, "COMMANDS", ())
+    parent = tmp_path / "parent"
+    (parent / "src").mkdir(parents=True)
+    (parent / "demos").mkdir()
+    (parent / "demos" / "d.py").write_text(
+        "from pathlib import Path\n"
+        "Path('d.csv').write_text('1,2\\n')\n"
+        "print('wrote d.csv')\n")
+    change = tmp_path / "change"
+    shutil.copytree(parent, change)
+    argv = ["--parent", str(parent), "--change", str(change)]
+    assert cli_outputs.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "demos/d.py: exit code same, stdout same, stderr same, d.csv same\n"
+        "every output byte-identical\n")
+    demo = change / "demos" / "d.py"
+    demo.write_text(demo.read_text().replace("1,2", "1,3"))
+    (change / "demos" / "e.py").write_text("print('new')\n")
+    assert cli_outputs.main(argv) == 1
+    assert capsys.readouterr().out == (
+        "demos/d.py: exit code same, stdout same, stderr same, d.csv DIFFERS\n"
+        "demos/e.py: only in change\n"
+        "outputs differ\n")

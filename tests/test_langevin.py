@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,11 +15,11 @@ from floqheat import (ModulationProtocol, QuadratureError, ResonatorNetwork,
 from floqheat.langevin import (assemble_A, drive_order, emitted_power,
                                heat_flux_spectrum, integrate_power,
                                integration_window, spectral_correlations,
-                               write_spectrum_csv,
                                _bath_weights, _quad, _response_rows,
                                _sideband_blocks)
 from floqheat.master import power_matrix
 from floqheat.model import ValidationError
+from floqheat.scenarios import write_spectrum_csv
 
 from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, chain,
                       random_network, sideband_ladder)
@@ -541,6 +542,30 @@ class TestPowers:
         assert err.value.estimate == pytest.approx(2.0 * (hi - lo), rel=1e-2)
         assert err.value.bound > 1e-10 * err.value.estimate
         assert f"{err.value.estimate:.6e}" in str(err.value)
+
+
+def transfers(net, mod):
+    """R[k, l] = P[k, l] / (hbar omega_k n_k): qle at the drive's order and
+    quad_tol 1e-8, per unit occupation of the source bath; R[k, k] = 0."""
+    sources, observers = zip(*((k, l) for k in range(net.N)
+                               for l in range(net.N) if k != l))
+    R = np.zeros((net.N, net.N))
+    R[sources, observers] = integrate_power(net, mod, sources, observers,
+                                            drive_order(mod), quad_tol=1e-8)
+    return R / (SI.hbar * net.omega * net.occupations())[:, None]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_time_reversal(seed, n):
+    # Onsager-Casimir, as for qme in test_master.py: R(theta, g) =
+    # R(-theta, g*)^T, here within ten times the quadrature tolerance
+    net, mod = random_network(np.random.default_rng(seed), n)
+    net = net.with_temperatures(np.full(n, T_HOT))
+    R = transfers(net, mod)
+    back = transfers(dataclasses.replace(net, g=net.g.conj()),
+                     dataclasses.replace(mod, theta=-mod.theta))
+    assert np.abs(R - back.T).max() <= 10 * 1e-8 * np.abs(R).max()
 
 
 class TestQuadratureCalibration:

@@ -8,9 +8,8 @@ from floqheat.master import (assemble_Mn, contrast_vector, moment_index_map,
 from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
                                    closed_form_delta_power,
                                    delta_n14_closed_form, delta_n14_general,
-                                   delta_power_weak_coupling, power_second_order,
-                                   write_perturbation_csv)
-from floqheat.scenarios import operating_point
+                                   delta_power_weak_coupling, power_second_order)
+from floqheat.scenarios import operating_point, write_perturbation_csv
 
 from conftest import (COUPLING, DRIVE, KAPPA, OMEGA0, T_HOT, centre_cases,
                       chain, random_network)

@@ -11,9 +11,12 @@ from floqheat import (SI, ModulationProtocol, ResonatorNetwork,
                       SingularBlockError, ValidationError, build_chain4,
                       langevin, master, perturbation, scenarios, timedomain)
 from floqheat.model import MAX_SIDEBAND_ORDER, sideband_order
-from floqheat.scenarios import (MethodComparison, SweepSpec, compare_methods,
-                                default_chain, operating_point, rectification,
-                                spectrum_run, sweep, write_sweep_csv)
+from floqheat.scenarios import (MethodComparison, SweepRow, SweepSpec,
+                                compare_methods, default_chain,
+                                operating_point, rectification, spectrum_run,
+                                sweep, write_normalized_csv,
+                                write_perturbation_csv, write_spectrum_csv,
+                                write_sweep_csv)
 
 from conftest import DRIVE, KAPPA, OMEGA0, T_HOT, chain, random_network
 
@@ -714,3 +717,50 @@ class TestCompareMethods:
         assert len(errors) == 1 and isinstance(errors.pop(), str)
         assert set(report.powers) == {"qme", "qle", "oracle"}
         assert report.deviations == {} and not report.passed
+
+
+class TestWriters:
+    """The exact bytes of each CSV format: header, digits (10 after the
+    point for inputs, 12 for outputs), 1-based labels and csv quoting."""
+
+    ROW = SweepRow("qle", 8.45e12, 8.45e12, 0.5 * math.pi, 1.5e-22, 1.0e-22,
+                   0.2, 5e-23, "error: a, b")
+
+    def test_sweep(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, [self.ROW])
+        assert path.read_bytes() == (
+            b"method,beta_rad_s,Omega_rad_s,theta_rad,P14_W,P41_W,E,dP_W,"
+            b"status\r\n"
+            b"qle,8.4500000000e+12,8.4500000000e+12,1.5707963268e+00,"
+            b"1.500000000000e-22,1.000000000000e-22,2.000000000000e-01,"
+            b"5.000000000000e-23,\"error: a, b\"\r\n")
+
+    def test_normalized(self, tmp_path):
+        # the row is its own beta = 0 baseline
+        path = tmp_path / "norm.csv"
+        write_normalized_csv(path, [SweepRow(
+            "qme", 0.0, 8.45e12, 0.5 * math.pi, 1.6e-22, 1.2e-22, 1 / 7,
+            4e-23)])
+        assert path.read_bytes() == (
+            b"method,beta_rad_s,Omega_rad_s,theta_rad,P14_W,P41_W,E,dP_W,"
+            b"P14_norm,P41_norm,status\r\n"
+            b"qme,0.0000000000e+00,8.4500000000e+12,1.5707963268e+00,"
+            b"1.600000000000e-22,1.200000000000e-22,1.428571428571e-01,"
+            b"4.000000000000e-23,1.00000000,0.75000000,ok\r\n")
+
+    def test_spectrum(self, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(path, np.array([1.69e14]), {(0, 3): [2.5e-36]})
+        assert path.read_bytes() == (
+            b"omega_rad_s,source_bath,observer,spectral_power_W_per_rad_s\r\n"
+            b"1.6900000000e+14,1,4,2.500000000000e-36\r\n")
+
+    def test_perturbation(self, tmp_path):
+        path = tmp_path / "pert.csv"
+        write_perturbation_csv(path, [(8.45e11, 0.5 * math.pi, 5.2e-24,
+                                       5.3e-24, 5.1e-24, 5.0e-24)])
+        assert path.read_bytes() == (
+            b"beta,theta,dP_exact_W,dP_pa1_W,dP_pa2_W,dP_closed_W\r\n"
+            b"8.4500000000e+11,1.5707963268e+00,5.200000000000e-24,"
+            b"5.300000000000e-24,5.100000000000e-24,5.000000000000e-24\r\n")

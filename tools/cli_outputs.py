@@ -1,13 +1,14 @@
-"""Byte comparison of the CLI's outputs from two tree copies.
+"""Byte comparison of the CLI's and the demos' outputs from two tree copies.
 
     python3 tools/cli_outputs.py --parent ../parent --change .
 
-Runs every command of ``COMMANDS`` as ``python -m floqheat.cli`` from each
+Runs every command of ``COMMANDS`` as ``python -m floqheat.cli``, and every
+``demos/*.py`` found in either tree as ``python demos/<name>``, from each
 tree, with ``PYTHONPATH=<tree>/src``, in a fresh temporary directory per
-tree and command.  For each command it reports whether the exit code,
-stdout, stderr and each file written are byte-identical between the trees,
-and shows differing stdout or stderr as a unified diff.  Exits 1 on any
-difference, else 0.
+tree and run.  For each run it reports whether the exit code, stdout,
+stderr and each file written are byte-identical between the trees, and
+shows differing stdout or stderr as a unified diff; a demo present in only
+one tree counts as a difference.  Exits 1 on any difference, else 0.
 
 Make a tree copy of a commit with ``git archive <rev> | tar -x -C <dir>``.
 """
@@ -35,26 +36,48 @@ COMMANDS = (
 )
 
 
-def run_cli(tree, argv):
-    """(exit code, stdout, stderr, {file name: bytes}) of one command run
-    from ``tree`` in a fresh directory."""
+def run(tree, argv):
+    """(exit code, stdout, stderr, {file name: bytes}) of ``python argv``
+    run with ``tree``'s package in a fresh directory."""
     env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
     with tempfile.TemporaryDirectory() as work:
-        proc = subprocess.run([sys.executable, "-m", "floqheat.cli", *argv],
-                              cwd=work, env=env, capture_output=True,
-                              timeout=600)
+        proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                              capture_output=True, timeout=600)
         files = {p.name: p.read_bytes() for p in Path(work).iterdir()}
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
-def compare(parent, change, argv):
-    """(report lines, whether every output matched) of one command."""
-    a, b = run_cli(parent, argv), run_cli(change, argv)
+def cli_argv(command):
+    return lambda tree: ["-m", "floqheat.cli", *command]
+
+
+def demo_argv(name):
+    """argv of demo ``name`` in a tree, or None where the tree has none."""
+    def argv(tree):
+        script = Path(tree).resolve() / "demos" / name
+        return [str(script)] if script.is_file() else None
+    return argv
+
+
+def demos(*trees):
+    """Names of the demo scripts found in any of ``trees``, sorted."""
+    return sorted({p.name for tree in trees
+                   for p in (Path(tree) / "demos").glob("*.py")})
+
+
+def compare(parent, change, label, argv_of):
+    """(report lines, whether every output matched) of one run, whose argv
+    in each tree is ``argv_of(tree)``."""
+    argvs = argv_of(parent), argv_of(change)
+    if None in argvs:
+        side = "change" if argvs[0] is None else "parent"
+        return [f"{label}: only in {side}"], False
+    a, b = run(parent, argvs[0]), run(change, argvs[1])
     checks = [("exit code", a[0] == b[0]), ("stdout", a[1] == b[1]),
               ("stderr", a[2] == b[2])]
     checks += [(name, a[3].get(name) == b[3].get(name))
                for name in sorted(a[3].keys() | b[3].keys())]
-    lines = [" ".join(argv) + ": " + ", ".join(
+    lines = [label + ": " + ", ".join(
         f"{what} {'same' if same else 'DIFFERS'}" for what, same in checks)]
     for i, what in ((1, "stdout"), (2, "stderr")):
         if a[i] != b[i]:
@@ -72,9 +95,12 @@ def main(argv=None):
     ap.add_argument("--change", required=True, type=Path,
                     help="root of the changed tree copy")
     args = ap.parse_args(argv)
+    runs = ([(" ".join(c), cli_argv(c)) for c in COMMANDS]
+            + [(f"demos/{name}", demo_argv(name))
+               for name in demos(args.parent, args.change)])
     identical = True
-    for command in COMMANDS:
-        lines, same = compare(args.parent, args.change, command)
+    for label, argv_of in runs:
+        lines, same = compare(args.parent, args.change, label, argv_of)
         print("\n".join(lines), flush=True)
         identical = identical and same
     print("every output byte-identical" if identical else "outputs differ")
