@@ -293,8 +293,10 @@ def validate(net, mod):
 
 def check_n_max(n_max):
     """Raise ValueError unless the truncation order is a nonnegative integer
-    (numpy integers pass)."""
+    (numpy integers pass, bools do not)."""
     try:
+        if isinstance(n_max, bool):
+            raise TypeError
         operator.index(n_max)
     except TypeError:
         raise ValueError(f"n_max must be an integer, got {n_max!r}") from None
@@ -321,8 +323,10 @@ def sideband_order(index):
 
 def check_bath_index(net, k):
     """Raise ValueError unless k is an integer bath index of net in 0..N-1
-    (numpy integers pass)."""
+    (numpy integers pass, bools do not)."""
     try:
+        if isinstance(k, bool):
+            raise TypeError
         operator.index(k)
     except TypeError:
         raise ValueError(f"bath index {k!r} is not an integer") from None

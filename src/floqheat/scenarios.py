@@ -197,8 +197,9 @@ class SweepSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.parameter not in ("beta", "theta", "Omega"):
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
-        if self.values.size == 0 or not np.all(np.isfinite(self.values)):
-            raise ValueError("sweep values must be nonempty and finite")
+        if (self.values.ndim != 1 or self.values.size == 0
+                or not np.all(np.isfinite(self.values))):
+            raise ValueError("sweep values must be 1-d, nonempty and finite")
         if not self.methods:
             raise ValueError("select at least one method")
         for m in self.methods:

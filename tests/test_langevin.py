@@ -208,11 +208,17 @@ class TestInputChecks:
          "an integer"),
         (lambda net, mod: integration_window(net, mod, 2.5), "an integer"),
         (lambda net, mod: power_matrix(net, mod, 2.0), "an integer"),
+        (lambda net, mod: integrate_power(net, mod, 0, 3, True), "an integer"),
+        (lambda net, mod: heat_flux_spectrum(net, mod, 0, 3, [OMEGA0], True),
+         "an integer"),
+        (lambda net, mod: power_matrix(net, mod, True), "an integer"),
     ], ids=["integrate_power", "emitted_power", "spectral_correlations",
             "heat_flux_spectrum", "integration_window", "power_matrix",
             "integrate_power-float", "emitted_power-float",
             "spectral_correlations-float", "heat_flux_spectrum-float",
-            "integration_window-float", "power_matrix-float"])
+            "integration_window-float", "power_matrix-float",
+            "integrate_power-bool", "heat_flux_spectrum-bool",
+            "power_matrix-bool"])
     def test_negative_order_rejected(self, chain_modulated, call, message):
         net, mod = chain_modulated
         with pytest.raises(ValueError, match="n_max must be " + message):
@@ -220,7 +226,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("source, observer",
                              [(0, -1), (0, 4), (7, 0), (-1, 2), (0, 3.0),
-                              (2.0, 0)])
+                              (2.0, 0), (True, 3), (0, True)])
     def test_bath_index_out_of_range(self, chain_modulated, source, observer):
         net, mod = chain_modulated
         hot = net.with_hot_bath(0, T_HOT)
@@ -228,7 +234,7 @@ class TestInputChecks:
             integrate_power(hot, mod, source, observer, 4)
         with pytest.raises(ValueError, match="bath index"):
             heat_flux_spectrum(hot, mod, source, observer, [OMEGA0], 4)
-        if isinstance(source, float) or not 0 <= source < net.N:
+        if isinstance(source, (bool, float)) or not 0 <= source < net.N:
             with pytest.raises(ValueError, match="bath index"):
                 emitted_power(hot, mod, source, 4)
 

@@ -320,6 +320,9 @@ class TestSweep:
                       values=[1.0])
         with pytest.raises(ValueError):
             SweepSpec(network=net, modulation=mod, parameter="beta", values=[])
+        with pytest.raises(ValueError, match="sweep values must be 1-d"):
+            SweepSpec(network=net, modulation=mod, parameter="beta",
+                      values=[[1e12, 2e12]])
         with pytest.raises(ValueError):
             SweepSpec(network=net, modulation=mod, parameter="beta",
                       values=[1.0], methods=())
@@ -331,6 +334,7 @@ class TestSweep:
         ("n_max", -1, "n_max must be nonnegative"),
         ("n_max", 2.5, "n_max must be an integer"),
         ("n_max", "8", "n_max must be an integer"),
+        ("n_max", True, "n_max must be an integer"),
         ("quad_tol", 0.0, "quad_tol must be positive and finite"),
         ("quad_tol", -1e-6, "quad_tol must be positive and finite"),
         ("quad_tol", math.inf, "quad_tol must be positive and finite"),
@@ -751,10 +755,13 @@ class TestWriters:
 
     def test_spectrum(self, tmp_path):
         path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(path, np.array([1.69e14]), {(0, 3): [2.5e-36]})
+        # one row per grid point
+        write_spectrum_csv(path, np.array([1.69e14, 1.7e14]),
+                           {(0, 3): [2.5e-36, 3.25e-36]})
         assert path.read_bytes() == (
             b"omega_rad_s,source_bath,observer,spectral_power_W_per_rad_s\r\n"
-            b"1.6900000000e+14,1,4,2.500000000000e-36\r\n")
+            b"1.6900000000e+14,1,4,2.500000000000e-36\r\n"
+            b"1.7000000000e+14,1,4,3.250000000000e-36\r\n")
 
     def test_perturbation(self, tmp_path):
         path = tmp_path / "pert.csv"

@@ -455,7 +455,8 @@ class TestBathIndex:
     @pytest.mark.parametrize("k, message", [
         (7, "bath index 7 outside 0..3"), (9, "bath index 9 outside 0..3"),
         (4, "bath index 4 outside 0..3"), (-1, "bath index -1 outside 0..3"),
-        (1.5, "bath index 1.5 is not an integer")])
+        (1.5, "bath index 1.5 is not an integer"),
+        (True, "bath index True is not an integer")])
     def test_bad_source_rejected_like_every_solver(self, k, message):
         # qle and with_hot_bath share one bath-index check
         net, mod = both_ends_hot(0.5, 0.05)
