@@ -32,9 +32,7 @@ from .langevin import (
     spectral_correlations,
 )
 from .master import (
-    MomentIndexMap,
     assemble_Mn,
-    moment_index_map,
     converged_power_matrix,
     power_matrix,
 )

@@ -5,8 +5,9 @@ ansatz <O>(t) = sum_n exp(-i n Omega t) <O>_n the periodic steady state is a
 single block-tridiagonal linear solve over sidebands -n_max..n_max and no
 frequency integration is needed for cycle-averaged powers.
 
-The static block M_0 is a Kronecker sum of the bra and ket drift matrices
-permuted into MomentIndexMap order (``assemble_Mn``), and the sideband
+Every moment vector is the matrix C_kl = <a_k^+ a_l> raveled row by row,
+C_kl at slot k N + l.  The static block M_0 is then the Kronecker sum of
+the bra and ket drift matrices (``assemble_Mn``), and the sideband
 couplings G+- are diagonal in the drive contrasts (``contrast_vector``).
 Every solve is one block elimination toward sideband 0 (``blocktri``),
 which forms the blocks M_n = M_0 - i n Omega I from M_0, each hot bath one
@@ -21,15 +22,13 @@ carries the solve outward (``blocktri.solve_thomas``).
 
 When g is exactly Hermitian (``power_matrix`` and pert2's
 ``perturbation.assemble_Npert``; the sources are real), the moments form
-a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the swap (k, l)
-<-> (l, k) of MomentIndexMap (``_moment_mirror``).  Given P, the kernel
+a Hermitian matrix and <.>_-n = P conj(<.>_n), with P the transpose
+(k, l) <-> (l, k) (``_moment_mirror``).  Given P, the kernel
 forms and eliminates sidebands +n_max .. 0 alone and gathers the bottom
 sweep from the top one; any other g, including one a rounding error off
 Hermitian, runs both sweeps.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from .model import (MAX_SIDEBAND_ORDER, SI, ConvergenceError, PowerMatrix,
                     check_n_max, ensure_valid, sideband_order)
 
 __all__ = [
-    "MomentIndexMap",
-    "moment_index_map",
     "assemble_Mn",
     "contrast_vector",
     "drive_order",
@@ -48,66 +45,19 @@ __all__ = [
 ]
 
 
-class MomentIndexMap:
-    """Flat ordering of the N^2 second moments.
-
-    Diagonals <a_1^+ a_1> ... <a_N^+ a_N> come first, then the ordered pairs
-    (k, l), k < l, each contributing the adjacent slots <a_k^+ a_l>,
-    <a_l^+ a_k>.  Indices are 0-based.
-    """
-
-    def __init__(self, N):
-        self.N = N
-        self.size = N * N
-        # (bra, ket) of every flat position as parallel arrays
-        k, l = np.triu_indices(N, 1)
-        self.bra = np.concatenate([np.arange(N), np.column_stack([k, l]).ravel()])
-        self.ket = np.concatenate([np.arange(N), np.column_stack([l, k]).ravel()])
-        self._index = {(int(a), int(b)): i
-                       for i, (a, b) in enumerate(zip(self.bra, self.ket))}
-        # coupling currents (_powers_from): each slot's (bra, ket) in a
-        # raveled N x N matrix, and the signs [bra == k] - [ket == k] of its
-        # term in the current out of k; complex, so that the product runs
-        # on the complex BLAS kernel the solves page in, not a real one too
-        self.pair = self.bra * N + self.ket
-        k_col = np.arange(N)[:, None]
-        self.outflow = (self.bra == k_col).astype(complex) - (self.ket == k_col)
-        # Kronecker-sum gathers of assemble_Mn from the flat buffer
-        # [L.ravel(), R.ravel(), 0]: slot (a, b) reads L[a, c] where its ket
-        # matches that of (c, d), R[b, d] where the bras match, else the 0
-        zero = 2 * self.size
-        self.left_gather = np.where(self.ket[:, None] == self.ket,
-                                    self.bra[:, None] * N + self.bra, zero)
-        self.right_gather = np.where(self.bra[:, None] == self.bra,
-                                     self.size + self.ket[:, None] * N
-                                     + self.ket, zero)
-        # slot of <a_l^+ a_k> for each <a_k^+ a_l>: the pair slots swap
-        # in twos, the diagonal moments stay put
-        self.swap = np.arange(self.size)
-        self.swap[N::2] += 1
-        self.swap[N + 1::2] -= 1
-
-    def index(self, k, l):
-        """Flat position of <a_k^dagger a_l>."""
-        return self._index[(k, l)]
-
-
-@functools.lru_cache(maxsize=None)
-def moment_index_map(N):
-    return MomentIndexMap(N)
-
-
 def _moment_mirror(net):
-    """The swap of MomentIndexMap when g is exactly Hermitian, else None.
+    """The transpose permutation k N + l -> l N + k when g is exactly
+    Hermitian, else None.
 
     Then C = <a_k^+ a_l> is a Hermitian matrix at every instant, and with
-    P the swap (k, l) <-> (l, k): P conj(M_n) P = M_-n and
+    P that swap (k, l) <-> (l, k): P conj(M_n) P = M_-n and
     P conj(G+) P = G-, so the moment equations carry the mirror of
     ``blocktri``.  The test is exact equality, not the 1e-15 tolerance of
     the ``hermitian`` flag: a g one ulp off takes the two-sided solve.
     """
     if np.array_equal(net.g, net.g.conj().T):
-        return moment_index_map(net.N).swap
+        N = net.N
+        return np.arange(N * N).reshape(N, N).T.ravel()
     return None
 
 
@@ -116,36 +66,36 @@ def assemble_Mn(net):
 
     C_kl = <a_k^+ a_l> obeys dC/dt = -(L C + C R^T) + source with
     L = diag(kappa - i omega) - i g^T on the bra index and
-    R = diag(kappa + i omega) + i g on the ket index.  On vec(C) that is
-    the Kronecker sum L (x) I + I (x) R, gathered straight into
-    MomentIndexMap order: slot (a, b) couples to (c, d) through L[a, c]
-    when b == d and through R[b, d] when a == c.  The gather indices
-    depend only on N and live in the cached MomentIndexMap.  The bra side
-    carries g^T, which is conj(g) only for Hermitian g; non-Hermitian g
-    follows the same convention as the time-domain generator.  The
-    diagonal of g is ignored; ``blocktri`` shifts M_0 into each sideband.
+    R = diag(kappa + i omega) + i g on the ket index.  On C raveled row by
+    row that is the Kronecker sum L (x) I + I (x) R: slot (k, l) couples
+    to (a, b) through L[k, a] when l == b and through R[l, b] when
+    k == a.  The bra side carries g^T, which is conj(g) only for Hermitian
+    g; non-Hermitian g follows the same convention as the time-domain
+    generator.  The diagonal of g is ignored; ``blocktri`` shifts M_0 into
+    each sideband.
     """
     N = net.N
-    imap = moment_index_map(N)
-    buf = np.zeros(2 * N * N + 1, dtype=complex)
-    left, right = buf[:-1].reshape(2, N, N)
-    np.multiply(-1j, net.g.T, out=left)
+    left = -1j * net.g.T
     np.fill_diagonal(left, net.kappa - 1j * net.omega)
-    np.multiply(1j, net.g, out=right)
+    right = 1j * net.g
     np.fill_diagonal(right, net.kappa + 1j * net.omega)
-    return buf[imap.left_gather] + buf[imap.right_gather]
+    # m[k, l, a, b] is the coefficient of C_ab in row C_kl
+    m = np.zeros((N, N, N, N), dtype=complex)
+    i = np.arange(N)
+    m[:, i, :, i] = left
+    m[i, :, i, :] += right
+    return m.reshape(N * N, N * N)
 
 
 def contrast_vector(mod):
-    """Drive contrasts eta = c_bra - c_ket in MomentIndexMap order.
+    """Drive contrasts eta_kl = c_k - c_l, raveled row by row.
 
     c_k = m_k exp(i theta_k), so eta vanishes on the N diagonal moments and
     whenever resonators k and l are driven identically; a complex value on
     the (k, l) slot signals a synthetic magnetic field on that link.
     """
     c = mod.phasor
-    imap = moment_index_map(len(c))
-    return c[imap.bra] - c[imap.ket]
+    return (c[:, None] - c).ravel()
 
 
 def drive_order(mod):
@@ -174,10 +124,10 @@ def _sideband_blocks(net, mod, n_max):
 
 def _sources(net, nvecs):
     """Source block (N^2, C) of the bath occupation vectors ``nvecs``
-    (C, N), one column each: 2 kappa_k n_k on the diagonal slot k of
-    sideband 0, zero elsewhere."""
+    (C, N), one column each: 2 kappa_k n_k on the diagonal slot
+    k N + k of sideband 0, zero elsewhere."""
     rhs = np.zeros((net.N ** 2, len(nvecs)), dtype=complex)
-    rhs[:net.N] = (2.0 * net.kappa[:, None]) * nvecs.T
+    rhs[::net.N + 1] = (2.0 * net.kappa[:, None]) * nvecs.T
     return rhs
 
 
@@ -187,7 +137,8 @@ def _solve_fourier_nvec(net, mod, n_max, nvecs):
     ``nvecs`` is one occupation vector (N,) or C of them as rows (C, N);
     all C of them share one two-sided elimination over all 2 n_max + 1
     sidebands, carried out to every one.  Returns the coefficients shaped
-    (2 n_max + 1, N^2), or (C, 2 n_max + 1, N^2).  No production path
+    (2 n_max + 1, N^2), or (C, 2 n_max + 1, N^2), row n_max - n holding
+    sideband n as C raveled row by row: ``reshape(N, N)`` gives C_kl.  No production path
     calls it: it is the tests' reference for the Fourier coefficients.
     """
     nvecs = np.asarray(nvecs, dtype=float)
@@ -213,7 +164,7 @@ def power_matrix(net, mod, n_max):
 def _powers_from(net, solve):
     """PowerMatrix of the hot baths of ``net``: ``solve`` maps their
     sources (``_sources``, one column each) to the moments <.>_0 (N^2,
-    columns) in MomentIndexMap order.  Baths at 0 K have zero rows by
+    columns), C raveled row by row.  Baths at 0 K have zero rows by
     linearity and no column; with none hot, ``solve`` is not called.
 
     P[k, l] reads the occupation of l with bath k alone hot; P[k, k] = 0.
@@ -233,10 +184,10 @@ def _powers_from(net, solve):
     P_em = np.zeros(N)
     # sum_j (g_kj C_kj - g_jk C_jk) for every k and column, from
     # g_ab C_ab on every slot (a, b); Re i z = -Im z
-    imap = moment_index_map(N)
-    current = (imap.outflow @ (net.g.take(imap.pair)[:, None] * zeroth)).imag
-    # diagonal moments <a_l^+ a_l>_0 occupy the first N flat slots
-    for i, (k, occ) in enumerate(zip(hot, zeroth[:N].real.T)):
+    flow = (net.g.ravel()[:, None] * zeroth).reshape(N, N, -1)
+    current = (flow.sum(axis=1) - flow.sum(axis=0)).imag
+    # diagonal moments <a_l^+ a_l>_0 sit at stride N + 1
+    for i, (k, occ) in enumerate(zip(hot, zeroth[::N + 1].real.T)):
         pref = SI.hbar * net.omega[k]
         P[k] = pref * 2.0 * net.kappa * occ
         P[k, k] = 0.0

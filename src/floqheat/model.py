@@ -100,10 +100,24 @@ def occupation(T, omega):
     return 1.0 / math.expm1(x)
 
 
-def _frozen_array(value, dtype):
-    arr = np.array(value, dtype=dtype)
+def _frozen_array(name, value, dtype):
+    """``value`` as a read-only array of ``dtype``; ValidationError when
+    an entry does not convert, e.g. a complex kappa."""
+    try:
+        arr = np.array(value, dtype=dtype)
+    except (TypeError, ValueError):
+        kind = "complex" if dtype is complex else "real"
+        raise ValidationError(f"{name} must hold {kind} numbers, got {value!r}") from None
     arr.setflags(write=False)
     return arr
+
+
+def _real_scalar(value):
+    """``value`` as a float if it is one real number (numpy scalars and
+    0-d arrays included; bools, strings and complex numbers not), else
+    None."""
+    arr = np.asarray(value)
+    return float(arr) if arr.ndim == 0 and arr.dtype.kind in "iuf" else None
 
 
 def _require(finite, checks):
@@ -141,10 +155,10 @@ class ResonatorNetwork:
     hermitian: bool = False
 
     def __post_init__(self):
-        omega = _frozen_array(self.omega, float)
-        g = _frozen_array(self.g, complex)
-        kappa = _frozen_array(self.kappa, float)
-        temp = _frozen_array(self.T, float)
+        omega = _frozen_array("omega", self.omega, float)
+        g = _frozen_array("g", self.g, complex)
+        kappa = _frozen_array("kappa", self.kappa, float)
+        temp = _frozen_array("T", self.T, float)
         if omega.ndim != 1:
             raise ValueError("omega must be a 1-d array")
         n = omega.shape[0]
@@ -157,13 +171,16 @@ class ResonatorNetwork:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "T", temp)
         _require(dict(omega=omega, g=g, kappa=kappa, T=temp), [
+            (n == 0, "a network needs at least one resonator"),
             ((omega <= 0.0).any(), "omega must be strictly positive"),
             (g.diagonal().any(), "coupling matrix must have zero diagonal (g_ii = 0)"),
             ((kappa <= 0.0).any(), "kappa must be strictly positive"),
             _temperature_check(temp),
             # to 1e-15 of the largest coupling; a non-finite g is reported as such
-            (self.hermitian and np.isfinite(g).all() and abs(g - g.conj().T).max()
-             > 1e-15 * max(1.0, abs(g).max()), "hermitian flag set but g != conj(g).T"),
+            (self.hermitian and np.isfinite(g).all()
+             and abs(g - g.conj().T).max(initial=0.0)
+             > 1e-15 * max(1.0, abs(g).max(initial=0.0)),
+             "hermitian flag set but g != conj(g).T"),
         ])
 
     @property
@@ -180,7 +197,7 @@ class ResonatorNetwork:
         Only the new temperatures are checked (shape, finiteness, T >= 0);
         the rest of the network was checked when it was built.
         """
-        temp = _frozen_array(T, float)
+        temp = _frozen_array("T", T, float)
         if temp.shape != self.omega.shape:
             raise ValueError("kappa and T must have the same length as omega")
         _require(dict(T=temp), [_temperature_check(temp)])
@@ -206,7 +223,8 @@ class ModulationProtocol:
     theta : (N,) per-resonator phases [rad]
     mask  : (N,) 0/1 switches selecting which resonators are modulated
 
-    beta, Omega and theta must be finite (ValidationError when built).
+    beta and Omega must be real numbers and, with theta, finite, and a
+    protocol drives at least one resonator (ValidationError when built).
     """
 
     beta: float
@@ -215,18 +233,25 @@ class ModulationProtocol:
     mask: np.ndarray
 
     def __post_init__(self):
-        theta = _frozen_array(self.theta, float)
+        theta = _frozen_array("theta", self.theta, float)
         mask = np.asarray(self.mask)
         if theta.ndim != 1 or mask.shape != theta.shape:
             raise ValueError("theta and mask must be 1-d arrays of equal length")
+        beta, Omega = _real_scalar(self.beta), _real_scalar(self.Omega)
+        _require({}, [(value is None, f"{name} must be a real number, got {raw!r}")
+                      for name, value, raw in (("beta", beta, self.beta),
+                                               ("Omega", Omega, self.Omega))])
         # checked before the integer cast, which would truncate 0.5 to 0
-        _require(dict(theta=theta, beta=self.beta, Omega=self.Omega), [
+        _require(dict(theta=theta, beta=beta, Omega=Omega), [
+            (theta.size == 0, "a protocol needs at least one resonator"),
             (not set(mask.tolist()) <= {0, 1}, "mask entries must be exactly 0 or 1"),
-            (self.beta < 0.0, "beta must be nonnegative"),
-            (self.Omega <= 0.0, "Omega must be strictly positive"),
+            (beta < 0.0, "beta must be nonnegative"),
+            (Omega <= 0.0, "Omega must be strictly positive"),
         ])
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "Omega", Omega)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mask", _frozen_array(mask, int))
+        object.__setattr__(self, "mask", _frozen_array("mask", mask, int))
 
     @property
     def period(self):
@@ -247,8 +272,8 @@ class PowerMatrix:
     P_em: np.ndarray   # (N,) [W]
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _frozen_array(self.P, float))
-        object.__setattr__(self, "P_em", _frozen_array(self.P_em, float))
+        object.__setattr__(self, "P", _frozen_array("P", self.P, float))
+        object.__setattr__(self, "P_em", _frozen_array("P_em", self.P_em, float))
 
     def conservation_residual(self, k):
         """|P_em[k] - sum_l P[k, l]|, the energy balance defect for source k."""

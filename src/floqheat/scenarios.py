@@ -44,7 +44,7 @@ import numpy as np
 
 from . import langevin, master, perturbation, timedomain
 from .model import (MAX_SIDEBAND_ORDER, FloqheatError, ValidationError,
-                    build_chain4, check_n_max, validate)
+                    _real_scalar, build_chain4, check_n_max, validate)
 
 __all__ = [
     "DEFAULT_OMEGA0",
@@ -209,10 +209,13 @@ class SweepSpec:
             raise ValueError("theta sweeps assume the four-resonator chain")
         if self.n_max is not None:
             check_n_max(self.n_max)
-        if not 0.0 < self.quad_tol < math.inf:
+        quad_tol, T_hot = _real_scalar(self.quad_tol), _real_scalar(self.T_hot)
+        if quad_tol is None or not 0.0 < quad_tol < math.inf:
             raise ValueError("quad_tol must be positive and finite")
-        if not 0.0 <= self.T_hot < math.inf:
+        if T_hot is None or not 0.0 <= T_hot < math.inf:
             raise ValueError("T_hot must be nonnegative and finite")
+        object.__setattr__(self, "quad_tol", quad_tol)
+        object.__setattr__(self, "T_hot", T_hot)
 
 
 @dataclass(frozen=True)

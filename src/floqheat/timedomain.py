@@ -27,8 +27,9 @@ shooting period steps each chunk's own map from I, and the chunk maps
 then carry Y from chunk to chunk; the stored period starts every chunk
 from the shooting period's state there.
 
-For Hermitian g, C = <a_k^+ a_l> stays Hermitian, so in the basis x that
-writes each adjacent pair y_kl, y_lk as Re y_kl, Im y_kl the step maps
+The moment vector y is C_kl = <a_k^+ a_l> raveled row by row, C_kl at
+slot k N + l.  For Hermitian g, C stays Hermitian, so in the basis x that
+writes each pair y_kl, y_lk, k < l, as Re y_kl, Im y_kl the step maps
 and the state are real, and both periods step in float64; results go
 back to the moment basis before anything reads them.  Non-Hermitian g
 runs the same loop in complex.
@@ -42,7 +43,6 @@ import numpy as np
 
 from .model import (SI, ConvergenceError, PowerMatrix, ValidationError,
                     ensure_valid)
-from .master import moment_index_map
 
 __all__ = [
     "MomentSamples",
@@ -55,10 +55,13 @@ __all__ = [
 @dataclass(frozen=True)
 class MomentSamples:
     """Moment-vector samples over one period, endpoints included, of all
-    baths together, and each bath's share of their cycle average."""
+    baths together, and each bath's share of their cycle average.  Every
+    moment vector is C_kl = <a_k^+ a_l> raveled row by row: a row of ``y``
+    reshaped (N, N) is C, and ``bath_averages`` reshaped (N, N, N) holds
+    bath j's share of C_kl at [k, l, j]."""
 
     t: np.ndarray          # (S + 1,) [s]
-    y: np.ndarray          # (S + 1, N^2) complex, MomentIndexMap order
+    y: np.ndarray          # (S + 1, N^2) complex
     periods_used: int
     floquet_multiplier: float   # largest |eigenvalue| of the monodromy matrix
     bath_averages: np.ndarray   # (N^2, N): column k from bath k, 0 at 0 K
@@ -67,43 +70,45 @@ class MomentSamples:
 def _static_generator(net):
     """Time-independent part of dy/dt = G(t) y + s, plus the source vector."""
     N = net.N
-    imap = moment_index_map(N)
+    slot = np.arange(N * N).reshape(N, N)    # slot[k, l] of C_kl
     g = net.g
-    gen = np.zeros((imap.size, imap.size), dtype=complex)
-    src = np.zeros(imap.size, dtype=complex)
+    gen = np.zeros((N * N, N * N), dtype=complex)
+    src = np.zeros(N * N, dtype=complex)
     nvec = net.occupations()
     for k in range(N):
-        row = imap.index(k, k)
+        row = slot[k, k]
         gen[row, row] = -2.0 * net.kappa[k]
         src[row] = 2.0 * net.kappa[k] * nvec[k]
         for j in range(N):
             if j == k:
                 continue
-            gen[row, imap.index(k, j)] += -1j * g[k, j]
-            gen[row, imap.index(j, k)] += 1j * g[j, k]
+            gen[row, slot[k, j]] += -1j * g[k, j]
+            gen[row, slot[j, k]] += 1j * g[j, k]
     for k in range(N):
         for l in range(N):
             if k == l:
                 continue
-            row = imap.index(k, l)
+            row = slot[k, l]
             gen[row, row] = 1j * (net.omega[k] - net.omega[l]) - net.kappa[k] - net.kappa[l]
             for j in range(N):
                 if j == k or j == l:
                     continue
-                gen[row, imap.index(k, j)] += -1j * g[l, j]
-                gen[row, imap.index(j, l)] += 1j * g[j, k]
-            gen[row, imap.index(k, k)] += -1j * g[l, k]
-            gen[row, imap.index(l, l)] += 1j * g[l, k]
+                gen[row, slot[k, j]] += -1j * g[l, j]
+                gen[row, slot[j, l]] += 1j * g[j, k]
+            gen[row, slot[k, k]] += -1j * g[l, k]
+            gen[row, slot[l, l]] += 1j * g[l, k]
     return gen, src
 
 
-def _drive_diagonal(mod, imap, t):
-    """Time-dependent diagonal of the generator, i beta (c_bra - c_ket).
+def _drive_diagonal(mod, t):
+    """Time-dependent diagonal of the generator, i beta (c_k - c_l) on
+    slot k N + l.
 
     t may be an array; the result then has one row per time.
     """
     c = mod.mask * np.cos(mod.Omega * np.asarray(t)[..., None] + mod.theta)
-    return 1j * mod.beta * (c[..., imap.bra] - c[..., imap.ket])
+    eta = c[..., :, None] - c[..., None, :]
+    return 1j * mod.beta * eta.reshape(*c.shape[:-1], -1)
 
 
 # harmonics of the step maps
@@ -116,17 +121,18 @@ _CHUNK = 64
 _PAIRING_TOL = 1e-14
 
 
-def _hermitian_basis(imap, m):
-    """(T, T^-1) with y = T x for the moments and m trailing slots: x
-    writes each adjacent pair y_kl, y_lk as Re y_kl, Im y_kl."""
-    n, N = imap.size, imap.N
-    t = np.eye(n + m, dtype=complex)
-    p = np.arange(N, n, 2)
-    t[p + 1, p] = 1.0
-    t[p, p + 1], t[p + 1, p + 1] = 1j, -1j
+def _hermitian_basis(N, m):
+    """(T, T^-1) with y = T x for the N^2 moments and m trailing slots: x
+    writes each pair y_kl, y_lk, k < l, as Re y_kl, Im y_kl."""
+    k, l = np.triu_indices(N, 1)
+    p, q = k * N + l, l * N + k
+    t = np.eye(N * N + m, dtype=complex)
+    t[q, p] = 1.0
+    t[p, q], t[q, q] = 1j, -1j
     # each pair block [[1, i], [1, -i]] has the inverse half its adjoint
     t_inv = t.conj().T
-    t_inv[N:n] *= 0.5
+    t_inv[p] *= 0.5
+    t_inv[q] *= 0.5
     return t, t_inv
 
 
@@ -136,7 +142,7 @@ def _angles(a, b, period):
     return 2.0 * np.pi * (np.outer(a, b) % period) / period
 
 
-def _step_map_coefficients(gen0, src, mod, imap, dt, basis):
+def _step_map_coefficients(gen0, src, mod, dt, basis):
     """Fourier coefficients of the RK4 step map in the step's start phase.
 
     src (n, m) holds one source column per forced trajectory.  A step takes
@@ -151,7 +157,7 @@ def _step_map_coefficients(gen0, src, mod, imap, dt, basis):
     """
     n, m = src.shape
     starts = np.arange(9) * (mod.period / 9.0)
-    d0, dh, d1 = (_drive_diagonal(mod, imap, starts + f * dt)[:, :, None]
+    d0, dh, d1 = (_drive_diagonal(mod, starts + f * dt)[:, :, None]
                   for f in (0.0, 0.5, 1.0))
     y = np.eye(n, n + m)
     src = np.hstack([np.zeros((n, n)), src])
@@ -268,8 +274,7 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
                          f"{steps_per_period!r}") from None
     if steps_per_period < 2000:
         raise ValueError("need at least 2000 steps per period")
-    imap = moment_index_map(net.N)
-    n = imap.size
+    n = net.N * net.N
     gen0, src = _static_generator(net)
 
     period = 2.0 * np.pi / mod.Omega
@@ -283,12 +288,12 @@ def evolve_to_cycle(net, mod, steps_per_period=4096):
             "raise steps_per_period"
         )
 
-    # bath k feeds only the occupation of resonator k
-    hot = [k for k in range(net.N) if src[imap.index(k, k)] != 0.0]
-    basis = _hermitian_basis(imap, len(hot))
-    coef = _step_map_coefficients(
-        gen0, np.diag(src)[:, [imap.index(k, k) for k in hot]], mod, imap, dt,
-        basis)
+    # bath k feeds only the occupation of resonator k, slot k (N + 1)
+    occupied = np.flatnonzero(src)
+    hot = occupied // (net.N + 1)
+    basis = _hermitian_basis(net.N, len(hot))
+    coef = _step_map_coefficients(gen0, np.diag(src)[:, occupied], mod, dt,
+                                  basis)
     phases = _step_phases(steps_per_period)
     # the augmented period starts from [[Y, y_k], [0, I]] = I, in x as in y
     z, mean, starts = _rk4_period(coef, phases, n + len(hot))
@@ -343,14 +348,12 @@ def cycle_average_power(samples, net):
         raise ValidationError(
             f"samples hold bath shares of shape {samples.bath_averages.shape}, "
             f"not ({N * N}, {N}) for a network of {N} resonators")
-    imap = moment_index_map(N)
-    # slot[k, l] of <a_k^+ a_l>; share[k, l] and back[k, l] are bath k's
-    # shares of <a_k^+ a_l> and <a_l^+ a_k>, occ[k, l] of <a_l^+ a_l>
-    slot = np.array([[imap.index(k, l) for l in range(N)] for k in range(N)])
-    bath = np.arange(N)[:, None]
-    avg = samples.bath_averages
-    share, back = avg[slot, bath], avg[slot.T, bath]
-    occ = avg[np.diag(slot)].T.real
+    # share[k, l] and back[k, l] are bath k's shares of <a_k^+ a_l> and
+    # <a_l^+ a_k>, occ[k, l] of <a_l^+ a_l>
+    avg = samples.bath_averages.reshape(N, N, N)
+    bath = np.arange(N)
+    share, back = avg[bath, :, bath], avg[:, bath, bath].T
+    occ = samples.bath_averages[::N + 1].T.real
     pref = SI.hbar * net.omega
     P = pref[:, None] * 2.0 * net.kappa * occ
     np.fill_diagonal(P, 0.0)

@@ -235,7 +235,7 @@ def test_solver_operators_match_dense_lu():
     rng = np.random.default_rng(12)
     for name, net, mod, n_max in operator_cases():
         rhs = np.zeros((net.N ** 2, 2), dtype=complex)
-        rhs[:net.N] = rng.uniform(0.0, 1.0, (net.N, 2))
+        rhs[::net.N + 1] = rng.uniform(0.0, 1.0, (net.N, 2))
         system = qme_blocks(net, mod, n_max)
         x = solve_thomas(*system, rhs)
         assert max_rel(x, dense_solution(system, rhs)) <= 1e-13, name
@@ -269,14 +269,14 @@ def mirror_cases():
 
 
 def test_mirrored_solve_matches_dense_lu():
-    # Hermitian g: the moment operator carries the pair-slot swap, so the
+    # Hermitian g: the moment operator carries the transpose of C, so the
     # kernel forms block rows 0..n alone and eliminates the top sweep only
     rng = np.random.default_rng(22)
     for name, net, mod, n_max in mirror_cases():
         swap = _moment_mirror(net)
         assert swap is not None, name
         rhs = np.zeros((net.N ** 2, 2), dtype=complex)
-        rhs[:net.N] = rng.uniform(0.0, 1.0, (net.N, 2))
+        rhs[::net.N + 1] = rng.uniform(0.0, 1.0, (net.N, 2))
         system = qme_blocks(net, mod, n_max)
         static = system[0]
         # the mirror of the static block, which maps the block of sideband
@@ -327,9 +327,12 @@ def test_schur_centre_of_moment_systems_matches_dense_schur():
         if swap is not None:
             schurs.append(schur_centre(*system, swap))
         assert len(schurs) == (1 if name == "non-Hermitian g" else 2), name
+        # schur - centre cancels against centre, whose entries reach 100x
+        # the fold's: one ulp of the largest is the floor of the comparison
+        floor = np.spacing(np.abs(centre).max())
         for schur in schurs:
             assert np.abs(schur - centre - fold).max() <= \
-                1e-14 * np.abs(fold).max(), name
+                1e-14 * np.abs(fold).max() + floor, name
 
 
 def test_centre_read_matches_full_solve():

@@ -19,7 +19,6 @@ from floqheat.langevin import (assemble_A, drive_order, emitted_power,
                                _sideband_blocks)
 from floqheat.master import power_matrix
 from floqheat.model import ValidationError
-from floqheat.scenarios import write_spectrum_csv
 
 from conftest import (KAPPA, OMEGA0, T_HOT, assemble_dense, chain,
                       random_network, sideband_ladder)
@@ -710,19 +709,6 @@ class TestWindowAndExport:
         flux = heat_flux_spectrum(warm, mod, 0, 3, grid, 4)
         pref = SI.hbar * warm.omega[0] * 2.0 * warm.kappa[3]
         assert np.allclose(flux, pref * direct[:, 3, 0], rtol=1e-12, atol=0.0)
-
-    def test_spectrum_csv_format(self, tmp_path, chain_modulated):
-        net, mod = chain_modulated
-        grid = np.array([OMEGA0 - KAPPA, OMEGA0, OMEGA0 + KAPPA])
-        fwd = heat_flux_spectrum(net.with_hot_bath(0, T_HOT), mod, 0, 3, grid, 2)
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(path, grid, {(0, 3): fwd})
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "omega_rad_s,source_bath,observer,spectral_power_W_per_rad_s"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[1] == "1" and first[2] == "4"
-        assert float(first[3]) == pytest.approx(fwd[0], rel=1e-10)
 
 
 def test_import_does_not_load_scipy():

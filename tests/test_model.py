@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -192,14 +193,28 @@ class TestValidate:
         ({"omega": [1.0, 0.0, 1.0, 1.0]}, "omega must be strictly positive"),
         ({"beta": -1.0}, "beta must be nonnegative"),
         ({"Omega": 0.0}, "Omega must be strictly positive"),
+        # stray types and empty networks, which numpy used to reject
+        ({"beta": np.array([1.0])}, "beta must be a real number, got array([1.])"),
+        ({"beta": "1e9"}, "beta must be a real number, got '1e9'"),
+        ({"Omega": 1e12j}, "Omega must be a real number, got 1000000000000j"),
+        ({"beta": True, "Omega": None}, "beta must be a real number, got True; "
+         "Omega must be a real number, got None"),
+        ({"kappa": [1e9j, 1e9, 1e9, 1e9]},
+         "kappa must hold real numbers, got [1000000000j, 1000000000.0, "
+         "1000000000.0, 1000000000.0]"),
+        ({"omega": [], "g": np.zeros((0, 0)), "kappa": [], "T": []},
+         "a network needs at least one resonator"),
+        ({"omega": [], "g": np.zeros((0, 0)), "kappa": [], "T": [],
+          "hermitian": True}, "a network needs at least one resonator"),
+        ({"theta": [], "mask": []}, "a protocol needs at least one resonator"),
     ])
     def test_every_copy_is_checked(self, changes, message):
         # replace and with_temperatures build new objects, and check them
         net, mod = chain(0.05)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            if "T" in changes:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            if "T" in changes and len(changes) == 1:
                 net.with_temperatures(changes["T"])
-            elif "omega" in changes:
+            elif {"omega", "kappa"} & set(changes):
                 dataclasses.replace(net, **changes)
             else:
                 dataclasses.replace(mod, **changes)

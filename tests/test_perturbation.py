@@ -3,13 +3,13 @@ import pytest
 
 from floqheat import (SI, ModulationProtocol, ResonatorNetwork, ValidationError,
                       occupation)
-from floqheat.master import (assemble_Mn, contrast_vector, moment_index_map,
-                             power_matrix, _solve_fourier_nvec)
+from floqheat.master import (assemble_Mn, contrast_vector, power_matrix,
+                             _solve_fourier_nvec)
 from floqheat.perturbation import (CLOSED_FORM_ORIENTATION, assemble_Npert,
                                    closed_form_delta_power,
                                    delta_n14_closed_form, delta_n14_general,
                                    delta_power_weak_coupling, power_second_order)
-from floqheat.scenarios import operating_point, write_perturbation_csv
+from floqheat.scenarios import operating_point
 
 from conftest import (COUPLING, DRIVE, KAPPA, OMEGA0, T_HOT, centre_cases,
                       chain, random_network)
@@ -54,20 +54,16 @@ class TestAssembleNpert:
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
 
     def test_real_contrasts_keep_reciprocity(self):
-        imap = moment_index_map(4)
         for theta_pi in (0.0, 1.0):
             net, mod = chain(0.03, theta_pi)
-            ninv = np.linalg.inv(assemble_Npert(net, mod))
-            a = ninv[imap.index(3, 3), imap.index(0, 0)]
-            b = ninv[imap.index(0, 0), imap.index(3, 3)]
-            assert a == pytest.approx(b, rel=1e-12)
+            # occupation to occupation: the diagonal slots, stride N + 1
+            ninv = np.linalg.inv(assemble_Npert(net, mod))[::5, ::5]
+            assert ninv[3, 0] == pytest.approx(ninv[0, 3], rel=1e-12)
 
     def test_complex_contrasts_break_reciprocity(self):
-        imap = moment_index_map(4)
         net, mod = chain(0.03, 0.5)
-        ninv = np.linalg.inv(assemble_Npert(net, mod))
-        a = ninv[imap.index(3, 3), imap.index(0, 0)].real
-        b = ninv[imap.index(0, 0), imap.index(3, 3)].real
+        ninv = np.linalg.inv(assemble_Npert(net, mod))[::5, ::5].real
+        a, b = ninv[3, 0], ninv[0, 3]
         assert abs(a - b) > 1e-6 * abs(a)
 
 
@@ -138,7 +134,7 @@ class TestPowerSecondOrder:
 def _explicit_inverse_moments(net, mod, k):
     """Zeroth-sideband moments with bath k alone hot, by inverting N."""
     n_k = occupation(T_HOT, net.omega[k])
-    return (np.linalg.inv(assemble_Npert(net, mod))[:, k]
+    return (np.linalg.inv(assemble_Npert(net, mod))[:, k * (net.N + 1)]
             * 2.0 * net.kappa[k] * n_k)
 
 
@@ -164,7 +160,7 @@ class TestFirstSidebandElimination:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
             # the power row, read off the same moments
             p_ref = (SI.hbar * net.omega[k] * 2.0 * net.kappa
-                     * ref[:N].real)
+                     * ref[::N + 1].real)
             p_ref[k] = 0.0
             assert np.allclose(pm.P[k], p_ref, rtol=1e-13, atol=0.0)
 
@@ -268,10 +264,3 @@ class TestResultPlumbing:
                                  mask=[0, 1, 0])
         with pytest.raises(ValidationError):
             closed_form_delta_power(net, mod)
-
-    def test_csv_format(self, tmp_path):
-        path = tmp_path / "pert.csv"
-        write_perturbation_csv(path, [(1e12, 0.5, 1e-23, 1.1e-23, 1.2e-23, 0.9e-23)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "beta,theta,dP_exact_W,dP_pa1_W,dP_pa2_W,dP_closed_W"
-        assert len(lines) == 2

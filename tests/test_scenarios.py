@@ -342,6 +342,10 @@ class TestSweep:
         ("T_hot", -1.0, "T_hot must be nonnegative and finite"),
         ("T_hot", math.inf, "T_hot must be nonnegative and finite"),
         ("T_hot", math.nan, "T_hot must be nonnegative and finite"),
+        ("quad_tol", "1e-6", "quad_tol must be positive and finite"),
+        ("quad_tol", 1e-6j, "quad_tol must be positive and finite"),
+        ("T_hot", np.array([300.0]), "T_hot must be nonnegative and finite"),
+        ("T_hot", True, "T_hot must be nonnegative and finite"),
     ])
     def test_spec_rejects_bad_settings(self, chain_static, field, value,
                                        message):
@@ -532,7 +536,7 @@ def _oracle_one_direction_at_a_time(net, mod, source, observer):
     the sampled trajectory."""
     hot = net.with_hot_bath(source, T_HOT)
     avg = timedomain.cycle_averaged_moments(timedomain.evolve_to_cycle(hot, mod))
-    occ = avg[master.moment_index_map(net.N).index(observer, observer)].real
+    occ = avg[observer * (net.N + 1)].real
     return SI.hbar * net.omega[source] * 2.0 * net.kappa[observer] * occ
 
 
@@ -771,3 +775,42 @@ class TestWriters:
             b"beta,theta,dP_exact_W,dP_pa1_W,dP_pa2_W,dP_closed_W\r\n"
             b"8.4500000000e+11,1.5707963268e+00,5.200000000000e-24,"
             b"5.300000000000e-24,5.100000000000e-24,5.000000000000e-24\r\n")
+
+    @staticmethod
+    def read_back(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_spectrum_from_a_solve(self, tmp_path, chain_modulated):
+        # both directions of a real qle spectrum: one row per frequency and
+        # direction, 1-based labels, and the values to the 12 digits written
+        net, mod = chain_modulated
+        grid = np.array([OMEGA0 - KAPPA, OMEGA0, OMEGA0 + KAPPA])
+        spectra = {(s, o): langevin.heat_flux_spectrum(
+            net.with_hot_bath(s, T_HOT), mod, s, o, grid, 2)
+            for s, o in ((0, 3), (3, 0))}
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(path, grid, spectra)
+        header, *rows = self.read_back(path)
+        assert header == ["omega_rad_s", "source_bath", "observer",
+                          "spectral_power_W_per_rad_s"]
+        assert len(rows) == 2 * grid.size
+        for (s, o), spectrum in spectra.items():
+            mine = [r for r in rows if (r[1], r[2]) == (str(s + 1), str(o + 1))]
+            assert [float(r[0]) for r in mine] == pytest.approx(grid, rel=1e-10)
+            assert [float(r[3]) for r in mine] == pytest.approx(spectrum, rel=1e-12)
+
+    def test_perturbation_from_a_solve(self, tmp_path):
+        # one row of dP by every method at one chain point, as the
+        # perturbation demo writes it
+        net, mod = default_chain(0.01 * scenarios.DEFAULT_OMEGA0, 0.5 * math.pi)
+        record = (mod.beta, 0.5 * math.pi,
+                  *(operating_point(net, mod, m).dP
+                    for m in ("qme", "pert1", "pert2", "closed")))
+        path = tmp_path / "pert.csv"
+        write_perturbation_csv(path, [record])
+        header, *rows = self.read_back(path)
+        assert header == ["beta", "theta", "dP_exact_W", "dP_pa1_W",
+                          "dP_pa2_W", "dP_closed_W"]
+        assert len(rows) == 1
+        assert [float(v) for v in rows[0]] == pytest.approx(record, rel=1e-10)

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from floqheat import (ConvergenceError, ModulationProtocol, ResonatorNetwork,
                       SI, ValidationError, occupation)
 from floqheat.langevin import emitted_power
-from floqheat.master import (assemble_Mn, moment_index_map, power_matrix,
-                             _solve_fourier_nvec)
+from floqheat.master import assemble_Mn, power_matrix, _solve_fourier_nvec
 from floqheat import timedomain
 from floqheat.timedomain import (_drive_diagonal, _hermitian_basis,
                                  _static_generator, _step_map_coefficients,
@@ -19,9 +21,8 @@ from conftest import (KAPPA, OMEGA0, T_HOT, chain, periodic_expectations,
 
 def generator(net, mod, t):
     """Full generator at time t: returns (G(t), s) with G periodic in 2 pi / Omega."""
-    imap = moment_index_map(net.N)
     gen, src = _static_generator(net)
-    gen[np.arange(imap.size), np.arange(imap.size)] += _drive_diagonal(mod, imap, t)
+    gen[np.diag_indices_from(gen)] += _drive_diagonal(mod, t)
     return gen, src
 
 
@@ -40,10 +41,10 @@ def reference_step(gen0, src, d0, dh, d1, dt, y):
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_drive(mod, imap, steps):
+def reference_drive(mod, steps):
     """Drive diagonal on the half-step grid of one period, as columns."""
     dt = 2.0 * np.pi / mod.Omega / steps
-    return _drive_diagonal(mod, imap, np.arange(2 * steps + 1) * (0.5 * dt))[:, :, None]
+    return _drive_diagonal(mod, np.arange(2 * steps + 1) * (0.5 * dt))[:, :, None]
 
 
 def reference_rk4_period(gen0, src, drive, dt, y, store=None):
@@ -65,15 +66,15 @@ def reference_rk4_period(gen0, src, drive, dt, y, store=None):
 def reference_evolve(net, mod, steps):
     """(bath_averages, samples, multiplier) of ``evolve_to_cycle`` from the
     stage-by-stage period."""
-    imap = moment_index_map(net.N)
-    n = imap.size
+    n = net.N ** 2
     gen0, src = _static_generator(net)
     dt = 2.0 * np.pi / mod.Omega / steps
-    drive = reference_drive(mod, imap, steps)
-    hot = [k for k in range(net.N) if src[imap.index(k, k)] != 0.0]
+    drive = reference_drive(mod, steps)
+    # bath k's source sits on the diagonal slot k (N + 1)
+    hot = [k for k in range(net.N) if src[k * (net.N + 1)] != 0.0]
     y_aug = np.eye(n, n + len(hot), dtype=complex)
     src_aug = np.zeros_like(y_aug)
-    src_aug[:, n:] = np.diag(src)[:, [imap.index(k, k) for k in hot]]
+    src_aug[:, n:] = np.diag(src)[:, [k * (net.N + 1) for k in hot]]
     y_aug, mean = reference_rk4_period(gen0, src_aug, drive, dt, y_aug)
     phi = y_aug[:, :n]
     y0 = np.linalg.solve(np.eye(n) - phi, y_aug[:, n:])
@@ -117,6 +118,21 @@ def case(theta, beta):
     return both_ends_hot(theta, beta)
 
 
+def test_imports_no_solver_module():
+    # the oracle is independent of the solvers it checks: it borrows no
+    # assembly, layout or kernel from any of them
+    solvers = {"master", "langevin", "blocktri", "perturbation"}
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(timedomain))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert "model" in names and not names & solvers
+
+
 class TestGenerator:
     # the element-wise time-domain generator is the independent check of
     # the Kronecker-sum M_0, also for non-Hermitian couplings
@@ -138,10 +154,9 @@ class TestGenerator:
         g_s, _ = generator(net, static, 0.0)
         assert np.max(np.abs(g_s + assemble_Mn(net))) <= \
             1e-12 * np.max(np.abs(g_s))
-        imap = moment_index_map(n)
         nvec = net.occupations()
         for k in range(n):
-            assert src[imap.index(k, k)] == pytest.approx(2 * net.kappa[k] * nvec[k])
+            assert src[k * (n + 1)] == pytest.approx(2 * net.kappa[k] * nvec[k])
 
     def test_periodicity(self, chain_modulated):
         # exact up to cos-argument roundoff at t + 2 pi / Omega
@@ -163,8 +178,7 @@ class TestGenerator:
         changed = {idx for idx in range(16)
                    if abs(g0[idx, idx] - g1[idx, idx]) > 0}
         assert np.max(np.abs((g0 - g1) - np.diag(np.diag(g0 - g1)))) == 0.0
-        imap = moment_index_map(4)
-        expected = {imap.index(k, l) for k in range(4) for l in range(4)
+        expected = {4 * k + l for k in range(4) for l in range(4)
                     if k != l and (k in (1, 2) or l in (1, 2))
                     and (k, l) not in ((0, 3), (3, 0))}
         assert changed == expected
@@ -199,7 +213,7 @@ class TestEvolveToCycle:
         avg = cycle_averaged_moments(samples)
         for k in range(3):
             expected = occupation(temps[k], omega[k])
-            assert avg[k].real == pytest.approx(expected, rel=1e-6, abs=1e-12)
+            assert avg[4 * k].real == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
     def test_matches_fourier_zeroth_coefficients(self, chain_modulated):
         net, mod = chain_modulated
@@ -207,9 +221,8 @@ class TestEvolveToCycle:
         samples = evolve_to_cycle(hot, mod)
         avg = cycle_averaged_moments(samples)
         zeroth = _solve_fourier_nvec(hot, mod, 15, hot.occupations())[15]
-        imap = moment_index_map(4)
-        occ4 = avg[imap.index(3, 3)].real
-        assert occ4 == pytest.approx(zeroth[imap.index(3, 3)].real, rel=1e-6)
+        occ4 = avg[15].real      # C_33, slot 3 N + 3
+        assert occ4 == pytest.approx(zeroth[15].real, rel=1e-6)
         scale = np.abs(zeroth).max()
         assert np.max(np.abs(avg - zeroth)) <= 1e-6 * scale
 
@@ -289,20 +302,19 @@ class TestStepMaps:
     def test_interpolated_maps_equal_direct_stages(self, theta, beta):
         net, mod = case(theta, beta)
         steps = 2001
-        imap = moment_index_map(net.N)
-        n = imap.size
+        n = net.N ** 2
         gen0, src = _static_generator(net)
         cols = np.diag(src)[:, np.flatnonzero(src)]
         m = cols.shape[1]
         assert m >= 1
         dt = 2.0 * np.pi / mod.Omega / steps
-        basis = _hermitian_basis(imap, m)
-        inc = _step_maps(_step_map_coefficients(gen0, cols, mod, imap, dt, basis),
+        basis = _hermitian_basis(net.N, m)
+        inc = _step_maps(_step_map_coefficients(gen0, cols, mod, dt, basis),
                          _step_phases(steps))
         # the maps in the real basis x, back in the moment basis
         t, t_inv = basis
         inc = t @ inc @ t_inv
-        drive = reference_drive(mod, imap, steps)
+        drive = reference_drive(mod, steps)
         direct = reference_step(gen0, np.hstack([np.zeros((n, n)), cols]),
                                 drive[:-1:2], drive[1::2], drive[2::2], dt,
                                 np.eye(n, n + m))
@@ -374,16 +386,15 @@ class TestBathShares:
 def per_source_powers(samples, net, source):
     """Scalar reference of the oracle's read-out: bath ``source``'s row of
     P and its P_em, one moment at a time from its share of the average."""
-    imap = moment_index_map(net.N)
-    avg = samples.bath_averages[:, source]
+    avg = samples.bath_averages[:, source].reshape(net.N, net.N)
     pref = SI.hbar * net.omega[source]
     row = np.zeros(net.N)
     current = 0.0
     for l in range(net.N):
         if l != source:
-            row[l] = pref * 2.0 * net.kappa[l] * avg[imap.index(l, l)].real
-            current += (net.g[source, l] * avg[imap.index(source, l)]
-                        - net.g[l, source] * avg[imap.index(l, source)])
+            row[l] = pref * 2.0 * net.kappa[l] * avg[l, l].real
+            current += (net.g[source, l] * avg[source, l]
+                        - net.g[l, source] * avg[l, source])
     return row, pref * (1j * current).real
 
 
