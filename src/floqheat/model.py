@@ -103,10 +103,13 @@ def occupation(T, omega):
 def _frozen_array(name, value, dtype):
     """``value`` as a read-only array of ``dtype``; ValidationError when
     an entry does not convert, e.g. a complex kappa."""
+    kind = "complex" if dtype is complex else "real"
     try:
+        if dtype is float and np.iscomplexobj(value):
+            # numpy would cast a complex ndarray, dropping its imaginary part
+            raise TypeError
         arr = np.array(value, dtype=dtype)
     except (TypeError, ValueError):
-        kind = "complex" if dtype is complex else "real"
         raise ValidationError(f"{name} must hold {kind} numbers, got {value!r}") from None
     arr.setflags(write=False)
     return arr

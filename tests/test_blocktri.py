@@ -52,17 +52,23 @@ def dense_solution(system, rhs):
     return x.reshape(full_rhs.shape)
 
 
-def dense_schur(system):
-    """Schur complement A_cc - A_co A_oo^-1 A_oc of the centre block row c
-    of one system, from its dense matrix and dense LU of the rest o."""
+def dense_fold(system):
+    """What the Schur complement of the centre block row c of one system
+    adds to its centre block, -A_co A_oo^-1 A_oc, from the dense matrix and
+    dense LU of the rest o.  Formed on its own, not as the Schur complement
+    minus A_cc, so that it carries no rounding at the scale of A_cc."""
     n_max, b = system[2], system[0].shape[-1]
     full = dense_system(*system)
     c = np.arange(b) + n_max * b
     o = np.setdiff1d(np.arange(full.shape[0]), c)
-    if not o.size:
-        return full
-    return (full[np.ix_(c, c)] - full[np.ix_(c, o)]
-            @ np.linalg.solve(full[np.ix_(o, o)], full[np.ix_(o, c)]))
+    return -(full[np.ix_(c, o)]
+             @ np.linalg.solve(full[np.ix_(o, o)], full[np.ix_(o, c)]))
+
+
+def dense_schur(system):
+    """Schur complement A_cc - A_co A_oo^-1 A_oc of the centre block row c
+    of one system."""
+    return system[0] + dense_fold(system)
 
 
 def member(system, idx):
@@ -321,18 +327,15 @@ def test_schur_centre_of_moment_systems_matches_dense_schur():
     for name, net, mod, n_max in centre_cases():
         system = qme_blocks(net, mod, n_max)
         centre = system[0]
-        fold = dense_schur(system) - centre
+        fold = dense_fold(system)
         schurs = [schur_centre(*system)]
         swap = _moment_mirror(net)
         if swap is not None:
             schurs.append(schur_centre(*system, swap))
         assert len(schurs) == (1 if name == "non-Hermitian g" else 2), name
-        # schur - centre cancels against centre, whose entries reach 100x
-        # the fold's: one ulp of the largest is the floor of the comparison
-        floor = np.spacing(np.abs(centre).max())
         for schur in schurs:
             assert np.abs(schur - centre - fold).max() <= \
-                1e-14 * np.abs(fold).max() + floor, name
+                1e-14 * np.abs(fold).max(), name
 
 
 def test_centre_read_matches_full_solve():

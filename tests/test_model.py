@@ -17,6 +17,9 @@ from floqheat.scenarios import SweepSpec
 
 from conftest import OMEGA0, OCC_300K, chain
 
+COMPLEX_KAPPA = np.full(4, 1e9 + 1e8j)
+COMPLEX_T = np.full(4, 300.0 + 0j)
+
 
 class TestOccupation:
     def test_zero_temperature(self):
@@ -202,6 +205,10 @@ class TestValidate:
         ({"kappa": [1e9j, 1e9, 1e9, 1e9]},
          "kappa must hold real numbers, got [1000000000j, 1000000000.0, "
          "1000000000.0, 1000000000.0]"),
+        # a complex ndarray, which numpy would cast to its real part
+        ({"kappa": COMPLEX_KAPPA},
+         f"kappa must hold real numbers, got {COMPLEX_KAPPA!r}"),
+        ({"T": COMPLEX_T}, f"T must hold real numbers, got {COMPLEX_T!r}"),
         ({"omega": [], "g": np.zeros((0, 0)), "kappa": [], "T": []},
          "a network needs at least one resonator"),
         ({"omega": [], "g": np.zeros((0, 0)), "kappa": [], "T": [],
